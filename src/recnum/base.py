@@ -127,7 +127,8 @@ def dominant_root(spec: RecurrenceSpec) -> float:
     """The unique root of the characteristic polynomial in [a_1, a_1 + 1).
 
     Found by bisection to absolute tolerance 1e-14; the sign change on the
-    bracket is guaranteed for valid specs and asserted here.
+    bracket is guaranteed for valid specs, and PreconditionError is raised
+    without it.
     """
     a1 = spec.coeffs[0]
     if spec.d == 1:
@@ -137,7 +138,8 @@ def dominant_root(spec: RecurrenceSpec) -> float:
     if flo == 0.0:
         return lo
     fhi = char_poly(spec, hi)
-    assert flo < 0.0 < fhi, "no sign change on [a_1, a_1+1): invalid spec?"
+    if not flo < 0.0 < fhi:
+        raise PreconditionError("no sign change on [a_1, a_1+1): invalid spec?")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or hi - lo <= ROOT_TOL:

@@ -93,6 +93,7 @@ class BlockBoundReport:
     ok: bool
     runtime_s: float
     main_nodes: int
+    detail: M22Certificate  # the M_2(2) certificate behind M2_2
 
 
 def quadratic_context(a: int) -> BaseContext:
@@ -151,11 +152,6 @@ def _shifted_residue_sums(vals: np.ndarray, n_terms: int) -> np.ndarray:
         return np.full(a, base)
     csum = np.concatenate([[0.0], np.cumsum(np.concatenate([vals, vals]))])
     return base + (csum[rem : rem + a] - csum[:a])
-
-
-def _max_shifted_residue_sum(vals: np.ndarray, n_terms: int) -> float:
-    """max over q of sum_{b=0}^{n_terms-1} vals[(b + q) mod len(vals)]."""
-    return float(np.max(_shifted_residue_sums(vals, n_terms)))
 
 
 def _residue_sup_tables(a: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +275,6 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
     )
 
 
-def certify_M2_2(a: int, grid: GridParams, threads: int = 1) -> float:
-    """Certified upper bound for M_2(2); see the module docstring display."""
-    return certify_M2_2_detail(a, grid, threads=threads).total
-
-
 def certify_M2_3(a: int, grid: GridParams) -> float:
     """Certified upper bound for M_2(3): shifted interval suprema of |g|."""
     if a < 2:
@@ -293,7 +284,7 @@ def certify_M2_3(a: int, grid: GridParams) -> float:
     sups = np.array(
         [dirichlet_sup(a, c / a, (c + 1) / a, 1e-4).bound for c in range(a)]
     )
-    return _max_shifted_residue_sum(sups, n_terms) + n_terms * grid.delta
+    return float(np.max(_shifted_residue_sums(sups, n_terms))) + n_terms * grid.delta
 
 
 def combine_M2(m2_2: float, m2_3: float) -> float:
@@ -319,22 +310,8 @@ def certify_block_bound(a: int, grid: GridParams, threads: int = 1) -> BlockBoun
         ok=kappa < KAPPA_TARGET,
         runtime_s=time.perf_counter() - t0,
         main_nodes=detail.main_nodes,
+        detail=detail,
     )
-
-
-def sample_main_sum(a: int, q: int, gamma: float, rng: np.random.Generator) -> float:
-    """One exact evaluation of the main-term sum at random in-interval points:
-    sum over b of |h(y_b, gamma, q)| with y_b drawn from the b-th interval.
-    Any such value must stay below the certified main term."""
-    ctx = quadratic_context(a)
-    alpha_inv = polished_alpha_inv(a, ctx.alpha)
-    b_max = floor_alpha_sq(a, ctx.alpha) + 1
-    bs = np.arange(b_max + 1)
-    ys = (bs + rng.random(b_max + 1)) / a
-    h = dirichlet_kernel_abs(ys + q / a, a) * dirichlet_kernel_abs(
-        alpha_inv * ys + gamma, a
-    )
-    return float(np.sum(h))
 
 
 def sample_main_sums(
@@ -344,9 +321,10 @@ def sample_main_sums(
     rng: np.random.Generator,
     chunk: int = 2000,
 ) -> float:
-    """Worst of n_samples random main-term evaluations (batched form of
-    sample_main_sum): q uniform over {0..a-1}, gamma uniform over
-    [0, gamma_hi), one uniform y per interval."""
+    """Worst of n_samples exact main-term evaluations at random points:
+    q uniform over {0..a-1}, gamma uniform over [0, gamma_hi), one uniform y
+    per interval b, summing |h(y_b, gamma, q)| over b. Any such value must
+    stay below the certified main term plus its corrections."""
     ctx = quadratic_context(a)
     alpha_inv = polished_alpha_inv(a, ctx.alpha)
     b_max = floor_alpha_sq(a, ctx.alpha) + 1

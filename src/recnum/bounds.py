@@ -292,6 +292,29 @@ class ThetaReport:
     candidates: dict[str, float] = field(default_factory=dict)
 
 
+def _theta_report(
+    ctx: BaseContext,
+    m: float,
+    m_r: float | None,
+    block_kappa: float | None = None,
+    block_width: int = 2,
+) -> ThetaReport:
+    """theta = 1 - eta, eta the best decay exponent from the computed m
+    (and m^(r), when given)."""
+    log_alpha = math.log(ctx.alpha)
+    candidates = {
+        "parseval": THETA_FLOOR_EXPONENT,
+        "interval-sup": math.log(m + 3.0) / log_alpha,
+    }
+    if m_r is not None:
+        candidates["shifted-sup"] = math.log(m_r + 2.0) / log_alpha
+    if block_kappa is not None:
+        candidates["block"] = block_kappa / block_width - 1.0
+    winner = min(candidates, key=candidates.get)
+    eta = candidates[winner]
+    return ThetaReport(theta=1.0 - eta, eta=eta, winner=winner, candidates=candidates)
+
+
 def theta_lower_bound(
     ctx: BaseContext,
     use_shifted: bool = False,
@@ -308,43 +331,27 @@ def theta_lower_bound(
     covering shift per window), and kappa/w - 1 from a width-w block
     certificate with exponent kappa.
     """
-    log_alpha = math.log(ctx.alpha)
-    candidates = {
-        "parseval": THETA_FLOOR_EXPONENT,
-        "interval-sup": math.log(m_value(ctx, slack=slack) + 3.0) / log_alpha,
-    }
-    if use_shifted:
-        candidates["shifted-sup"] = (
-            math.log(m_shifted(ctx, shift_r, slack=slack) + 2.0) / log_alpha
-        )
-    if block_kappa is not None:
-        candidates["block"] = block_kappa / block_width - 1.0
-    winner = min(candidates, key=candidates.get)
-    eta = candidates[winner]
-    return ThetaReport(theta=1.0 - eta, eta=eta, winner=winner, candidates=candidates)
+    m_r = m_shifted(ctx, shift_r, slack=slack) if use_shifted else None
+    return _theta_report(ctx, m_value(ctx, slack=slack), m_r, block_kappa, block_width)
 
 
 def compute_mbound_report(
     ctx: BaseContext, shift_r: int | None = None, slack: float = DEFAULT_SUP_SLACK
 ) -> MBoundReport:
+    a1 = ctx.coeffs[0]
     m_jb = {
         j: [c.bound for c in m_table(ctx, j, slack=slack)] for j in ctx.index_set
     }
-    m_j = {j: m_of_j(ctx, j, slack=slack) for j in ctx.index_set}
+    m_j = {j: sum(v) / a1 for j, v in m_jb.items()}  # the sum m_of_j forms
     m = max(m_j.values())
-    a1 = ctx.coeffs[0]
-    closed = m_closed_form(a1) if a1 >= 3 else None
-    shifted = m_shifted(ctx, shift_r, slack=slack) if shift_r else None
-    theta = theta_lower_bound(
-        ctx, use_shifted=shift_r is not None, shift_r=shift_r or 2, slack=slack
-    ).theta
+    shifted = m_shifted(ctx, shift_r, slack=slack) if shift_r is not None else None
     return MBoundReport(
         coeffs=ctx.coeffs,
         m_jb=m_jb,
         m_j=m_j,
         m=m,
-        closed_form=closed,
+        closed_form=m_closed_form(a1) if a1 >= 3 else None,
         shift_r=shift_r,
         m_shifted=shifted,
-        theta=theta,
+        theta=_theta_report(ctx, m, shifted).theta,
     )

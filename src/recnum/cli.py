@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-One subcommand per library operation; JSON output by default, CSV where the
-result is tabular. Exit codes: 0 success, 2 certification failure (a block
+One subcommand per library operation; JSON output, CSV where the result is
+tabular (table1). Exit codes: 0 success, 2 certification failure (a block
 bound misses its target, or validation fails under --strict), 1 usage or
 internal error. All floating-point output is limited to 10 significant
 digits.
@@ -49,18 +49,23 @@ def _emit(args, payload: dict | str) -> None:
         sys.stdout.write(text)
 
 
-def _context_from_args(args) -> BaseContext:
+def _spec_from_args(args) -> base.RecurrenceSpec:
     if args.config:
         with open(args.config) as fh:
-            spec = base.parse_config(fh.read())
-        return BaseContext(spec)
+            return base.parse_config(fh.read())
     if not args.coeffs:
         raise PreconditionError("provide --coeffs or --config")
     coeffs = tuple(int(c) for c in args.coeffs.split(","))
     initials = (
-        tuple(int(g) for g in args.initials.split(",")) if args.initials else None
+        tuple(int(g) for g in args.initials.split(","))
+        if args.initials
+        else base.strengthened_initials(coeffs)
     )
-    return base.make_context(coeffs, initials)
+    return base.RecurrenceSpec(coeffs, initials)
+
+
+def _context_from_args(args) -> BaseContext:
+    return BaseContext(_spec_from_args(args))
 
 
 def _parse_rows(text: str) -> list[int]:
@@ -83,17 +88,7 @@ def _grid_from_args(args, a: int | None = None) -> blockcert.GridParams:
 
 
 def cmd_validate(args) -> int:
-    if args.config:
-        with open(args.config) as fh:
-            spec = base.parse_config(fh.read())
-    else:
-        coeffs = tuple(int(c) for c in args.coeffs.split(","))
-        initials = (
-            tuple(int(g) for g in args.initials.split(","))
-            if args.initials
-            else base.strengthened_initials(coeffs)
-        )
-        spec = base.RecurrenceSpec(coeffs, initials)
+    spec = _spec_from_args(args)
     report = base.validate_spec(spec)
     payload = {
         "coeffs": list(spec.coeffs),
@@ -277,14 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--initials", help="comma-separated G_0,...,G_{d-1}")
     common.add_argument("--config", help="key=value config file defining the base")
     common.add_argument("--out", help="output file (default stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--strict", action="store_true")
 
     p = argparse.ArgumentParser(prog="recnum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("validate", parents=[common])
+    sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("expand", parents=[common])
@@ -328,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
     sp.add_argument("--delta", type=float, default=1e-10)
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_blockbound)
 
     sp = sub.add_parser("table1", parents=[common])
@@ -335,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
     sp.add_argument("--delta", type=float, default=1e-10)
+    sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_table1)
 
     sp = sub.add_parser("discrepancy", parents=[common])

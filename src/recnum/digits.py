@@ -9,6 +9,7 @@ gets the empty expansion.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,21 +55,55 @@ def sum_of_digits(ctx: BaseContext, nu: int) -> int:
     return sum(expand(ctx, nu).digits)
 
 
-def digit_sums_range(ctx: BaseContext, n: int) -> np.ndarray:
-    """s_G(k) for all k in [0, n) as an int64 array.
+# Each context caches one prefix table of s_G over [0, G_m), G_m the largest
+# term <= TABLE_LIMIT (8 MB at most); it is dropped with its context.
+TABLE_LIMIT = 1 << 20
+_TABLES: weakref.WeakKeyDictionary[BaseContext, np.ndarray] = (
+    weakref.WeakKeyDictionary()
+)
 
-    Works digit position by digit position over the whole range at once;
-    floor division from the top term downward is exactly the greedy rule.
+
+def _prefix_table(ctx: BaseContext) -> np.ndarray:
+    """s_G(k) for k in [0, G_m), built block by block: for G_j <= k < G_{j+1}
+    the greedy top digit is k // G_j, so s(k) = k // G_j + s(k mod G_j).
+
+    Two threads racing here build equal tables, and either store may win.
     """
-    if n <= 0:
-        return np.zeros(0, dtype=np.int64)
-    terms = ctx.terms_upto(max(n - 1, 1))
-    rem = np.arange(n, dtype=np.int64)
-    out = np.zeros(n, dtype=np.int64)
-    for g in reversed(terms):
+    table = _TABLES.get(ctx)
+    if table is None:
+        terms = ctx.terms_upto(TABLE_LIMIT)
+        table = np.zeros(terms[-1], dtype=np.int64)
+        for g, g_next in zip(terms, terms[1:]):
+            ks = np.arange(g, g_next, dtype=np.int64)
+            table[g:g_next] = ks // g + table[ks % g]
+        _TABLES[ctx] = table
+    return table
+
+
+def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
+    """s_G(k) for all k in [lo, n) as an int64 array.
+
+    Digits at the terms >= G_m come from floor division, top term first,
+    which is exactly the greedy rule; the remainder is then below G_m and
+    the context's prefix table supplies its digit sum.
+    """
+    if lo < 0:
+        raise PreconditionError("window start must be non-negative")
+    table = _prefix_table(ctx)
+    top = len(table)  # G_m
+    if n <= max(lo, top):
+        return table[lo:n].copy()
+    rem = np.arange(lo, n, dtype=np.int64)
+    out = np.zeros(n - lo, dtype=np.int64)
+    for g in reversed(ctx.terms_upto(n - 1)):
+        if g < top:
+            break
         d = rem // g
         out += d
-        rem -= d * g
+        d *= g
+        rem -= d
+        del d  # in place and freed early: at most three window-sized arrays live
+    out += table[rem]
     return out
 
 

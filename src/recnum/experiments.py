@@ -25,6 +25,7 @@ from math import gcd
 import numpy as np
 
 from .base import BaseContext, CostGuardError, PreconditionError
+from .digits import digit_sums_range
 
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
@@ -62,24 +63,9 @@ def sieve_spf(x: int) -> SieveCache:
     return SieveCache(x, spf)
 
 
-def _digit_sums_of(ctx: BaseContext, values: np.ndarray) -> np.ndarray:
-    """Greedy digit sums of an arbitrary int64 array, via floor division."""
-    if len(values) == 0:
-        return values.copy()
-    terms = ctx.terms_upto(max(int(values.max()), 1))
-    rem = values.copy()
-    out = np.zeros_like(values)
-    for g in reversed(terms):
-        d = rem // g
-        out += d
-        rem -= d * g
-    return out
-
-
 def _digit_class_mask(ctx: BaseContext, lo: int, hi: int, r: int, s: int) -> np.ndarray:
     """Boolean mask over k in [lo, hi) for s_G(k) = r (mod s)."""
-    ks = np.arange(lo, hi, dtype=np.int64)
-    return _digit_sums_of(ctx, ks) % s == r % s
+    return digit_sums_range(ctx, hi, lo) % s == r % s
 
 
 def class_progression_count(
@@ -198,8 +184,7 @@ def residue_histogram(ctx: BaseContext, x: int, s: int) -> np.ndarray:
     counts = np.zeros(s, dtype=np.int64)
     for lo in range(0, x, _CHUNK):
         hi = min(lo + _CHUNK, x)
-        sums = _digit_sums_of(ctx, np.arange(lo, hi, dtype=np.int64))
-        counts += np.bincount(sums % s, minlength=s)
+        counts += np.bincount(digit_sums_range(ctx, hi, lo) % s, minlength=s)
     return counts
 
 
@@ -221,7 +206,7 @@ def almost_prime_count(
         quotient = ks // p
         prime = quotient == 1
         semiprime = (quotient > 1) & (spf[quotient] == quotient)
-        mask = (prime | semiprime) & (_digit_sums_of(ctx, ks) % s == r % s)
+        mask = (prime | semiprime) & _digit_class_mask(ctx, lo, hi, r, s)
         total += int(np.count_nonzero(mask))
     return total
 

@@ -12,7 +12,7 @@ together with the coefficient sums
 
 which satisfy S_n = sum_{j : a_j != 0} A_{n,j} S_{n-j} for n >= d. The modulus
 |A_{k,j}| equals the Dirichlet-kernel ratio |sin(pi a_j x)/sin(pi x)| at
-x = beta + y G_{k-j}.
+x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`).
 
 1-norms of S_n and of dS_n/dy over y in [0,1) are estimated by composite
 midpoint quadrature with node density tied to G_n, since the integrand
@@ -21,7 +21,6 @@ oscillates on the scale 1/G_n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -33,7 +32,6 @@ from .digits import digit_sums_range
 
 DIRECT_SUM_GUARD = 10**7
 ONE_NORM_GUARD = 10**5
-SINGULARITY_TOL = 1e-12
 
 
 def parse_rational(text: str) -> Fraction:
@@ -45,11 +43,13 @@ def parse_rational(text: str) -> Fraction:
 class ExpSumParams:
     """Frequencies y (on k) and beta (on the digit sum), both taken mod 1.
 
-    Exact fractions, when available, let the direct sum reduce phases
-    exactly mod 1 before any floating-point rounding.
+    y may be an array: `exp_sum_recurrent` and `coefficient_A` then evaluate
+    at every y at once, and a scalar y is their length-1 case. Exact
+    fractions, when available, let the direct sum reduce phases exactly
+    mod 1 before any floating-point rounding.
     """
 
-    y: float
+    y: float | np.ndarray
     beta: float
     y_frac: Fraction | None = None
     beta_frac: Fraction | None = None
@@ -58,7 +58,7 @@ class ExpSumParams:
     def make(cls, y, beta) -> "ExpSumParams":
         y_frac = y if isinstance(y, Fraction) else None
         beta_frac = beta if isinstance(beta, Fraction) else None
-        yf = float(y) % 1.0
+        yf = np.asarray(y, dtype=float) % 1.0 if np.ndim(y) else float(y) % 1.0
         bf = float(beta) % 1.0
         return cls(yf, bf, y_frac, beta_frac)
 
@@ -66,7 +66,7 @@ class ExpSumParams:
 @dataclass
 class ExpSumTable:
     params: ExpSumParams
-    values: list[complex]  # S_0 .. S_n
+    values: list  # S_0 .. S_n: complex numbers, or arrays over an array of y
 
 
 def _e(phase: np.ndarray | float) -> np.ndarray | complex:
@@ -102,8 +102,10 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     return complex(np.sum(_e(phase)))
 
 
-def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> complex:
-    """The coefficient sum A_{n,j}(y, beta); |A_{n,j}| <= a_j."""
+def coefficient_A(
+    ctx: BaseContext, n: int, j: int, params: ExpSumParams
+) -> complex | np.ndarray:
+    """The coefficient sum A_{n,j}(y, beta), at every y of params; |A_{n,j}| <= a_j."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -111,69 +113,32 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> com
     a = ctx.coeffs
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
-    y, beta = params.y, params.beta
-    total = 0j
+    ys = np.atleast_1d(params.y)
+    total = np.zeros(len(ys), dtype=complex)
     for ell in range(a[j - 1]):
-        phase = _phase_mod1(y, pre_g + ell * ctx.term(n - j)) + beta * (pre_a + ell)
-        total += complex(_e(phase))
-    return total
+        phase = _phase_mod1(ys, pre_g + ell * ctx.term(n - j))
+        total += _e(phase + params.beta * (pre_a + ell))
+    return total if np.ndim(params.y) else complex(total[0])
 
 
 def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> ExpSumTable:
-    """The table S_0..S_n via the order-d coefficient recurrence."""
-    values: list[complex] = []
+    """The table S_0..S_n via the order-d coefficient recurrence, at every y
+    of params (complex values for a scalar y, arrays for an array of y)."""
+    ys = np.atleast_1d(params.y)
+    values: list = []
     for k in range(min(ctx.d, n + 1)):
-        g_k = ctx.term(k)
-        s = digit_sums_range(ctx, g_k)
-        values.append(complex(np.sum(_e(params.beta * s + params.y * np.arange(g_k)))))
+        s = digit_sums_range(ctx, ctx.term(k))
+        acc = np.zeros(len(ys), dtype=complex)
+        for kk, s_kk in enumerate(s):
+            acc += _e(params.beta * s_kk + _phase_mod1(ys, kk))
+        values.append(acc)
     for k in range(ctx.d, n + 1):
         values.append(
             sum(coefficient_A(ctx, k, j, params) * values[k - j] for j in ctx.index_set)
         )
+    if not np.ndim(params.y):
+        values = [complex(v[0]) for v in values]
     return ExpSumTable(params=params, values=values)
-
-
-def kernel_f(ctx: BaseContext, k: int, j: int, y: float, beta: float) -> float:
-    """|sin(pi a_j x)/sin(pi x)| at x = beta + y G_{k-j}, equal to |A_{k,j}|.
-
-    Returns a_j exactly when x is within 1e-12 of an integer (removable
-    singularity).
-    """
-    if j not in ctx.index_set:
-        raise PreconditionError(f"j={j} not in the index set")
-    if k < j:
-        raise PreconditionError(f"need k >= j, got k={k}, j={j}")
-    a_j = ctx.coeffs[j - 1]
-    x = beta + y * ctx.term(k - j)
-    frac = x - math.floor(x)
-    if min(frac, 1.0 - frac) < SINGULARITY_TOL:
-        return float(a_j)
-    return abs(math.sin(math.pi * a_j * frac) / math.sin(math.pi * frac))
-
-
-def _exp_sum_vec(ctx: BaseContext, n: int, ys: np.ndarray, beta: float) -> np.ndarray:
-    """S_n(y, beta) for an array of y values, via the recurrence."""
-    a = ctx.coeffs
-    values: list[np.ndarray] = []
-    for k in range(min(ctx.d, n + 1)):
-        g_k = ctx.term(k)
-        s = digit_sums_range(ctx, g_k)
-        acc = np.zeros(len(ys), dtype=complex)
-        for kk in range(g_k):
-            acc += _e(beta * s[kk] + _phase_mod1(ys, kk))
-        values.append(acc)
-    for k in range(ctx.d, n + 1):
-        acc = np.zeros(len(ys), dtype=complex)
-        for j in ctx.index_set:
-            pre_g = sum(a[m - 1] * ctx.term(k - m) for m in range(1, j))
-            pre_a = sum(a[m - 1] for m in range(1, j))
-            coeff = np.zeros(len(ys), dtype=complex)
-            for ell in range(a[j - 1]):
-                phase = _phase_mod1(ys, pre_g + ell * ctx.term(k - j))
-                coeff += _e(phase + beta * (pre_a + ell))
-            acc += coeff * values[k - j]
-        values.append(acc)
-    return values[n]
 
 
 @dataclass
@@ -191,7 +156,7 @@ def one_norm(
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
     nodes = max(64, samples_per_oscillation * g_n)
     ys = (np.arange(nodes) + 0.5) / nodes
-    vals = np.abs(_exp_sum_vec(ctx, n, ys, beta))
+    vals = np.abs(exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta)).values[n])
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=nodes)
 
 
@@ -251,7 +216,8 @@ def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> Gallag
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
     pts = farey_fractions(q_max)
     ys = np.array([float(p) for p in pts])
-    lhs = float(np.sum(np.abs(_exp_sum_vec(ctx, n, ys, beta))))
+    table = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    lhs = float(np.sum(np.abs(table.values[n])))
     delta = 1.0 / (q_max * q_max)
     nrm = one_norm(ctx, n, beta)
     dnrm = derivative_one_norm(ctx, n, beta)

@@ -54,6 +54,13 @@ def test_dominant_root_in_unit_window():
         assert coeffs[0] <= alpha < coeffs[0] + 1
 
 
+def test_dominant_root_rejects_bracket_without_sign_change():
+    # X^2 - 1 vanishes at the upper bracket end a_1 + 1 = 1; a raised error,
+    # unlike an assert, survives python -O
+    with pytest.raises(PreconditionError):
+        dominant_root(RecurrenceSpec((0, 1), (1, 2)))
+
+
 def test_terms_satisfy_recurrence():
     ctx = make_context((2, 1, 1))
     for n in range(3, 20):

@@ -86,6 +86,24 @@ def test_table1_csv_shape(capsys):
     assert (code == EXIT_OK) == (rows[1][6] == "1")
 
 
+def test_dead_flags_removed_and_threads_kept(capsys):
+    args = ["--coeffs", "2,1", "--n", "6", "--y", "1/3", "--beta", "1/2"]
+    assert main(["expsum", *args, "--format", "csv"]) == EXIT_ERROR
+    assert main(["expsum", *args, "--threads", "2"]) == EXIT_ERROR
+    assert main(["mbound", "--coeffs", "7,1", "--strict"]) == EXIT_ERROR
+    capsys.readouterr()
+    code, out = run(
+        capsys, "table1", "--rows", "20", "--eps", "0.01", "--eta", "0.001",
+        "--threads", "2",
+    )
+    rows = list(csv.reader(io.StringIO(out)))
+    assert code in (EXIT_OK, EXIT_CERT_FAIL) and rows[1][0] == "20"
+
+
+def test_validate_missing_coeffs_is_a_usage_error(capsys):
+    assert main(["validate"]) == EXIT_ERROR
+
+
 def test_discrepancy(capsys):
     code, payload = run_json(
         capsys, "discrepancy", "--coeffs", "1,1", "--x", "2000", "--s", "2",

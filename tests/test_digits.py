@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recnum.base import PreconditionError, make_context
 from recnum.digits import (
+    TABLE_LIMIT,
     Expansion,
     digit_sums_range,
     expand,
@@ -100,3 +103,27 @@ def test_digit_sums_range_empty():
 def test_digit_sums_range_dtype():
     ctx = make_context((2, 1))
     assert digit_sums_range(ctx, 10).dtype == np.int64
+
+
+@st.composite
+def _windows(draw):
+    """A base and a window [lo, hi) placed near one of its terms or near the
+    prefix-table edge, so that windows straddle both kinds of boundary."""
+    coeffs = draw(st.sampled_from(BASES + [(100, 1)]))
+    ctx = make_context(coeffs)
+    anchors = ctx.terms_upto(4 * TABLE_LIMIT) + [TABLE_LIMIT]
+    lo = max(0, draw(st.sampled_from(anchors)) + draw(st.integers(-40, 40)))
+    return ctx, lo, lo + draw(st.integers(0, 120))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_windows())
+def test_digit_sums_range_window_matches_scalar(window):
+    ctx, lo, hi = window
+    sums = digit_sums_range(ctx, hi, lo)
+    assert sums.tolist() == [sum_of_digits(ctx, k) for k in range(lo, hi)]
+
+
+def test_digit_sums_range_rejects_negative_start():
+    with pytest.raises(PreconditionError):
+        digit_sums_range(make_context((1, 1)), 10, -1)

@@ -2,8 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recnum.base import CostGuardError, PreconditionError, make_context
+from recnum.bounds import dirichlet_kernel_abs
 from recnum.expsum import (
     ExpSumParams,
     coefficient_A,
@@ -12,7 +15,6 @@ from recnum.expsum import (
     exp_sum_recurrent,
     farey_fractions,
     gallagher_check,
-    kernel_f,
     one_norm,
     parse_rational,
 )
@@ -82,16 +84,36 @@ def test_coefficient_modulus_bound():
             assert abs(val) <= ctx.coeffs[j - 1] + 1e-12
 
 
-def test_kernel_f_equals_coefficient_modulus():
+def test_kernel_ratio_equals_coefficient_modulus():
     ctx = make_context((3, 1))
     rng = np.random.default_rng(3)
     for _ in range(20):
         y, beta = rng.random(), rng.random()
         params = ExpSumParams.make(y, beta)
         for j in ctx.index_set:
-            assert kernel_f(ctx, 9, j, y, beta) == pytest.approx(
+            kernel = dirichlet_kernel_abs(beta + y * ctx.term(9 - j), ctx.coeffs[j - 1])
+            assert float(kernel) == pytest.approx(
                 abs(coefficient_A(ctx, 9, j, params)), abs=1e-8
             )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.sampled_from(BASES),
+    n=st.integers(3, 9),
+    beta=st.floats(0.0, 1.0, exclude_max=True),
+    ys=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+)
+def test_array_recurrence_matches_scalar_and_direct(coeffs, n, beta, ys):
+    ctx = make_context(coeffs)
+    table = exp_sum_recurrent(ctx, n, ExpSumParams.make(np.array(ys), beta))
+    for i, y in enumerate(ys):
+        params = ExpSumParams.make(y, beta)
+        scalar = exp_sum_recurrent(ctx, n, params).values
+        assert all(abs(v[i] - w) <= 1e-12 * ctx.term(k)
+                   for k, (v, w) in enumerate(zip(table.values, scalar)))
+        direct = exp_sum_direct(ctx, n, params)
+        assert abs(table.values[n][i] - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
 def test_direct_sum_guard():
