@@ -14,8 +14,6 @@ and G_n ~ c * alpha^n for some constant c > 0.
 
 from __future__ import annotations
 
-import json
-import math
 import threading
 from dataclasses import dataclass
 
@@ -45,18 +43,6 @@ class RecurrenceSpec:
     @property
     def d(self) -> int:
         return len(self.coeffs)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"coeffs": list(self.coeffs), "initials": list(self.initials)},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RecurrenceSpec":
-        data = json.loads(text)
-        return cls(tuple(int(a) for a in data["coeffs"]),
-                   tuple(int(g) for g in data["initials"]))
 
 
 @dataclass(frozen=True)
@@ -151,14 +137,6 @@ def dominant_root(spec: RecurrenceSpec) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class GrowthEstimate:
-    c: float
-    bracket: float  # |G_N/alpha^N - G_{N-1}/alpha^{N-1}|, convergence evidence
-    n_used: int
-    reduced: bool  # True if N was lowered to stay inside the integer width
-
-
 class BaseContext:
     """A validated base together with a growable cache of exact terms.
 
@@ -218,45 +196,6 @@ class BaseContext:
         while self.term(n) <= limit:
             n += 1
         return self._terms[:n]
-
-    def growth_constant(self, n: int = 64) -> GrowthEstimate:
-        """Estimate c in G_n ~ c alpha^n as G_N / alpha^N for large N.
-
-        If G_N overflows the configured width, N is reduced and the estimate
-        flagged accordingly.
-        """
-        reduced = False
-        while n > 1:
-            try:
-                g_n = self.term(n)
-                g_prev = self.term(n - 1)
-                break
-            except IntegerWidthError:
-                n -= 8
-                reduced = True
-        else:
-            raise PreconditionError("cannot estimate growth constant at n <= 1")
-        c = g_n / self.alpha**n
-        bracket = abs(c - g_prev / self.alpha ** (n - 1))
-        return GrowthEstimate(c=c, bracket=bracket, n_used=n, reduced=reduced)
-
-    def dominance_gap_estimate(self, n_lo: int = 20, n_hi: int = 60) -> float:
-        """Empirical decay exponent of |G_n - c alpha^n| / alpha^n.
-
-        Reported for diagnostics only; never used in certified bounds.
-        """
-        c = self.growth_constant().c
-        pairs = []
-        for n in (n_lo, n_hi):
-            try:
-                err = abs(self.term(n) - c * self.alpha**n) / self.alpha**n
-            except IntegerWidthError:
-                break
-            pairs.append((n, err))
-        if len(pairs) < 2 or pairs[0][1] == 0 or pairs[1][1] == 0:
-            return math.inf
-        (n0, e0), (n1, e1) = pairs
-        return (math.log(e0) - math.log(e1)) / ((n1 - n0) * math.log(self.alpha))
 
 
 def make_context(coeffs, initials=None, max_bits: int = DEFAULT_MAX_BITS) -> BaseContext:

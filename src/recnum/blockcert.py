@@ -39,9 +39,11 @@ exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 
 Interval suprema are shift-periodic with period a in b + q, so only a
 distinct certificates are ever computed per row. The main term is evaluated
-on a shared y-grid partitioned into per-interval segments, reduced per
-interval with maximum.reduceat, and parallelised over q; the reduction is a
-max, so results are independent of the thread count.
+on a shared y-grid with one column per interval b, so the max over y0 is a
+column max. The inner factor does not depend on q: it is evaluated once per
+chunk of the gamma-grid and shared by all a shifts. The chunks are
+parallelised and combined by a max, so results are independent of the
+thread count.
 """
 
 from __future__ import annotations
@@ -154,32 +156,44 @@ def _shifted_residue_sums(vals: np.ndarray, n_terms: int) -> np.ndarray:
     return base + (csum[rem : rem + a] - csum[:a])
 
 
-def _residue_sup_tables(a: int) -> tuple[np.ndarray, np.ndarray]:
+def _pool_map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], on a pool of `threads` workers when threads > 1."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
+
+
+def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-residue sup|g| and sup|g'| over the closed intervals [c/a, (c+1)/a]."""
-    sup_g = np.empty(a)
-    sup_gp = np.empty(a)
-    for c in range(a):
+
+    def sups(c: int) -> tuple[float, float]:
         lo = c / a
         hi = (c + 1) / a
-        sup_g[c] = dirichlet_sup(a, lo, hi, 1e-4).bound
-        sup_gp[c] = interval_sup_deriv(a, lo, hi)
-    return sup_g, sup_gp
+        return dirichlet_sup(a, lo, hi, 1e-4).bound, interval_sup_deriv(a, lo, hi)
+
+    sup_g, sup_gp = zip(*_pool_map(sups, range(a), threads))
+    return np.array(sup_g), np.array(sup_gp)
 
 
-def _build_y_grid(a: int, b_max: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """Main-term grid: the eps-lattice points of [b/a, (b+1)/a) for
-    b = 0..b_max, concatenated, plus the reduceat segment starts. The
-    segments partition the lattice, and every point of the b-th interval
-    lies within eps of a point assigned to b."""
+def _build_y_grid(a: int, b_max: int, eps: float) -> tuple[np.ndarray, int]:
+    """Main-term grid, one column per interval: column b holds the
+    eps-lattice points of [b/a, (b+1)/a), b = 0..b_max, topped up to a
+    common height by repeating its last point. Also returns the number of
+    distinct points. The columns partition the lattice, every point of the
+    b-th interval lies within eps of a point of column b, and a repeated
+    point leaves the column maximum unchanged."""
     edges = np.array(
         [math.ceil(b / (a * eps) - _GRID_SNAP) for b in range(b_max + 2)],
         dtype=np.int64,
     )
-    ells = np.concatenate(
-        [np.arange(edges[b], edges[b + 1], dtype=np.int64) for b in range(b_max + 1)]
-    )
-    starts = edges[:-1] - edges[0]
-    return ells * eps, starts
+    counts = np.diff(edges)
+    if counts.min() < 1:
+        raise PreconditionError(
+            f"eps={eps} leaves an interval of width 1/a without a grid point"
+        )
+    ells = edges[:-1] + np.minimum(np.arange(counts.max())[:, None], counts - 1)
+    return ells * eps, int(edges[-1] - edges[0])
 
 
 def _gamma_grid_size(eta: float) -> int:
@@ -187,27 +201,45 @@ def _gamma_grid_size(eta: float) -> int:
     return math.floor((1.0 + eta / 2.0) / eta - _GRID_SNAP) + 1
 
 
-def _main_term_for_q(
+# floats per chunk array (1 MB): a chunk's kernel values, products and
+# temporaries stay in cache, so the pool's threads do not wait on memory
+_CHUNK_FLOATS = 1 << 17
+
+
+def _main_terms(
     a: int,
     alpha_inv: float,
     ys: np.ndarray,
-    starts: np.ndarray,
-    q: int,
     eta: float,
     n_gamma: int,
-) -> float:
-    g_outer = dirichlet_kernel_abs(ys + q / a, a)
+    threads: int = 1,
+) -> np.ndarray:
+    """max_{gamma0} sum_b max_{y0} |h(y0, gamma0, q)| for every q = 0..a-1,
+    on the column grid of `_build_y_grid`.
+
+    The inner factor |g(alpha^{-1} y + gamma)| does not depend on q, so it is
+    evaluated once per chunk of the gamma-grid and multiplied into each of
+    the a outer factors |g(y + q/a)|. Chunks run on the thread pool and are
+    combined by an elementwise max, which is exact: the result does not
+    depend on the thread count or the chunk size.
+    """
+    g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
     ys_inner = alpha_inv * ys
-    chunk = max(1, 2_000_000 // len(ys))
-    best = 0.0
-    for lo in range(0, n_gamma, chunk):
+    chunk = max(1, _CHUNK_FLOATS // ys.size)
+
+    def run(lo: int) -> np.ndarray:
         gammas = np.arange(lo, min(lo + chunk, n_gamma)) * eta
-        prod = g_outer[None, :] * dirichlet_kernel_abs(
-            ys_inner[None, :] + gammas[:, None], a
-        )
-        seg_max = np.maximum.reduceat(prod, starts, axis=1)
-        best = max(best, float(np.max(np.sum(seg_max, axis=1))))
-    return best
+        inner = dirichlet_kernel_abs(ys_inner + gammas[:, None, None], a)
+        prod = np.empty_like(inner)
+        col_max = np.empty((len(gammas), ys.shape[1]))
+        best = np.empty(a)
+        for q in range(a):
+            np.multiply(g_outer[q], inner, out=prod)
+            np.max(prod, axis=1, out=col_max)
+            best[q] = np.max(np.sum(col_max, axis=1))
+        return best
+
+    return np.max(_pool_map(run, range(0, n_gamma, chunk), threads), axis=0)
 
 
 @dataclass
@@ -241,21 +273,14 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
     b_max = floor_alpha_sq(a, alpha) + 1
     n_terms = b_max + 1
 
-    ys, starts = _build_y_grid(a, b_max, grid.eps)
+    ys, n_points = _build_y_grid(a, b_max, grid.eps)
     n_gamma = _gamma_grid_size(grid.eta)
 
-    def run(q: int) -> float:
-        return _main_term_for_q(a, alpha_inv, ys, starts, q, grid.eta, n_gamma)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            mains = np.array(list(pool.map(run, range(a))))
-    else:
-        mains = np.array([run(q) for q in range(a)])
+    mains = _main_terms(a, alpha_inv, ys, grid.eta, n_gamma, threads)
 
     # the max over q binds the main term and the correction sums jointly:
     # both sides of the sum depend on the same shift q
-    sup_g, sup_gp = _residue_sup_tables(a)
+    sup_g, sup_gp = _residue_sup_tables(a, threads)
     cap = kernel_derivative_cap(a)
     gp_sums = _shifted_residue_sums(sup_gp, n_terms)
     g_sums = _shifted_residue_sums(sup_g, n_terms)
@@ -271,7 +296,7 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         corr_g_eta=grid.eta * cap * float(g_sums[q_star]),
         additive=b_max,  # floor(alpha^2) + 1
         delta_prime=(b_max + 1) * grid.delta,  # (floor(alpha^2) + 2) delta
-        main_nodes=a * n_gamma * len(ys),
+        main_nodes=a * n_gamma * n_points,
     )
 
 

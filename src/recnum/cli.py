@@ -168,7 +168,7 @@ def cmd_theta(args) -> int:
     rep = bounds.theta_lower_bound(
         ctx,
         use_shifted=args.shift_r is not None,
-        shift_r=args.shift_r or 2,
+        shift_r=2 if args.shift_r is None else args.shift_r,
         block_kappa=args.block_kappa,
         block_width=args.block_width,
     )
@@ -267,56 +267,59 @@ def cmd_vmsum(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--coeffs", help="comma-separated a_1,...,a_d")
-    common.add_argument("--initials", help="comma-separated G_0,...,G_{d-1}")
-    common.add_argument("--config", help="key=value config file defining the base")
-    common.add_argument("--out", help="output file (default stdout)")
+    # every command takes --out; only the commands that build a base take
+    # the base flags (blockbound and table1 fix their own base, (a, 1))
+    with_out = argparse.ArgumentParser(add_help=False)
+    with_out.add_argument("--out", help="output file (default stdout)")
+    with_base = argparse.ArgumentParser(add_help=False, parents=[with_out])
+    with_base.add_argument("--coeffs", help="comma-separated a_1,...,a_d")
+    with_base.add_argument("--initials", help="comma-separated G_0,...,G_{d-1}")
+    with_base.add_argument("--config", help="key=value config file defining the base")
 
     p = argparse.ArgumentParser(prog="recnum", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("validate", parents=[common])
+    sp = sub.add_parser("validate", parents=[with_base])
     sp.add_argument("--strict", action="store_true")
     sp.set_defaults(func=cmd_validate)
 
-    sp = sub.add_parser("expand", parents=[common])
+    sp = sub.add_parser("expand", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_expand)
 
-    sp = sub.add_parser("sumdigits", parents=[common])
+    sp = sub.add_parser("sumdigits", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_sumdigits)
 
-    sp = sub.add_parser("expsum", parents=[common])
+    sp = sub.add_parser("expsum", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--y", required=True, help="frequency on k, as H/Q")
     sp.add_argument("--beta", required=True, help="frequency on s_G, as R/S")
     sp.add_argument("--method", choices=["direct", "recurrent"], default="recurrent")
     sp.set_defaults(func=cmd_expsum)
 
-    sp = sub.add_parser("onenorm", parents=[common])
+    sp = sub.add_parser("onenorm", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.set_defaults(func=cmd_onenorm)
 
-    sp = sub.add_parser("gallagher", parents=[common])
+    sp = sub.add_parser("gallagher", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--qmax", type=int, required=True)
     sp.set_defaults(func=cmd_gallagher)
 
-    sp = sub.add_parser("mbound", parents=[common])
+    sp = sub.add_parser("mbound", parents=[with_base])
     sp.add_argument("--shift-r", type=int, default=None)
     sp.set_defaults(func=cmd_mbound)
 
-    sp = sub.add_parser("theta", parents=[common])
+    sp = sub.add_parser("theta", parents=[with_base])
     sp.add_argument("--shift-r", type=int, default=None)
     sp.add_argument("--block-kappa", type=float, default=None)
     sp.add_argument("--block-width", type=int, default=2)
     sp.set_defaults(func=cmd_theta)
 
-    sp = sub.add_parser("blockbound", parents=[common])
+    sp = sub.add_parser("blockbound", parents=[with_out])
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
@@ -324,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_blockbound)
 
-    sp = sub.add_parser("table1", parents=[common])
+    sp = sub.add_parser("table1", parents=[with_out])
     sp.add_argument("--rows", help="e.g. 15..39 or 39 or 15,20,39")
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
@@ -332,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_table1)
 
-    sp = sub.add_parser("discrepancy", parents=[common])
+    sp = sub.add_parser("discrepancy", parents=[with_base])
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
@@ -341,13 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--A", type=float, default=1.0)
     sp.set_defaults(func=cmd_discrepancy)
 
-    sp = sub.add_parser("almostprimes", parents=[common])
+    sp = sub.add_parser("almostprimes", parents=[with_base])
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.set_defaults(func=cmd_almostprimes)
 
-    sp = sub.add_parser("vmsum", parents=[common])
+    sp = sub.add_parser("vmsum", parents=[with_base])
     sp.add_argument("--x", type=int, required=True)
     sp.add_argument("--ell", type=int, required=True)
     sp.add_argument("--s", type=int, required=True)

@@ -1,13 +1,20 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from recnum import blockcert
 from recnum.base import PreconditionError
 from recnum.blockcert import (
     GridParams,
     KAPPA_TARGET,
     REFERENCE_ROWS,
+    _CHUNK_FLOATS,
+    _GRID_SNAP,
+    _build_y_grid,
+    _gamma_grid_size,
+    _main_terms,
     block_coefficient,
     certify_M2_2_detail,
     certify_M2_3,
@@ -20,6 +27,7 @@ from recnum.blockcert import (
     reference_grid,
     sample_main_sums,
 )
+from recnum.bounds import dirichlet_kernel_abs
 from recnum.expsum import ExpSumParams, exp_sum_recurrent
 
 COARSE = GridParams(eps=0.01, eta=0.001)
@@ -100,10 +108,83 @@ def test_certificate_components_positive():
     )
 
 
+def _main_grid(a, grid):
+    alpha = quadratic_context(a).alpha
+    ys, n_points = _build_y_grid(a, floor_alpha_sq(a, alpha) + 1, grid.eps)
+    return polished_alpha_inv(a, alpha), ys, n_points, _gamma_grid_size(grid.eta)
+
+
+def test_coarse_grid_has_several_gamma_chunks():
+    # a = 15 on COARSE: 1520 points in 228 columns of height 7, so the
+    # 1001-point gamma-grid splits into 13 chunks, the last one short
+    _, ys, n_points, n_gamma = _main_grid(15, COARSE)
+    chunk = _CHUNK_FLOATS // ys.size
+    assert (n_points, ys.shape, n_gamma) == (1520, (7, 228), 1001)
+    assert n_gamma // chunk > 3 and n_gamma % chunk
+
+
+def test_y_grid_columns_partition_the_lattice():
+    a, eps = 15, 0.01
+    ys, n_points = _build_y_grid(a, 228, eps)
+    flat = np.unique(ys)
+    assert len(flat) == n_points
+    np.testing.assert_array_equal(flat, np.arange(n_points) * eps)
+    b = np.arange(ys.shape[1])
+    assert np.all((ys >= b / a - 1e-12) & (ys < (b + 1) / a))
+
+
+def test_y_grid_rejects_empty_interval():
+    # a * eps > 1 leaves some interval [b/a, (b+1)/a) without a lattice point
+    with pytest.raises(PreconditionError):
+        certify_M2_2_detail(101, COARSE)
+
+
+def _hexed(cert):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(cert)]
+
+
 def test_threaded_equals_serial():
-    serial = certify_M2_2_detail(15, COARSE, threads=1)
-    threaded = certify_M2_2_detail(15, COARSE, threads=4)
-    assert serial.main == threaded.main  # max-reduction: bitwise identical
+    # more gamma chunks than threads, the last one short: the pool combines
+    # chunks by an exact max, so every field is bitwise identical
+    serial = _hexed(certify_M2_2_detail(15, COARSE, threads=1))
+    for threads in (2, 3):
+        assert _hexed(certify_M2_2_detail(15, COARSE, threads=threads)) == serial
+
+
+def _per_q_main_terms(a, grid):
+    """Each q's main term on its own, by the per-q formula: the flat
+    eps-lattice cut into intervals by maximum.reduceat, the whole gamma-grid
+    at once, no column grid, no chunks and no pool."""
+    alpha = quadratic_context(a).alpha
+    alpha_inv = polished_alpha_inv(a, alpha)
+    b_max = floor_alpha_sq(a, alpha) + 1
+    edges = [math.ceil(b / (a * grid.eps) - _GRID_SNAP) for b in range(b_max + 2)]
+    ys = np.arange(edges[0], edges[-1]) * grid.eps
+    starts = np.array(edges[:-1]) - edges[0]
+    gammas = np.arange(_gamma_grid_size(grid.eta)) * grid.eta
+    inner = dirichlet_kernel_abs(alpha_inv * ys + gammas[:, None], a)
+    mains = []
+    for q in range(a):
+        prod = dirichlet_kernel_abs(ys + q / a, a) * inner
+        seg_max = np.maximum.reduceat(prod, starts, axis=1)
+        mains.append(float(np.max(np.sum(seg_max, axis=1))))
+    return mains
+
+
+@pytest.fixture(scope="module")
+def per_q_reference():
+    return [v.hex() for v in _per_q_main_terms(15, COARSE)]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
+def test_main_terms_match_per_q_reference(per_q_reference, rows_per_chunk, monkeypatch):
+    # bit for bit, for any chunk size (None: the default one)
+    alpha_inv, ys, _, n_gamma = _main_grid(15, COARSE)
+    if rows_per_chunk:
+        monkeypatch.setattr(blockcert, "_CHUNK_FLOATS", rows_per_chunk * ys.size)
+    for threads in (1, 2):
+        got = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, threads)
+        assert [float(v).hex() for v in got] == per_q_reference
 
 
 def test_sampled_main_never_exceeds_certificate():

@@ -149,3 +149,27 @@ def test_error_exit_code(capsys):
 
 def test_usage_error(capsys):
     assert main(["expand", "--n"]) == EXIT_ERROR
+
+
+def test_shift_r_zero_is_a_usage_error(capsys):
+    for cmd in ("theta", "mbound"):
+        assert main([cmd, "--coeffs", "59,1", "--shift-r", "0"]) == EXIT_ERROR
+        assert "shift modulus r must be >= 1" in capsys.readouterr().err
+    code, payload = run_json(capsys, "theta", "--coeffs", "59,1", "--shift-r", "2")
+    assert code == EXIT_OK and "shifted-sup" in payload["candidates"]
+
+
+def test_block_commands_reject_base_flags(capsys):
+    grid = ["--eps", "0.01", "--eta", "0.001"]
+    assert main(["table1", "--coeffs", "5,1", "--rows", "20", *grid]) == EXIT_ERROR
+    assert main(["blockbound", "--a", "15", "--coeffs", "5,1", *grid]) == EXIT_ERROR
+    assert main(["blockbound", "--a", "15", "--config", "base.cfg", *grid]) == EXIT_ERROR
+    assert main(["table1", "--initials", "1,6", "--rows", "20", *grid]) == EXIT_ERROR
+
+
+def test_block_commands_keep_out(tmp_path, capsys):
+    dest = tmp_path / "rows.csv"
+    code = main(["table1", "--rows", "15", "--eps", "0.01", "--eta", "0.001",
+                 "--out", str(dest)])
+    assert code in (EXIT_OK, EXIT_CERT_FAIL)
+    assert dest.read_text().startswith("a,eps,eta,M2,kappa")
