@@ -400,9 +400,9 @@ REFERENCE_ROWS: dict[int, tuple[float, float, float, float, int]] = {
 }
 
 
-def reference_grid(a: int, delta: float = 1e-10) -> GridParams:
+def reference_grid(a: int) -> GridParams:
     eps, eta, _, _, _ = REFERENCE_ROWS[a]
-    return GridParams(eps=eps, eta=eta, delta=delta)
+    return GridParams(eps=eps, eta=eta)
 
 
 @dataclass
@@ -418,11 +418,7 @@ class Table1Row:
     ref_alpha3: int
 
 
-def reproduce_table1(
-    rows: list[int] | None = None,
-    grids: dict[int, GridParams] | None = None,
-    threads: int = 1,
-) -> list[Table1Row]:
+def reproduce_table1(rows: list[int] | None = None, threads: int = 1) -> list[Table1Row]:
     """Re-certify the reference rows (a = 15..39) with their own grids."""
     if rows is None:
         rows = sorted(REFERENCE_ROWS, reverse=True)
@@ -430,8 +426,8 @@ def reproduce_table1(
     for a in rows:
         if a not in REFERENCE_ROWS:
             raise PreconditionError(f"a={a} outside the certified range 15..39")
-        eps, eta, ref_m2, ref_kappa, ref_a3 = REFERENCE_ROWS[a]
-        grid = (grids or {}).get(a) or GridParams(eps=eps, eta=eta)
+        _, _, ref_m2, ref_kappa, ref_a3 = REFERENCE_ROWS[a]
+        grid = reference_grid(a)
         rep = certify_block_bound(a, grid, threads=threads)
         alpha3 = round((a * a + 1) * quadratic_context(a).alpha + a)
         out.append(

@@ -30,15 +30,20 @@ import numpy as np
 from .base import BaseContext, PreconditionError
 
 DEFAULT_SUP_SLACK = 1e-3
+DERIV_SUP_SLACK = 0.005
 THETA_FLOOR_EXPONENT = 0.5  # Parseval route always gives this
 SHIFT_EPS_SLACK = 1e-6
+# distance to the nearest integer below which a point counts as the
+# removable singularity of the kernel ratio (or of its derivative)
+KERNEL_INTEGER_TOL = 1e-12
+DERIV_INTEGER_TOL = 1e-9
 
 
-def dirichlet_kernel_abs(x: np.ndarray, a: int, tol: float = 1e-12) -> np.ndarray:
+def dirichlet_kernel_abs(x: np.ndarray, a: int) -> np.ndarray:
     """|sin(pi a x)/sin(pi x)|, with the removable singularities set to a."""
     x = np.asarray(x, dtype=float)
     f = x - np.floor(x)
-    near = np.minimum(f, 1.0 - f) < tol
+    near = np.minimum(f, 1.0 - f) < KERNEL_INTEGER_TOL
     out = np.empty_like(f)
     sf = np.sin(np.pi * f)
     np.divide(np.abs(np.sin(np.pi * a * f)), np.abs(sf), out=out, where=~near)
@@ -51,7 +56,7 @@ def kernel_derivative_cap(a: int) -> float:
     return math.pi * a * (a - 1)
 
 
-def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int, tol: float = 1e-9) -> np.ndarray:
+def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int) -> np.ndarray:
     """|g'(x)| for g = sin(pi a x)/sin(pi x), capped at pi a (a-1).
 
     g is even around every integer, so g' vanishes there; the sup of |g'|
@@ -61,7 +66,7 @@ def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int, tol: float = 1e-9) -> np.n
     x = np.asarray(x, dtype=float)
     f = x - np.floor(x)
     cap = kernel_derivative_cap(a)
-    near = np.minimum(f, 1.0 - f) < tol
+    near = np.minimum(f, 1.0 - f) < DERIV_INTEGER_TOL
     s = np.sin(np.pi * f)
     c = np.cos(np.pi * f)
     sa = np.sin(np.pi * a * f)
@@ -136,7 +141,7 @@ def dirichlet_sup(
     )
 
 
-def interval_sup_deriv(a: int, lo: float, hi: float, slack: float = 0.005) -> float:
+def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
     """Certified upper bound for sup over (lo, hi) of |g'|, g the kernel ratio.
 
     Grid maximum plus (step/2) times the |g''| cap. Valid across integers as
@@ -144,7 +149,7 @@ def interval_sup_deriv(a: int, lo: float, hi: float, slack: float = 0.005) -> fl
     value 0 at the integers themselves), and the |g''| cap is global.
     """
     lip2 = kernel_second_derivative_cap(a)
-    npts = int(math.ceil((hi - lo) * lip2 / (2.0 * slack))) + 2
+    npts = int(math.ceil((hi - lo) * lip2 / (2.0 * DERIV_SUP_SLACK))) + 2
     npts = min(npts, _GRID_POINT_CAP)
     ys = np.linspace(lo, hi, npts)
     step = (hi - lo) / (npts - 1)
@@ -152,30 +157,27 @@ def interval_sup_deriv(a: int, lo: float, hi: float, slack: float = 0.005) -> fl
     return min(bound, kernel_derivative_cap(a))
 
 
-def m_table(
-    ctx: BaseContext, j: int, shift: float = 0.0, slack: float = DEFAULT_SUP_SLACK
-) -> list[SupremumCertificate]:
+def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[SupremumCertificate]:
     """Certificates for m(j, b) (or its shifted variant) over b = 0..a-1."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} not in the index set")
     a = ctx.coeffs[0]
     a_j = ctx.coeffs[j - 1]
     return [
-        dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a, slack)
+        dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a)
         for b in range(a)
     ]
 
 
-def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0,
-           slack: float = DEFAULT_SUP_SLACK) -> float:
-    certs = m_table(ctx, j, shift=shift, slack=slack)
+def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0) -> float:
+    certs = m_table(ctx, j, shift=shift)
     a = ctx.coeffs[0]
     return sum(c.bound for c in certs) / a
 
 
-def m_value(ctx: BaseContext, slack: float = DEFAULT_SUP_SLACK) -> float:
+def m_value(ctx: BaseContext) -> float:
     """The base quantity m_G = max over the index set of the averaged suprema."""
-    return max(m_of_j(ctx, j, slack=slack) for j in ctx.index_set)
+    return max(m_of_j(ctx, j) for j in ctx.index_set)
 
 
 def m_closed_form(a1: int) -> float:
@@ -190,13 +192,13 @@ def m_closed_form(a1: int) -> float:
     )
 
 
-def shift_modulus_limit(ctx: BaseContext, eps_slack: float = SHIFT_EPS_SLACK) -> float:
+def shift_modulus_limit(ctx: BaseContext) -> float:
     """u = floor(alpha) + 1 - alpha - eps: the eventual gap of G_n/G_{n-1} below
     the next integer. A shift modulus r is usable when 1/r < u."""
-    return math.floor(ctx.alpha) + 1.0 - ctx.alpha - eps_slack
+    return math.floor(ctx.alpha) + 1.0 - ctx.alpha - SHIFT_EPS_SLACK
 
 
-def m_shifted(ctx: BaseContext, r: int, slack: float = DEFAULT_SUP_SLACK) -> float:
+def m_shifted(ctx: BaseContext, r: int) -> float:
     """m^(r): the shifted average the covering argument below needs.
 
     Write P_t for the partition of R/Z into the a = a_1 intervals
@@ -253,7 +255,7 @@ def m_shifted(ctx: BaseContext, r: int, slack: float = DEFAULT_SUP_SLACK) -> flo
     run = math.floor((1.0 - u) * r) + 1  # K: shifts one window can rule out
     worst = 0.0
     for j in ctx.index_set:
-        avgs = [m_of_j(ctx, j, shift=t / r, slack=slack) for t in range(r)]
+        avgs = [m_of_j(ctx, j, shift=t / r) for t in range(r)]
         for i in range(r):
             kept = [avgs[(i + run + s) % r] for s in range(r - run)]
             worst = max(worst, min(kept))
@@ -293,11 +295,7 @@ class ThetaReport:
 
 
 def _theta_report(
-    ctx: BaseContext,
-    m: float,
-    m_r: float | None,
-    block_kappa: float | None = None,
-    block_width: int = 2,
+    ctx: BaseContext, m: float, m_r: float | None, block_kappa: float | None = None
 ) -> ThetaReport:
     """theta = 1 - eta, eta the best decay exponent from the computed m
     (and m^(r), when given)."""
@@ -309,42 +307,39 @@ def _theta_report(
     if m_r is not None:
         candidates["shifted-sup"] = math.log(m_r + 2.0) / log_alpha
     if block_kappa is not None:
-        candidates["block"] = block_kappa / block_width - 1.0
+        candidates["block"] = block_kappa / 2 - 1.0
     winner = min(candidates, key=candidates.get)
     eta = candidates[winner]
     return ThetaReport(theta=1.0 - eta, eta=eta, winner=winner, candidates=candidates)
 
 
 def theta_lower_bound(
-    ctx: BaseContext,
-    use_shifted: bool = False,
-    shift_r: int = 2,
-    block_kappa: float | None = None,
-    block_width: int = 2,
-    slack: float = DEFAULT_SUP_SLACK,
+    ctx: BaseContext, shift_r: int | None = None, block_kappa: float | None = None
 ) -> ThetaReport:
     """Lower bound for the level-of-distribution exponent theta = 1 - eta.
 
     eta is the best available decay exponent for the 1-norm of S_n:
     1/2 from Parseval, log_alpha(m_G + 3) from the interval suprema,
-    log_alpha(m^(r) + 2) from the shifted refinement (`m_shifted`, best
-    covering shift per window), and kappa/w - 1 from a width-w block
-    certificate with exponent kappa.
+    log_alpha(m^(r) + 2) from the shifted refinement (`m_shifted` with
+    r = shift_r, best covering shift per window), and kappa/2 - 1 from a
+    width-2 block certificate with exponent kappa.
     """
-    m_r = m_shifted(ctx, shift_r, slack=slack) if use_shifted else None
-    return _theta_report(ctx, m_value(ctx, slack=slack), m_r, block_kappa, block_width)
+    # The k = 0 term is the only one with a nonzero integral over y, so
+    # int_0^1 S_n(y, beta) dy = 1 and ||S_n||_1 >= 1 for every n: no decay
+    # exponent is negative, eta = kappa/2 - 1 >= 0, and a kappa below 2 (or
+    # not a number) cannot come from a block certificate.
+    if block_kappa is not None and not (math.isfinite(block_kappa) and block_kappa >= 2.0):
+        raise PreconditionError(f"block kappa must be finite and >= 2, got {block_kappa}")
+    m_r = m_shifted(ctx, shift_r) if shift_r is not None else None
+    return _theta_report(ctx, m_value(ctx), m_r, block_kappa)
 
 
-def compute_mbound_report(
-    ctx: BaseContext, shift_r: int | None = None, slack: float = DEFAULT_SUP_SLACK
-) -> MBoundReport:
+def compute_mbound_report(ctx: BaseContext, shift_r: int | None = None) -> MBoundReport:
     a1 = ctx.coeffs[0]
-    m_jb = {
-        j: [c.bound for c in m_table(ctx, j, slack=slack)] for j in ctx.index_set
-    }
+    m_jb = {j: [c.bound for c in m_table(ctx, j)] for j in ctx.index_set}
     m_j = {j: sum(v) / a1 for j, v in m_jb.items()}  # the sum m_of_j forms
     m = max(m_j.values())
-    shifted = m_shifted(ctx, shift_r, slack=slack) if shift_r is not None else None
+    shifted = m_shifted(ctx, shift_r) if shift_r is not None else None
     return MBoundReport(
         coeffs=ctx.coeffs,
         m_jb=m_jb,

@@ -79,11 +79,13 @@ def _parse_rows(text: str) -> list[int]:
     return rows
 
 
-def _grid_from_args(args, a: int | None = None) -> blockcert.GridParams:
-    if args.eps is not None and args.eta is not None:
-        return blockcert.GridParams(eps=args.eps, eta=args.eta, delta=args.delta)
-    if a is not None and a in blockcert.REFERENCE_ROWS:
-        return blockcert.reference_grid(a, delta=args.delta)
+def _grid_from_args(args) -> blockcert.GridParams:
+    if (args.eps is None) != (args.eta is None):
+        raise PreconditionError("give --eps and --eta together, or neither")
+    if args.eps is not None:
+        return blockcert.GridParams(eps=args.eps, eta=args.eta)
+    if args.a in blockcert.REFERENCE_ROWS:
+        return blockcert.reference_grid(args.a)
     raise PreconditionError("provide --eps and --eta (no reference grid for this a)")
 
 
@@ -166,11 +168,7 @@ def cmd_mbound(args) -> int:
 def cmd_theta(args) -> int:
     ctx = _context_from_args(args)
     rep = bounds.theta_lower_bound(
-        ctx,
-        use_shifted=args.shift_r is not None,
-        shift_r=2 if args.shift_r is None else args.shift_r,
-        block_kappa=args.block_kappa,
-        block_width=args.block_width,
+        ctx, shift_r=args.shift_r, block_kappa=args.block_kappa
     )
     _emit(args, {"theta": rep.theta, "eta": rep.eta, "winner": rep.winner,
                  "candidates": rep.candidates})
@@ -178,7 +176,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_blockbound(args) -> int:
-    grid = _grid_from_args(args, args.a)
+    grid = _grid_from_args(args)
     rep = blockcert.certify_block_bound(args.a, grid, threads=args.threads)
     _emit(
         args,
@@ -201,11 +199,7 @@ def cmd_blockbound(args) -> int:
 
 def cmd_table1(args) -> int:
     rows = _parse_rows(args.rows) if args.rows else None
-    grids = None
-    if args.eps is not None and args.eta is not None:
-        grid = blockcert.GridParams(eps=args.eps, eta=args.eta, delta=args.delta)
-        grids = {a: grid for a in rows or blockcert.REFERENCE_ROWS}
-    results = blockcert.reproduce_table1(rows=rows, grids=grids, threads=args.threads)
+    results = blockcert.reproduce_table1(rows=rows, threads=args.threads)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
@@ -232,7 +226,7 @@ def cmd_table1(args) -> int:
 def cmd_discrepancy(args) -> int:
     ctx = _context_from_args(args)
     rep = experiments.bv_discrepancy(
-        ctx, args.x, args.r, args.s, exponent=args.theta - args.eps, A=args.A
+        ctx, args.x, args.r, args.s, exponent=args.theta, A=args.A
     )
     _emit(args, rep.to_dict())
     return EXIT_OK
@@ -316,22 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("theta", parents=[with_base])
     sp.add_argument("--shift-r", type=int, default=None)
     sp.add_argument("--block-kappa", type=float, default=None)
-    sp.add_argument("--block-width", type=int, default=2)
     sp.set_defaults(func=cmd_theta)
 
     sp = sub.add_parser("blockbound", parents=[with_out])
     sp.add_argument("--a", type=int, required=True)
     sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=1e-10)
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_blockbound)
 
     sp = sub.add_parser("table1", parents=[with_out])
     sp.add_argument("--rows", help="e.g. 15..39 or 39 or 15,20,39")
-    sp.add_argument("--eps", type=float, default=None)
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--delta", type=float, default=1e-10)
     sp.add_argument("--threads", type=int, default=1)
     sp.set_defaults(func=cmd_table1)
 
@@ -340,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--eps", type=float, default=0.0)
     sp.add_argument("--A", type=float, default=1.0)
     sp.set_defaults(func=cmd_discrepancy)
 

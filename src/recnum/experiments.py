@@ -43,16 +43,15 @@ class SieveCache:
     limit: int
     spf: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        return n >= 2 and int(self.spf[n]) == n
-
 
 def sieve_spf(x: int) -> SieveCache:
+    # int32 holds every factor up to the guard (10**8 < 2**31), at half the
+    # memory of int64
     if x > SIEVE_GUARD:
         raise CostGuardError(f"sieve limit {x} exceeds the memory guard {SIEVE_GUARD}")
     if x < 2:
-        return SieveCache(x, np.zeros(max(x + 1, 2), dtype=np.int64))
-    spf = np.zeros(x + 1, dtype=np.int64)
+        return SieveCache(x, np.zeros(max(x + 1, 2), dtype=np.int32))
+    spf = np.zeros(x + 1, dtype=np.int32)
     for i in range(2, math.isqrt(x) + 1):
         if spf[i] == 0:
             sl = spf[i * i :: i]
@@ -173,19 +172,6 @@ def bv_discrepancy(
         total=total,
         normalized=normalized,
     )
-
-
-def residue_histogram(ctx: BaseContext, x: int, s: int) -> np.ndarray:
-    """Counts of s_G(k) mod s for k < x (length-s int64 array)."""
-    if x > SIEVE_GUARD:
-        raise CostGuardError(f"x = {x} exceeds the streaming guard {SIEVE_GUARD}")
-    if s < 1:
-        raise PreconditionError("modulus s must be >= 1")
-    counts = np.zeros(s, dtype=np.int64)
-    for lo in range(0, x, _CHUNK):
-        hi = min(lo + _CHUNK, x)
-        counts += np.bincount(digit_sums_range(ctx, hi, lo) % s, minlength=s)
-    return counts
 
 
 def almost_prime_count(

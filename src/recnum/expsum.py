@@ -32,6 +32,7 @@ from .digits import digit_sums_range
 
 DIRECT_SUM_GUARD = 10**7
 ONE_NORM_GUARD = 10**5
+SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 
 
 def parse_rational(text: str) -> Fraction:
@@ -147,22 +148,18 @@ class QuadratureEstimate:
     nodes: int
 
 
-def one_norm(
-    ctx: BaseContext, n: int, beta: float, samples_per_oscillation: int = 16
-) -> QuadratureEstimate:
+def one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
     """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1)."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
-    nodes = max(64, samples_per_oscillation * g_n)
+    nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
     ys = (np.arange(nodes) + 0.5) / nodes
     vals = np.abs(exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta)).values[n])
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=nodes)
 
 
-def derivative_one_norm(
-    ctx: BaseContext, n: int, beta: float, samples_per_oscillation: int = 16
-) -> QuadratureEstimate:
+def derivative_one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
     """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1).
 
     The integrand |sum_{k < G_n} 2 pi k e(beta s_G(k) + y k)| is assembled
@@ -171,7 +168,7 @@ def derivative_one_norm(
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
-    nodes = max(64, samples_per_oscillation * g_n)
+    nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
     ys = (np.arange(nodes) + 0.5) / nodes
     s = digit_sums_range(ctx, g_n)
     acc = np.zeros(nodes, dtype=complex)

@@ -15,7 +15,6 @@ from recnum.base import make_context
 from recnum.blockcert import (
     KAPPA_TARGET,
     REFERENCE_ROWS,
-    certify_M2_2_detail,
     certify_block_bound,
     quadratic_context,
     reference_grid,
@@ -62,14 +61,9 @@ def sieve_1e7():
 @pytest.fixture(scope="module")
 def a15_certificate():
     # the long row: one shared heavy computation for all release criteria
-    import recnum.blockcert as bc
-
     grid = reference_grid(15)
-    detail = certify_M2_2_detail(15, grid, threads=THREADS)
-    m2_3 = bc.certify_M2_3(15, grid)
-    m2 = bc.combine_M2(detail.total, m2_3)
-    kappa = math.log(m2) / math.log(quadratic_context(15).alpha)
-    return grid, detail, m2, kappa
+    rep = certify_block_bound(15, grid, threads=THREADS)
+    return grid, rep.detail, rep.M2, rep.kappa
 
 
 def test_criterion_01_table1_anchor_rows(block_reports):

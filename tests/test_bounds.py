@@ -184,9 +184,17 @@ def test_theta_report_candidates():
 
 def test_theta_with_block_kappa():
     ctx = make_context((15, 1))
-    rep = theta_lower_bound(ctx, block_kappa=2.9, block_width=2)
+    rep = theta_lower_bound(ctx, block_kappa=2.9)
     assert rep.winner == "block"
     assert rep.eta == pytest.approx(2.9 / 2 - 1)
+    assert theta_lower_bound(ctx, block_kappa=2.0).eta == 0.0  # the smallest kappa
+
+
+@pytest.mark.parametrize("kappa", [1.5, float("nan"), float("inf")])
+def test_theta_rejects_impossible_block_kappa(kappa):
+    # ||S_n||_1 >= 1 forces kappa >= 2
+    with pytest.raises(PreconditionError):
+        theta_lower_bound(make_context((15, 1)), block_kappa=kappa)
 
 
 def test_mbound_report_roundtrip():

@@ -54,6 +54,10 @@ def test_mbound_and_theta(capsys):
     code, payload = run_json(capsys, "theta", "--coeffs", "59,1")
     assert code == EXIT_OK
     assert payload["theta"] >= 0.5113939
+    # ||S_n||_1 >= 1 rules out a block kappa below 2; NaN would print invalid JSON
+    for kappa in ("1.5", "nan"):
+        assert main(["theta", "--coeffs", "15,1", "--block-kappa", kappa]) == EXIT_ERROR
+        assert "block kappa must be finite and >= 2" in capsys.readouterr().err
 
 
 def test_gallagher(capsys):
@@ -73,16 +77,17 @@ def test_blockbound_exit_matches_pass(capsys):
     assert (code == EXIT_OK) == payload["pass"]
     assert code in (EXIT_OK, EXIT_CERT_FAIL)
     assert payload["kappa"] > 0 and payload["M2"] > payload["M2_2"]
+    # a lone grid step is an error, not a silent fall-back to the reference grid
+    for lone in (["--eps", "0.002"], ["--eta", "0.0005"]):
+        assert main(["blockbound", "--a", "22", *lone]) == EXIT_ERROR
+        assert "--eps and --eta together" in capsys.readouterr().err
 
 
 def test_table1_csv_shape(capsys):
-    code, out = run(
-        capsys, "table1", "--rows", "15", "--eps", "0.01", "--eta", "0.001",
-        "--threads", "4",
-    )
+    code, out = run(capsys, "table1", "--rows", "22", "--threads", "2")
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:6] == ["a", "eps", "eta", "M2", "kappa", "alpha3"]
-    assert rows[1][0] == "15" and rows[1][6] in ("0", "1")
+    assert rows[1][:3] == ["22", "0.005", "0.0006"] and rows[1][6] in ("0", "1")
     assert (code == EXIT_OK) == (rows[1][6] == "1")
 
 
@@ -91,13 +96,16 @@ def test_dead_flags_removed_and_threads_kept(capsys):
     assert main(["expsum", *args, "--format", "csv"]) == EXIT_ERROR
     assert main(["expsum", *args, "--threads", "2"]) == EXIT_ERROR
     assert main(["mbound", "--coeffs", "7,1", "--strict"]) == EXIT_ERROR
+    assert main(["blockbound", "--a", "22", "--delta", "1e-10"]) == EXIT_ERROR
+    assert main(["table1", "--rows", "22", "--delta", "1e-10"]) == EXIT_ERROR
+    assert main(["table1", "--rows", "22", "--eps", "0.01", "--eta", "0.001"]) == EXIT_ERROR
+    assert main(["theta", "--coeffs", "59,1", "--block-width", "2"]) == EXIT_ERROR
+    assert main(["discrepancy", "--coeffs", "1,1", "--x", "2000", "--s", "2",
+                 "--r", "1", "--theta", "0.3", "--eps", "0.01"]) == EXIT_ERROR
     capsys.readouterr()
-    code, out = run(
-        capsys, "table1", "--rows", "20", "--eps", "0.01", "--eta", "0.001",
-        "--threads", "2",
-    )
+    code, out = run(capsys, "table1", "--rows", "22", "--threads", "2")
     rows = list(csv.reader(io.StringIO(out)))
-    assert code in (EXIT_OK, EXIT_CERT_FAIL) and rows[1][0] == "20"
+    assert code in (EXIT_OK, EXIT_CERT_FAIL) and rows[1][0] == "22"
 
 
 def test_validate_missing_coeffs_is_a_usage_error(capsys):
@@ -161,15 +169,14 @@ def test_shift_r_zero_is_a_usage_error(capsys):
 
 def test_block_commands_reject_base_flags(capsys):
     grid = ["--eps", "0.01", "--eta", "0.001"]
-    assert main(["table1", "--coeffs", "5,1", "--rows", "20", *grid]) == EXIT_ERROR
+    assert main(["table1", "--coeffs", "5,1", "--rows", "20"]) == EXIT_ERROR
     assert main(["blockbound", "--a", "15", "--coeffs", "5,1", *grid]) == EXIT_ERROR
     assert main(["blockbound", "--a", "15", "--config", "base.cfg", *grid]) == EXIT_ERROR
-    assert main(["table1", "--initials", "1,6", "--rows", "20", *grid]) == EXIT_ERROR
+    assert main(["table1", "--initials", "1,6", "--rows", "20"]) == EXIT_ERROR
 
 
 def test_block_commands_keep_out(tmp_path, capsys):
     dest = tmp_path / "rows.csv"
-    code = main(["table1", "--rows", "15", "--eps", "0.01", "--eta", "0.001",
-                 "--out", str(dest)])
+    code = main(["table1", "--rows", "22", "--threads", "2", "--out", str(dest)])
     assert code in (EXIT_OK, EXIT_CERT_FAIL)
     assert dest.read_text().startswith("a,eps,eta,M2,kappa")

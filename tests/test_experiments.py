@@ -11,7 +11,6 @@ from recnum.experiments import (
     class_progression_count,
     generalized_von_mangoldt,
     geometric_z_samples,
-    residue_histogram,
     sieve_spf,
     von_mangoldt_sum,
     von_mangoldt_table,
@@ -27,9 +26,10 @@ def sieve_1e5():
 
 def test_sieve_spf_small(sieve_1e5):
     spf = sieve_1e5.spf
+    assert spf.dtype == np.int32
     assert spf[2] == 2 and spf[3] == 3 and spf[4] == 2
     assert spf[91] == 7 and spf[97] == 97
-    assert sieve_1e5.is_prime(99991) and not sieve_1e5.is_prime(99993)
+    assert spf[99991] == 99991 and spf[99993] == 3
 
 
 def test_sieve_guard():
@@ -54,20 +54,23 @@ def test_geometric_z_samples():
     assert zs == sorted(set(zs))
 
 
-def test_residue_histogram_total():
-    counts = residue_histogram(ZECK, 5000, 2)
-    assert counts.sum() == 5000
-    # the two classes are near-equidistributed for Zeckendorf
-    assert abs(counts[0] - counts[1]) < 400
-
-
 def test_bv_discrepancy_small():
-    rep = bv_discrepancy(ZECK, 2000, 1, 2, exponent=0.3)
-    assert rep.q_max == math.ceil(2000**0.3) - 1
-    assert len(rep.per_q) == rep.q_max
+    x, r, s = 2000, 1, 2
+    rep = bv_discrepancy(ZECK, x, r, s, exponent=0.3)
+    assert rep.q_max == math.ceil(x**0.3) - 1
+    assert len(rep.per_q) == rep.q_max and rep.z_samples == geometric_z_samples(x)
+    # brute force: every progression h mod q counted on its own
+    for q, dev in enumerate(rep.per_q, start=1):
+        expected = 0.0
+        for z in rep.z_samples:
+            in_class = class_progression_count(ZECK, z, r, s, 1, 1)
+            for h in range(1, q + 1):
+                count = class_progression_count(ZECK, z, r, s, h, q)
+                expected = max(expected, abs(count - in_class / q))
+        assert dev == expected, q
     assert rep.total == pytest.approx(sum(rep.per_q))
-    assert rep.normalized > 0
-    assert rep.to_dict()["x"] == 2000
+    assert rep.normalized == pytest.approx(rep.total * math.log(2 * x) / x)
+    assert rep.to_dict()["x"] == x
 
 
 def test_bv_discrepancy_rejects_bad_gcd():
