@@ -17,12 +17,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-DEFAULT_MAX_BITS = 128
+MAX_BITS = 128  # width of every term G_n, checked as the term cache grows
 ROOT_TOL = 1e-14
 
 
 class IntegerWidthError(OverflowError):
-    """A sequence term exceeded the configured fixed integer width."""
+    """A sequence term exceeded the fixed integer width MAX_BITS."""
 
 
 class CostGuardError(RuntimeError):
@@ -144,15 +144,13 @@ class BaseContext:
     concurrent readers are safe. Everything else is fixed at construction.
     """
 
-    def __init__(self, spec: RecurrenceSpec, max_bits: int = DEFAULT_MAX_BITS):
+    def __init__(self, spec: RecurrenceSpec):
         report = validate_spec(spec)
         if not report.ok:
             raise PreconditionError(
                 "invalid base: " + "; ".join(report.violations)
             )
         self.spec = spec
-        self.max_bits = max_bits
-        self._limit = 1 << (max_bits - 1)
         self.alpha = dominant_root(spec)
         self.index_set = tuple(
             j for j in range(1, spec.d + 1) if spec.coeffs[j - 1] != 0
@@ -184,9 +182,9 @@ class BaseContext:
         while len(t) <= n:
             k = len(t)
             val = sum(a[i] * t[k - 1 - i] for i in range(d))
-            if val >= self._limit:
+            if val >= 1 << (MAX_BITS - 1):
                 raise IntegerWidthError(
-                    f"G_{k} exceeds the configured {self.max_bits}-bit width"
+                    f"G_{k} exceeds the configured {MAX_BITS}-bit width"
                 )
             t.append(val)
 
@@ -198,13 +196,13 @@ class BaseContext:
         return self._terms[:n]
 
 
-def make_context(coeffs, initials=None, max_bits: int = DEFAULT_MAX_BITS) -> BaseContext:
+def make_context(coeffs, initials=None) -> BaseContext:
     """Build a context; with no initials, use the strengthened defaults."""
     coeffs = tuple(int(c) for c in coeffs)
     if initials is None:
         initials = strengthened_initials(coeffs)
     spec = RecurrenceSpec(coeffs, tuple(int(g) for g in initials))
-    return BaseContext(spec, max_bits=max_bits)
+    return BaseContext(spec)
 
 
 def parse_config(text: str) -> RecurrenceSpec:

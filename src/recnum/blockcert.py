@@ -135,12 +135,12 @@ def block_coefficient(
         raise PreconditionError(f"j must be w or w+1, got j={j} for w={w}")
     if n < w + 1:
         raise PreconditionError(f"need n >= w+1, got n={n}")
-    p = coefficient_A(ctx, n, 1, params)  # A^(1)_{n,1}
-    q = coefficient_A(ctx, n, 2, params)  # A^(1)_{n,2}
+    p = coefficient_A(ctx, n, 1, params)[0]  # A^(1)_{n,1}
+    q = coefficient_A(ctx, n, 2, params)[0]  # A^(1)_{n,2}
     for ell in range(2, w + 1):
         p, q = (
-            p * coefficient_A(ctx, n - ell + 1, 1, params) + q,
-            p * coefficient_A(ctx, n - ell + 1, 2, params),
+            p * coefficient_A(ctx, n - ell + 1, 1, params)[0] + q,
+            p * coefficient_A(ctx, n - ell + 1, 2, params)[0],
         )
     return p if j == w else q
 
@@ -403,44 +403,3 @@ REFERENCE_ROWS: dict[int, tuple[float, float, float, float, int]] = {
 def reference_grid(a: int) -> GridParams:
     eps, eta, _, _, _ = REFERENCE_ROWS[a]
     return GridParams(eps=eps, eta=eta)
-
-
-@dataclass
-class Table1Row:
-    a: int
-    grid: GridParams
-    M2: float
-    kappa: float
-    alpha3: int
-    ok: bool
-    ref_M2: float
-    ref_kappa: float
-    ref_alpha3: int
-
-
-def reproduce_table1(rows: list[int] | None = None, threads: int = 1) -> list[Table1Row]:
-    """Re-certify the reference rows (a = 15..39) with their own grids."""
-    if rows is None:
-        rows = sorted(REFERENCE_ROWS, reverse=True)
-    out = []
-    for a in rows:
-        if a not in REFERENCE_ROWS:
-            raise PreconditionError(f"a={a} outside the certified range 15..39")
-        _, _, ref_m2, ref_kappa, ref_a3 = REFERENCE_ROWS[a]
-        grid = reference_grid(a)
-        rep = certify_block_bound(a, grid, threads=threads)
-        alpha3 = round((a * a + 1) * quadratic_context(a).alpha + a)
-        out.append(
-            Table1Row(
-                a=a,
-                grid=grid,
-                M2=rep.M2,
-                kappa=rep.kappa,
-                alpha3=alpha3,
-                ok=rep.ok,
-                ref_M2=ref_m2,
-                ref_kappa=ref_kappa,
-                ref_alpha3=ref_a3,
-            )
-        )
-    return out

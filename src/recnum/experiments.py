@@ -222,12 +222,13 @@ def generalized_von_mangoldt(x: int, ell: int, sieve: SieveCache) -> np.ndarray:
     if ell < 1:
         raise PreconditionError("need ell >= 1")
     lam = von_mangoldt_table(x, sieve)
-    cur = lam.copy()
-    logs = np.zeros(x + 1)
-    logs[1:] = np.log(np.arange(1, x + 1))
+    cur = lam
     support = np.nonzero(lam)[0]
     for _ in range(ell - 1):
-        nxt = cur * logs
+        nxt = np.arange(x + 1, dtype=float)
+        nxt[0] = 1.0  # log 0 is undefined; log 1 = 0 keeps Lambda_l(0) = 0
+        np.log(nxt, out=nxt)
+        nxt *= cur
         for e in support:
             top = x // int(e)
             nxt[e :: e] += cur[1 : top + 1] * lam[e]

@@ -12,7 +12,8 @@ together with the coefficient sums
 
 which satisfy S_n = sum_{j : a_j != 0} A_{n,j} S_{n-j} for n >= d. The modulus
 |A_{k,j}| equals the Dirichlet-kernel ratio |sin(pi a_j x)/sin(pi x)| at
-x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`).
+x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`). Differentiated in y, the
+recurrence gives dS_n = sum_j (dA_{n,j} S_{n-j} + A_{n,j} dS_{n-j}), d = d/dy.
 
 1-norms of S_n and of dS_n/dy over y in [0,1) are estimated by composite
 midpoint quadrature with node density tied to G_n, since the integrand
@@ -21,6 +22,7 @@ oscillates on the scale 1/G_n.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -33,11 +35,6 @@ from .digits import digit_sums_range
 DIRECT_SUM_GUARD = 10**7
 ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'H/Q' (or a plain number) into an exact fraction."""
-    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -62,12 +59,6 @@ class ExpSumParams:
         yf = np.asarray(y, dtype=float) % 1.0 if np.ndim(y) else float(y) % 1.0
         bf = float(beta) % 1.0
         return cls(yf, bf, y_frac, beta_frac)
-
-
-@dataclass
-class ExpSumTable:
-    params: ExpSumParams
-    values: list  # S_0 .. S_n: complex numbers, or arrays over an array of y
 
 
 def _e(phase: np.ndarray | float) -> np.ndarray | complex:
@@ -103,10 +94,9 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     return complex(np.sum(_e(phase)))
 
 
-def coefficient_A(
-    ctx: BaseContext, n: int, j: int, params: ExpSumParams
-) -> complex | np.ndarray:
-    """The coefficient sum A_{n,j}(y, beta), at every y of params; |A_{n,j}| <= a_j."""
+def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tuple:
+    """(A_{n,j}, dA_{n,j}/dy) at every y of params; |A_{n,j}| <= a_j. The
+    derivative is 2 pi i sum_l (pre_g + l G_{n-j}) e(...) over the same terms."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -116,30 +106,46 @@ def coefficient_A(
     pre_a = sum(a[k - 1] for k in range(1, j))
     ys = np.atleast_1d(params.y)
     total = np.zeros(len(ys), dtype=complex)
+    d_total = np.zeros(len(ys), dtype=complex)
     for ell in range(a[j - 1]):
-        phase = _phase_mod1(ys, pre_g + ell * ctx.term(n - j))
-        total += _e(phase + params.beta * (pre_a + ell))
-    return total if np.ndim(params.y) else complex(total[0])
+        offset = pre_g + ell * ctx.term(n - j)
+        term = _e(_phase_mod1(ys, offset) + params.beta * (pre_a + ell))
+        total += term
+        d_total += float(offset) * term
+    d_total *= 2j * np.pi
+    if np.ndim(params.y):
+        return total, d_total
+    return complex(total[0]), complex(d_total[0])
 
 
-def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> ExpSumTable:
-    """The table S_0..S_n via the order-d coefficient recurrence, at every y
-    of params (complex values for a scalar y, arrays for an array of y)."""
+def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
+    """(S_n, dS_n/dy) via the order-d coefficient recurrence, at every y of
+    params (complex values for a scalar y, arrays for an array of y). Only the
+    last d values of each are kept."""
     ys = np.atleast_1d(params.y)
-    values: list = []
+    sums: deque = deque(maxlen=ctx.d)
+    d_sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
         s = digit_sums_range(ctx, ctx.term(k))
         acc = np.zeros(len(ys), dtype=complex)
+        d_acc = np.zeros(len(ys), dtype=complex)
         for kk, s_kk in enumerate(s):
-            acc += _e(params.beta * s_kk + _phase_mod1(ys, kk))
-        values.append(acc)
+            term = _e(params.beta * s_kk + _phase_mod1(ys, kk))
+            acc += term
+            d_acc += kk * term
+        sums.append(acc)
+        d_sums.append(2j * np.pi * d_acc)
     for k in range(ctx.d, n + 1):
-        values.append(
-            sum(coefficient_A(ctx, k, j, params) * values[k - j] for j in ctx.index_set)
-        )
-    if not np.ndim(params.y):
-        values = [complex(v[0]) for v in values]
-    return ExpSumTable(params=params, values=values)
+        s_k = d_s_k = 0
+        for j in ctx.index_set:
+            a_kj, d_a_kj = coefficient_A(ctx, k, j, params)
+            s_k += a_kj * sums[-j]
+            d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]
+        sums.append(s_k)
+        d_sums.append(d_s_k)
+    if np.ndim(params.y):
+        return sums[-1], d_sums[-1]
+    return complex(sums[-1][0]), complex(d_sums[-1][0])
 
 
 @dataclass
@@ -148,37 +154,26 @@ class QuadratureEstimate:
     nodes: int
 
 
-def one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
-    """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1)."""
+def _norm_nodes(ctx: BaseContext, n: int, beta: float) -> tuple:
+    """(S_n, dS_n/dy) on the midpoint nodes that both 1-norms share."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
     nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
     ys = (np.arange(nodes) + 0.5) / nodes
-    vals = np.abs(exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta)).values[n])
-    return QuadratureEstimate(value=float(np.mean(vals)), nodes=nodes)
+    return exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+
+
+def one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
+    """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1)."""
+    vals = np.abs(_norm_nodes(ctx, n, beta)[0])
+    return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
 def derivative_one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
-    """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1).
-
-    The integrand |sum_{k < G_n} 2 pi k e(beta s_G(k) + y k)| is assembled
-    directly; the cost is O(G_n * nodes), so keep n small.
-    """
-    g_n = ctx.term(n)
-    if g_n > ONE_NORM_GUARD:
-        raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
-    nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
-    ys = (np.arange(nodes) + 0.5) / nodes
-    s = digit_sums_range(ctx, g_n)
-    acc = np.zeros(nodes, dtype=complex)
-    chunk = max(1, 10**6 // max(nodes, 1))
-    for start in range(0, g_n, chunk):
-        ks = np.arange(start, min(start + chunk, g_n), dtype=np.int64)
-        phases = beta * s[ks][:, None] + np.outer(ks, ys)
-        acc += (ks[:, None] * _e(phases)).sum(axis=0)
-    vals = 2.0 * np.pi * np.abs(acc)
-    return QuadratureEstimate(value=float(np.mean(vals)), nodes=nodes)
+    """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1)."""
+    vals = np.abs(_norm_nodes(ctx, n, beta)[1])
+    return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
 def farey_fractions(q_max: int) -> list[Fraction]:
@@ -213,8 +208,8 @@ def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> Gallag
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
     pts = farey_fractions(q_max)
     ys = np.array([float(p) for p in pts])
-    table = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
-    lhs = float(np.sum(np.abs(table.values[n])))
+    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    lhs = float(np.sum(np.abs(s_n)))
     delta = 1.0 / (q_max * q_max)
     nrm = one_norm(ctx, n, beta)
     dnrm = derivative_one_norm(ctx, n, beta)

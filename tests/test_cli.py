@@ -89,6 +89,8 @@ def test_table1_csv_shape(capsys):
     assert rows[0][:6] == ["a", "eps", "eta", "M2", "kappa", "alpha3"]
     assert rows[1][:3] == ["22", "0.005", "0.0006"] and rows[1][6] in ("0", "1")
     assert (code == EXIT_OK) == (rows[1][6] == "1")
+    assert main(["table1", "--rows", "14"]) == EXIT_ERROR
+    assert "a=14 outside the certified range 15..39" in capsys.readouterr().err
 
 
 def test_dead_flags_removed_and_threads_kept(capsys):
