@@ -30,6 +30,10 @@ from .digits import digit_sums_range
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 _CHUNK = 1 << 20
+# generalized_von_mangoldt: prime powers up to _SLICE_LIMIT add strided slices,
+# larger ones go through np.add.at in chunks of _ADD_AT_CHUNK (e, m) pairs
+_SLICE_LIMIT = 1 << 16
+_ADD_AT_CHUNK = 1 << 18
 
 
 class GcdPreconditionWarning(UserWarning):
@@ -123,8 +127,6 @@ def geometric_z_samples(x: int) -> list[int]:
     while z > 1:
         z = -(-z // 2)
         zs.add(z)
-        if z == 1:
-            break
     return sorted(zs)
 
 
@@ -198,19 +200,26 @@ def almost_prime_count(
 
 
 def von_mangoldt_table(x: int, sieve: SieveCache) -> np.ndarray:
-    """Lambda(n) for n <= x: log p at prime powers p^k, else 0."""
+    """Lambda(n) for n <= x: log p at prime powers p^k, else 0.
+
+    log p comes from math.log: np.log differs from it by one ulp on some
+    primes, and every Lambda_l inherits these values."""
     if sieve.limit < x:
         raise PreconditionError("sieve limit is smaller than x")
     lam = np.zeros(x + 1)
-    spf = sieve.spf
-    primes = np.nonzero(spf[: x + 1] == np.arange(x + 1))[0]
+    primes = np.flatnonzero(sieve.spf[: x + 1] == np.arange(x + 1, dtype=sieve.spf.dtype))
     primes = primes[primes >= 2]
-    for p in primes:
-        logp = math.log(p)
-        pk = int(p)
-        while pk <= x:
-            lam[pk] = logp
-            pk *= int(p)
+    # math.log converts p to a double, exact below 2**53
+    lam[primes] = np.fromiter(map(math.log, primes), dtype=float, count=primes.size)
+    # p^k for k >= 2, over the primes that still have p^k <= x
+    primes = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
+    logs = lam[primes]
+    powers = primes * primes
+    while powers.size:
+        keep = powers <= x
+        primes, logs, powers = primes[keep], logs[keep], powers[keep]
+        lam[powers] = logs
+        powers *= primes
     return lam
 
 
@@ -218,22 +227,56 @@ def generalized_von_mangoldt(x: int, ell: int, sieve: SieveCache) -> np.ndarray:
     """Lambda_l(n) = (mu * log^l)(n) for n <= x, via the recursion
     Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
     Lambda_1 = Lambda. The convolution runs only over prime-power second
-    arguments, so each step costs O(x log log x)."""
+    arguments e, so each step costs O(x log log x).
+
+    Each nxt[n] receives log(n) cur[n] first, then cur[n/e] Lambda(e) for
+    e | n in ascending e, so the rounding is that of one left-to-right sum.
+    Prime powers e <= _SLICE_LIMIT add strided slices. The larger ones
+    touch few elements apiece; they are flattened into (e, m) pairs in
+    ascending e and added by np.add.at, which is unbuffered and adds in
+    input order, in chunks of _ADD_AT_CHUNK pairs that may split one e's run
+    of m. np.bincount would regroup the additions and change the bits.
+    np.add.at is fast from numpy 1.25; on older numpy the values are the
+    same and only slower."""
     if ell < 1:
         raise PreconditionError("need ell >= 1")
     lam = von_mangoldt_table(x, sieve)
     cur = lam
     support = np.nonzero(lam)[0]
+    split = int(np.searchsorted(support, _SLICE_LIMIT, side="right"))
+    small, large = support[:split], support[split:]
     for _ in range(ell - 1):
         nxt = np.arange(x + 1, dtype=float)
         nxt[0] = 1.0  # log 0 is undefined; log 1 = 0 keeps Lambda_l(0) = 0
         np.log(nxt, out=nxt)
         nxt *= cur
-        for e in support:
+        for e in small:
             top = x // int(e)
-            nxt[e :: e] += cur[1 : top + 1] * lam[e]
+            # in windows of m, so that the product's temporary stays small
+            for lo in range(1, top + 1, _CHUNK):
+                hi = min(lo + _CHUNK, top + 1)
+                nxt[e * lo : e * hi : e] += cur[lo:hi] * lam[e]
+        _add_at_multiples(nxt, cur, lam, large)
         cur = nxt
     return cur
+
+
+def _add_at_multiples(nxt: np.ndarray, cur: np.ndarray, lam: np.ndarray, es: np.ndarray) -> None:
+    """nxt[e m] += cur[m] lam[e] for every e of the ascending array es and
+    m = 1..x // e, in that order. Pair p of the flat sequence belongs to
+    es[i] with bounds[i] <= p < bounds[i + 1]."""
+    x = nxt.size - 1
+    bounds = np.zeros(es.size + 1, dtype=np.int64)
+    np.cumsum(x // es, out=bounds[1:])
+    for lo in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
+        hi = min(lo + _ADD_AT_CHUNK, int(bounds[-1]))
+        # es[i0:i1] are the prime powers whose runs meet pairs [lo, hi)
+        i0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+        i1 = int(np.searchsorted(bounds, hi, side="left"))
+        run = np.minimum(bounds[i0 + 1 : i1 + 1], hi) - np.maximum(bounds[i0:i1], lo)
+        e = np.repeat(es[i0:i1], run)
+        m = np.arange(lo + 1, hi + 1) - np.repeat(bounds[i0:i1], run)
+        np.add.at(nxt, e * m, cur[m] * lam[e])
 
 
 @dataclass

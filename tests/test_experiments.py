@@ -1,8 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import recnum.experiments as experiments
 from recnum.base import CostGuardError, PreconditionError, make_context
 from recnum.experiments import (
     GcdPreconditionWarning,
@@ -103,12 +105,119 @@ def test_almost_prime_count_bruteforce(sieve_1e5):
     assert almost_prime_count(ZECK, x, 1, 2, sieve_1e5) == expected
 
 
-def test_von_mangoldt_table(sieve_1e5):
-    lam = von_mangoldt_table(100, sieve_1e5)
-    assert lam[1] == 0 and lam[6] == 0
-    assert lam[7] == pytest.approx(math.log(7))
-    assert lam[8] == pytest.approx(math.log(2))
-    assert lam[49] == pytest.approx(math.log(7))
+@lru_cache(maxsize=None)
+def lambda_bruteforce(x):
+    """Lambda(n) for n <= x by trial division of every n: math.log(p) at n = p^k."""
+    lam = np.zeros(x + 1)
+    for n in range(2, x + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        m = n
+        while m % p == 0:
+            m //= p
+        if m == 1:
+            lam[n] = math.log(p)
+    return lam
+
+
+def generalized_von_mangoldt_reference(x, ell, lam):
+    """Lambda_l with one strided slice-add per prime power e, in ascending e:
+    the order of additions that generalized_von_mangoldt reproduces."""
+    cur = lam
+    support = np.nonzero(lam)[0]
+    for _ in range(ell - 1):
+        nxt = np.arange(x + 1, dtype=float)
+        nxt[0] = 1.0
+        np.log(nxt, out=nxt)
+        nxt *= cur
+        for e in support:
+            top = x // int(e)
+            nxt[e :: e] += cur[1 : top + 1] * lam[e]
+        cur = nxt
+    return cur
+
+
+def lambda2_closed_form(x):
+    """Lambda_2(n): (2k - 1) log^2 p at n = p^k, 2 log p log q at n = p^a q^b."""
+    out = np.zeros(x + 1)
+    for n in range(2, x + 1):
+        factors, m = [], n
+        for p in range(2, math.isqrt(n) + 1):
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            if k:
+                factors.append((p, k))
+        if m > 1:
+            factors.append((m, 1))
+        if len(factors) == 1:
+            (p, k), = factors
+            out[n] = (2 * k - 1) * math.log(p) ** 2
+        elif len(factors) == 2:
+            out[n] = 2 * math.log(factors[0][0]) * math.log(factors[1][0])
+    return out
+
+
+@pytest.fixture(scope="module")
+def sieve_3e5():
+    return sieve_spf(3 * 10**5)
+
+
+@pytest.mark.parametrize("x", [0, 1, 2, 8, 9, 100, 3**10 - 1, 3**10, 2**17 - 1, 2**17])
+def test_von_mangoldt_table_bruteforce(sieve_3e5, x):
+    lam = von_mangoldt_table(x, sieve_3e5)
+    want = lambda_bruteforce(2**17)[: x + 1]
+    assert lam.shape == want.shape and np.array_equal(lam, want)
+
+
+def test_von_mangoldt_table_uses_math_log(sieve_3e5):
+    # np.log(285343.0) is one ulp off math.log(285343), the smallest such prime;
+    # every Lambda_l inherits the table, so it must hold math.log exactly
+    x = 3 * 10**5
+    lam = von_mangoldt_table(x, sieve_3e5)
+    spf = sieve_3e5.spf
+    primes = [p for p in range(2, x + 1) if spf[p] == p]
+    assert 285343 in primes
+    assert all(lam[p] == math.log(p) for p in primes)
+    powers = {p**k for p in primes for k in range(1, 20) if p**k <= x}
+    assert set(np.nonzero(lam)[0].tolist()) == powers
+
+
+# (split, chunk): prime powers above split go through np.add.at in chunks of
+# `chunk` (e, m) pairs. A chunk of 7 splits the runs of m of every e below x/7;
+# one chunk of 2**18 holds all pairs, so an n with several prime-power divisors
+# above the split gets all its terms in one np.add.at call.
+SPLITS = [(8, 7), (8, 1), (8, 2**18), (50, 3), (2**10, 1000)]
+
+
+@pytest.mark.parametrize("split, chunk", SPLITS)
+@pytest.mark.parametrize("x", [5, 8, 9, 49, 51, 3000, 3**7])
+def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, split, chunk):
+    monkeypatch.setattr(experiments, "_SLICE_LIMIT", split)
+    monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
+    sieve = sieve_spf(max(x, 2))
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    for ell in range(1, 5):
+        got = generalized_von_mangoldt(x, ell, sieve)
+        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
+
+
+@pytest.mark.parametrize("x", [2**16, 2**16 + 1, 2**17])
+def test_generalized_von_mangoldt_default_split(sieve_3e5, x):
+    # no prime power above the split at 2**16, a run of one m each above it
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    for ell in range(1, 5):
+        got = generalized_von_mangoldt(x, ell, sieve_3e5)
+        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
+
+
+@pytest.mark.parametrize("split, chunk", [*SPLITS, (2**16, 2**18)])
+def test_lambda2_closed_form(monkeypatch, sieve_1e5, split, chunk):
+    monkeypatch.setattr(experiments, "_SLICE_LIMIT", split)
+    monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
+    x = 5000
+    got = generalized_von_mangoldt(x, 2, sieve_1e5)
+    assert np.allclose(got, lambda2_closed_form(x), rtol=1e-12, atol=0)
 
 
 def test_lambda2_identity(sieve_1e5):

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recnum.expsum as expsum
 from recnum.base import CostGuardError, PreconditionError, make_context
 from recnum.bounds import dirichlet_kernel_abs
-from recnum.digits import digit_sums_range
+from recnum.digits import digit_sums_range, sum_of_digits
 from recnum.expsum import (
     SAMPLES_PER_OSCILLATION,
     ExpSumParams,
@@ -61,14 +64,37 @@ def test_direct_matches_bruteforce():
     ctx = make_context((1, 1))
     params = ExpSumParams.make(0.3, 0.7)
     n = 7
-    from recnum.digits import sum_of_digits
-
     expected = sum(
         complex(np.exp(2j * np.pi * (0.7 * sum_of_digits(ctx, k) + 0.3 * k)))
         for k in range(ctx.term(n))
     )
     got = exp_sum_direct(ctx, n, params)
     assert got == pytest.approx(expected, rel=1e-9)
+
+
+def direct_bruteforce(ctx, n, y, beta):
+    """S_n by a Python loop over k < G_n, each phase reduced mod 1 exactly."""
+    y, beta = Fraction(y), Fraction(beta)
+    return sum(cmath.exp(2j * math.pi * float((beta * sum_of_digits(ctx, k) + y * k) % 1))
+               for k in range(ctx.term(n)))
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("coeffs, n", [((1, 1), 12), ((2, 1), 7), ((2, 1, 1), 6)])
+def test_direct_windows_match_unwindowed_and_bruteforce(monkeypatch, coeffs, n, exact, window):
+    # window edges fall inside the range (G_n is no multiple of 7 or 64 here)
+    ctx = make_context(coeffs)
+    y, beta = (Fraction(5, 13), Fraction(2, 7)) if exact else (0.3817, 0.6623)
+    params = ExpSumParams.make(y, beta)
+    assert (params.y_frac is not None) == exact
+    g_n = ctx.term(n)
+    assert g_n < expsum._WINDOW and g_n % 7 and g_n % 64
+    whole = exp_sum_direct(ctx, n, params)
+    monkeypatch.setattr(expsum, "_WINDOW", window)
+    windowed = exp_sum_direct(ctx, n, params)
+    assert abs(windowed - whole) <= 1e-12 * g_n
+    assert abs(windowed - direct_bruteforce(ctx, n, y, beta)) <= 1e-12 * g_n
 
 
 @pytest.mark.parametrize("coeffs", BASES)
@@ -209,6 +235,9 @@ def test_gallagher_inequality_holds():
     ctx = make_context((2, 1))
     rep = gallagher_check(ctx, 5, 0.37, 7)
     assert rep.ok and rep.lhs <= rep.rhs * (1 + 1e-6)
+    # one node pass gives both norms, bit for bit as the two functions do
+    assert rep.one_norm == one_norm(ctx, 5, 0.37).value
+    assert rep.derivative_one_norm == derivative_one_norm(ctx, 5, 0.37).value
 
 
 def test_gallagher_guard():
