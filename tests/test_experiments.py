@@ -163,6 +163,14 @@ def sieve_3e5():
     return sieve_spf(3 * 10**5)
 
 
+def test_von_mangoldt_table(sieve_1e5):
+    lam = von_mangoldt_table(100, sieve_1e5)
+    assert lam[1] == 0 and lam[6] == 0
+    assert lam[7] == pytest.approx(math.log(7))
+    assert lam[8] == pytest.approx(math.log(2))
+    assert lam[49] == pytest.approx(math.log(7))
+
+
 @pytest.mark.parametrize("x", [0, 1, 2, 8, 9, 100, 3**10 - 1, 3**10, 2**17 - 1, 2**17])
 def test_von_mangoldt_table_bruteforce(sieve_3e5, x):
     lam = von_mangoldt_table(x, sieve_3e5)
