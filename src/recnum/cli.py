@@ -122,7 +122,10 @@ def cmd_sumdigits(args) -> int:
 
 def cmd_expsum(args) -> int:
     ctx = _context_from_args(args)
-    y, beta = Fraction(args.y), Fraction(args.beta)
+    try:
+        y, beta = Fraction(args.y), Fraction(args.beta)
+    except ZeroDivisionError:
+        raise PreconditionError("--y and --beta need a nonzero denominator") from None
     params = expsum.ExpSumParams.make(y, beta)
     if args.method == "direct":
         value = expsum.exp_sum_direct(ctx, args.n, params)

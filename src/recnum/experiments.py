@@ -30,10 +30,7 @@ from .digits import digit_sums_range
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 _CHUNK = 1 << 20
-# generalized_von_mangoldt: prime powers up to _SLICE_LIMIT add strided slices,
-# larger ones go through np.add.at in chunks of _ADD_AT_CHUNK (e, m) pairs
-_SLICE_LIMIT = 1 << 16
-_ADD_AT_CHUNK = 1 << 18
+_ADD_AT_CHUNK = 1 << 18  # (e, m) pairs per np.add.at call in generalized_von_mangoldt
 
 
 class GcdPreconditionWarning(UserWarning):
@@ -77,6 +74,8 @@ def class_progression_count(
     """#{k < z : s_G(k) = r (mod s), k = h (mod q)}, exactly."""
     if z > COUNT_GUARD:
         raise CostGuardError(f"z = {z} exceeds the single-pass guard {COUNT_GUARD}")
+    if s < 1:
+        raise PreconditionError("need s >= 1")
     if not 1 <= h <= q:
         raise PreconditionError("need 1 <= h <= q")
     total = 0
@@ -138,6 +137,8 @@ def bv_discrepancy(
     the decay comparison across x remains meaningful)."""
     if x > COUNT_GUARD:
         raise CostGuardError(f"x = {x} exceeds the guard {COUNT_GUARD}")
+    if x < 1 or s < 1:
+        raise PreconditionError("need x >= 1 and s >= 1")
     if not _check_gcd_hypothesis(ctx, s):
         raise PreconditionError(
             f"gcd(a_1 + ... + a_d - 1, s) = gcd({sum(ctx.coeffs) - 1}, {s}) != 1"
@@ -183,6 +184,8 @@ def almost_prime_count(
 
     Semiprimes include squares p^2 (the two prime factors need not differ).
     """
+    if x < 2 or s < 1:
+        raise PreconditionError("need x >= 2 and s >= 1")
     if sieve.limit < x:
         raise PreconditionError("sieve limit is smaller than x")
     total = 0
@@ -226,57 +229,43 @@ def von_mangoldt_table(x: int, sieve: SieveCache) -> np.ndarray:
 def generalized_von_mangoldt(x: int, ell: int, sieve: SieveCache) -> np.ndarray:
     """Lambda_l(n) = (mu * log^l)(n) for n <= x, via the recursion
     Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
-    Lambda_1 = Lambda. The convolution runs only over prime-power second
-    arguments e, so each step costs O(x log log x).
+    Lambda_1 = Lambda.
 
-    Each nxt[n] receives log(n) cur[n] first, then cur[n/e] Lambda(e) for
-    e | n in ascending e, so the rounding is that of one left-to-right sum.
-    Prime powers e <= _SLICE_LIMIT add strided slices. The larger ones
-    touch few elements apiece; they are flattened into (e, m) pairs in
-    ascending e and added by np.add.at, which is unbuffered and adds in
-    input order, in chunks of _ADD_AT_CHUNK pairs that may split one e's run
-    of m. np.bincount would regroup the additions and change the bits.
-    np.add.at is fast from numpy 1.25; on older numpy the values are the
-    same and only slower."""
+    A step runs over two supports: the prime powers es (values lv) and the
+    ms with Lambda_{l-1}(m) != 0 (values cv). It sets log(m) cv at ms, then
+    adds cv[j] lv[i] at es[i] ms[j] for every pair with es[i] ms[j] <= x, in
+    ascending e, by np.add.at in chunks of _ADD_AT_CHUNK pairs. np.add.at is
+    unbuffered and adds in input order, so Lambda_l(n) gets log(n)
+    Lambda_{l-1}(n) first, then its terms in ascending e: one left-to-right
+    sum. A pair left out would add an exact 0.0, which changes nothing as
+    every Lambda_l is >= 0, so the bits are those of the dense recursion.
+    np.bincount would regroup the sums and change the bits. Before numpy
+    1.25, np.add.at is slower, not different."""
     if ell < 1:
         raise PreconditionError("need ell >= 1")
-    lam = von_mangoldt_table(x, sieve)
-    cur = lam
-    support = np.nonzero(lam)[0]
-    split = int(np.searchsorted(support, _SLICE_LIMIT, side="right"))
-    small, large = support[:split], support[split:]
-    for _ in range(ell - 1):
-        nxt = np.arange(x + 1, dtype=float)
-        nxt[0] = 1.0  # log 0 is undefined; log 1 = 0 keeps Lambda_l(0) = 0
-        np.log(nxt, out=nxt)
-        nxt *= cur
-        for e in small:
-            top = x // int(e)
-            # in windows of m, so that the product's temporary stays small
-            for lo in range(1, top + 1, _CHUNK):
-                hi = min(lo + _CHUNK, top + 1)
-                nxt[e * lo : e * hi : e] += cur[lo:hi] * lam[e]
-        _add_at_multiples(nxt, cur, lam, large)
-        cur = nxt
+    cur = von_mangoldt_table(x, sieve)
+    es = np.flatnonzero(cur)
+    lv = cur[es]
+    ms, cv = es, lv
+    for step in range(ell - 1):
+        if step:
+            ms = np.flatnonzero(cur)
+            cv = cur[ms]
+        cur = np.zeros(x + 1)
+        cur[ms] = np.log(ms) * cv
+        # pair p belongs to es[i] with bounds[i] <= p < bounds[i + 1]
+        bounds = np.zeros(es.size + 1, dtype=np.int64)
+        np.cumsum(np.searchsorted(ms, x // es, side="right"), out=bounds[1:])
+        for lo in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
+            hi = min(lo + _ADD_AT_CHUNK, int(bounds[-1]))
+            # es[i0:i1] are the prime powers whose runs meet pairs [lo, hi)
+            i0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+            i1 = int(np.searchsorted(bounds, hi, side="left"))
+            run = np.minimum(bounds[i0 + 1 : i1 + 1], hi) - np.maximum(bounds[i0:i1], lo)
+            i = np.repeat(np.arange(i0, i1), run)
+            j = np.arange(lo, hi) - bounds[i]
+            np.add.at(cur, es[i] * ms[j], cv[j] * lv[i])
     return cur
-
-
-def _add_at_multiples(nxt: np.ndarray, cur: np.ndarray, lam: np.ndarray, es: np.ndarray) -> None:
-    """nxt[e m] += cur[m] lam[e] for every e of the ascending array es and
-    m = 1..x // e, in that order. Pair p of the flat sequence belongs to
-    es[i] with bounds[i] <= p < bounds[i + 1]."""
-    x = nxt.size - 1
-    bounds = np.zeros(es.size + 1, dtype=np.int64)
-    np.cumsum(x // es, out=bounds[1:])
-    for lo in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
-        hi = min(lo + _ADD_AT_CHUNK, int(bounds[-1]))
-        # es[i0:i1] are the prime powers whose runs meet pairs [lo, hi)
-        i0 = int(np.searchsorted(bounds, lo, side="right")) - 1
-        i1 = int(np.searchsorted(bounds, hi, side="left"))
-        run = np.minimum(bounds[i0 + 1 : i1 + 1], hi) - np.maximum(bounds[i0:i1], lo)
-        e = np.repeat(es[i0:i1], run)
-        m = np.arange(lo + 1, hi + 1) - np.repeat(bounds[i0:i1], run)
-        np.add.at(nxt, e * m, cur[m] * lam[e])
 
 
 @dataclass
@@ -317,6 +306,8 @@ def von_mangoldt_sum(
         raise PreconditionError("need ell >= 2")
     if x > COUNT_GUARD:
         raise CostGuardError(f"x = {x} exceeds the guard {COUNT_GUARD}")
+    if x < 2 or s < 1:
+        raise PreconditionError("need x >= 2 and s >= 1")
     if not _check_gcd_hypothesis(ctx, s):
         warnings.warn(
             f"gcd(a_1 + ... + a_d - 1, s) = gcd({sum(ctx.coeffs) - 1}, {s}) != 1; "

@@ -85,16 +85,19 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the direct summation guard")
     exact = params.y_frac is not None and params.beta_frac is not None
     if exact:
-        h, q = params.y_frac.numerator, params.y_frac.denominator
-        r, sden = params.beta_frac.numerator, params.beta_frac.denominator
+        q, sden = params.y_frac.denominator, params.beta_frac.denominator
+        h, r = params.y_frac.numerator % q, params.beta_frac.numerator % sden
         mod = q * sden
+        # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
+        # only below 2**63; larger fractions take the extended-precision path
+        exact = max(q, sden) * g_n < 2**63 and 2 * mod < 2**63
     total = 0j
     for lo in range(0, g_n, _WINDOW):
         hi = min(lo + _WINDOW, g_n)
         s = digit_sums_range(ctx, hi, lo)
         ks = np.arange(lo, hi, dtype=np.int64)
         if exact:
-            num = (h * ks % mod) * sden + (r * s % mod) * q
+            num = (h * ks % q) * sden + (r * s % sden) * q
             phase = (num % mod) / mod
         else:
             phase = _phase_mod1(params.beta, s) + _phase_mod1(params.y, ks)

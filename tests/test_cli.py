@@ -182,3 +182,24 @@ def test_block_commands_keep_out(tmp_path, capsys):
     code = main(["table1", "--rows", "22", "--threads", "2", "--out", str(dest)])
     assert code in (EXIT_OK, EXIT_CERT_FAIL)
     assert dest.read_text().startswith("a,eps,eta,M2,kappa")
+
+
+@pytest.mark.parametrize("cmd, x, s", [
+    ("almostprimes", 1, 2), ("vmsum", 1, 2), ("vmsum", 0, 2), ("discrepancy", 0, 2),
+    *[(cmd, 100, s) for s in (0, -3) for cmd in ("almostprimes", "vmsum", "discrepancy")],
+])
+def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s):
+    extra = {"vmsum": ["--ell", "2"], "discrepancy": ["--theta", "0.3"]}.get(cmd, [])
+    argv = [cmd, "--coeffs", "1,1", "--x", str(x), "--s", str(s), "--r", "1", *extra]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: need x >= ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("y, beta", [("1/0", "1/2"), ("1/3", "2/0")])
+def test_expsum_rejects_zero_denominator(capsys, y, beta):
+    argv = ["expsum", "--coeffs", "2,1", "--n", "6", "--y", y, "--beta", beta]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nonzero denominator" in err
+    assert "Traceback" not in err

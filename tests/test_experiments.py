@@ -191,17 +191,20 @@ def test_von_mangoldt_table_uses_math_log(sieve_3e5):
     assert set(np.nonzero(lam)[0].tolist()) == powers
 
 
-# (split, chunk): prime powers above split go through np.add.at in chunks of
-# `chunk` (e, m) pairs. A chunk of 7 splits the runs of m of every e below x/7;
-# one chunk of 2**18 holds all pairs, so an n with several prime-power divisors
-# above the split gets all its terms in one np.add.at call.
-SPLITS = [(8, 7), (8, 1), (8, 2**18), (50, 3), (2**10, 1000)]
+# (e, m) pairs per np.add.at call. A chunk of 7 splits the runs of m of every
+# e below x/7; one chunk of 2**18 holds every pair for x <= 3000, so an n with
+# several prime-power divisors gets all its terms in one np.add.at call.
+CHUNKS = [1, 3, 7, 1000, 2**18]
 
 
-@pytest.mark.parametrize("split, chunk", SPLITS)
-@pytest.mark.parametrize("x", [5, 8, 9, 49, 51, 3000, 3**7])
-def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, split, chunk):
-    monkeypatch.setattr(experiments, "_SLICE_LIMIT", split)
+# x = 0, 1 and 2 leave no (e, m) pair; above 2**16 the chunks below 1000 take
+# seconds each
+@pytest.mark.parametrize(
+    "x, chunk",
+    [(x, chunk) for x in [0, 1, 2, 5, 8, 9, 49, 51, 3000, 3**7] for chunk in CHUNKS]
+    + [(x, chunk) for x in [2**16, 2**16 + 1, 2**17] for chunk in CHUNKS[3:]],
+)
+def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
     sieve = sieve_spf(max(x, 2))
     lam = lambda_bruteforce(2**17)[: x + 1]
@@ -210,18 +213,8 @@ def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, split,
         assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
 
 
-@pytest.mark.parametrize("x", [2**16, 2**16 + 1, 2**17])
-def test_generalized_von_mangoldt_default_split(sieve_3e5, x):
-    # no prime power above the split at 2**16, a run of one m each above it
-    lam = lambda_bruteforce(2**17)[: x + 1]
-    for ell in range(1, 5):
-        got = generalized_von_mangoldt(x, ell, sieve_3e5)
-        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
-
-
-@pytest.mark.parametrize("split, chunk", [*SPLITS, (2**16, 2**18)])
-def test_lambda2_closed_form(monkeypatch, sieve_1e5, split, chunk):
-    monkeypatch.setattr(experiments, "_SLICE_LIMIT", split)
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_lambda2_closed_form(monkeypatch, sieve_1e5, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
     x = 5000
     got = generalized_von_mangoldt(x, 2, sieve_1e5)
@@ -266,3 +259,20 @@ def test_von_mangoldt_sum_warns_on_bad_gcd(sieve_1e5):
 def test_von_mangoldt_sum_requires_ell_ge_2(sieve_1e5):
     with pytest.raises(PreconditionError):
         von_mangoldt_sum(ZECK, 1000, 1, 1, 2, sieve_1e5)
+
+
+def test_sieve_entry_points_reject_bad_x_and_s(sieve_1e5):
+    calls = [
+        lambda x, s: class_progression_count(ZECK, x, 1, s, 1, 1),
+        lambda x, s: bv_discrepancy(ZECK, x, 1, s, exponent=0.3),
+        lambda x, s: almost_prime_count(ZECK, x, 1, s, sieve_1e5),
+        lambda x, s: von_mangoldt_sum(ZECK, x, 2, 1, s, sieve_1e5),
+    ]
+    for call in calls:
+        for s in (0, -3):
+            with pytest.raises(PreconditionError):
+                call(100, s)
+    for call, x_min in zip(calls[1:], (1, 2, 2)):
+        with pytest.raises(PreconditionError):
+            call(x_min - 1, 2)
+        call(x_min, 2)

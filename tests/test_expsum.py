@@ -118,6 +118,23 @@ def test_rational_parameters_are_exact():
     assert abs(s_n - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
+Q10 = (2**63 - 1) // 8119  # the largest q with q G_10 < 2**63 in base (2, 1)
+
+
+@pytest.mark.parametrize("n, y", [
+    (16, Fraction(9999999999999, 10**13)),  # h k passes 2**63 below G_16 = 1607521
+    (10, Fraction(Q10 - 1, Q10)),  # the last fraction on the exact path
+    (10, Fraction(Q10, Q10 + 1)),  # the first on the extended-precision path
+], ids=["q=1e13", "below-int64-bound", "above-int64-bound"])
+def test_direct_large_denominator_matches_recurrent(n, y):
+    ctx = make_context((2, 1))
+    assert ctx.term(10) == 8119
+    params = ExpSumParams.make(y, Fraction(1, 2))
+    direct = exp_sum_direct(ctx, n, params)
+    s_n, _ = exp_sum_recurrent(ctx, n, params)
+    assert abs(direct - s_n) <= 1e-12 * ctx.term(n)
+
+
 def test_modulus_bounded_by_term():
     rng = np.random.default_rng(7)
     for coeffs in BASES:
