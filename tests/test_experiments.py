@@ -195,14 +195,21 @@ def test_von_mangoldt_table_uses_math_log(sieve_3e5):
 # e below x/7; one chunk of 2**18 holds every pair for x <= 3000, so an n with
 # several prime-power divisors gets all its terms in one np.add.at call.
 CHUNKS = [1, 3, 7, 1000, 2**18]
+# Case ids: each chunk is named with the prime-power bound it was paired with
+# when prime powers below that bound took a separate strided-slice path.
+CHUNK_IDS = {7: "8-7", 1: "8-1", 2**18: "8-262144", 3: "50-3", 1000: "1024-1000"}
 
 
 # x = 0, 1 and 2 leave no (e, m) pair; above 2**16 the chunks below 1000 take
-# seconds each
+# seconds each, and the default chunk is test_generalized_von_mangoldt_default_split
 @pytest.mark.parametrize(
     "x, chunk",
-    [(x, chunk) for x in [0, 1, 2, 5, 8, 9, 49, 51, 3000, 3**7] for chunk in CHUNKS]
-    + [(x, chunk) for x in [2**16, 2**16 + 1, 2**17] for chunk in CHUNKS[3:]],
+    [
+        pytest.param(x, chunk, id=f"{x}-{CHUNK_IDS[chunk]}")
+        for x in [0, 1, 2, 5, 8, 9, 49, 51, 3000, 3**7]
+        for chunk in CHUNKS
+    ]
+    + [pytest.param(x, 1000, id=f"{x}-1000") for x in [2**16, 2**16 + 1, 2**17]],
 )
 def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
@@ -213,7 +220,16 @@ def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, chunk)
         assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
 
 
-@pytest.mark.parametrize("chunk", CHUNKS)
+@pytest.mark.parametrize("x", [2**16, 2**16 + 1, 2**17])
+def test_generalized_von_mangoldt_default_split(sieve_3e5, x):
+    # the default chunk, on a sieve longer than x
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    for ell in range(1, 5):
+        got = generalized_von_mangoldt(x, ell, sieve_3e5)
+        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
+
+
+@pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS.get)
 def test_lambda2_closed_form(monkeypatch, sieve_1e5, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
     x = 5000
