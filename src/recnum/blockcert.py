@@ -170,7 +170,7 @@ def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     def sups(c: int) -> tuple[float, float]:
         lo = c / a
         hi = (c + 1) / a
-        return dirichlet_sup(a, lo, hi, 1e-4).bound, interval_sup_deriv(a, lo, hi)
+        return dirichlet_sup(a, lo, hi, 1e-4), interval_sup_deriv(a, lo, hi)
 
     sup_g, sup_gp = zip(*_pool_map(sups, range(a), threads))
     return np.array(sup_g), np.array(sup_gp)
@@ -306,9 +306,7 @@ def certify_M2_3(a: int, grid: GridParams) -> float:
         raise PreconditionError("need a >= 2")
     ctx = quadratic_context(a)
     n_terms = floor_alpha_cube(a, ctx.alpha) + 2
-    sups = np.array(
-        [dirichlet_sup(a, c / a, (c + 1) / a, 1e-4).bound for c in range(a)]
-    )
+    sups = np.array([dirichlet_sup(a, c / a, (c + 1) / a, 1e-4) for c in range(a)])
     return float(np.max(_shifted_residue_sums(sups, n_terms))) + n_terms * grid.delta
 
 
@@ -340,23 +338,20 @@ def certify_block_bound(a: int, grid: GridParams, threads: int = 1) -> BlockBoun
 
 
 def sample_main_sums(
-    a: int,
-    n_samples: int,
-    gamma_hi: float,
-    rng: np.random.Generator,
-    chunk: int = 2000,
+    a: int, n_samples: int, gamma_hi: float, rng: np.random.Generator
 ) -> float:
     """Worst of n_samples exact main-term evaluations at random points:
     q uniform over {0..a-1}, gamma uniform over [0, gamma_hi), one uniform y
     per interval b, summing |h(y_b, gamma, q)| over b. Any such value must
-    stay below the certified main term plus its corrections."""
+    stay below the certified main term plus its corrections. Samples are
+    drawn 2000 at a time."""
     ctx = quadratic_context(a)
     alpha_inv = polished_alpha_inv(a, ctx.alpha)
     b_max = floor_alpha_sq(a, ctx.alpha) + 1
     bs = np.arange(b_max + 1, dtype=float)
     worst = 0.0
-    for lo in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - lo)
+    for lo in range(0, n_samples, 2000):
+        m = min(2000, n_samples - lo)
         ys = (bs[None, :] + rng.random((m, b_max + 1))) / a
         qs = rng.integers(0, a, size=m).astype(float)
         gammas = gamma_hi * rng.random(m)

@@ -82,16 +82,6 @@ def kernel_second_derivative_cap(a: int) -> float:
     return (2.0 * math.pi) ** 2 * a * (a * a - 1) / 12.0
 
 
-@dataclass(frozen=True)
-class SupremumCertificate:
-    lo: float
-    hi: float
-    bound: float
-    grid_step: float
-    lipschitz: float
-    note: str
-
-
 def _contains_integer(lo: float, hi: float) -> bool:
     return math.floor(hi) >= math.ceil(lo)
 
@@ -112,33 +102,34 @@ def _local_lipschitz(a: int, lo: float, hi: float) -> float:
 _GRID_POINT_CAP = 6 * 10**6
 
 
+def _grid_sup(f, a: int, lo: float, hi: float, lip: float, slack: float) -> float:
+    """max of f(., a) on a uniform grid of [lo, hi] plus (step/2) lip: an upper
+    bound for sup over [lo, hi] of f when f is lip-Lipschitz there. The grid
+    holds ceil((hi - lo) lip / slack) + 2 points, so the Lipschitz term stays
+    below slack / 2 unless _GRID_POINT_CAP binds."""
+    npts = min(int(math.ceil((hi - lo) * lip / slack)) + 2, _GRID_POINT_CAP)
+    step = (hi - lo) / (npts - 1)
+    return float(np.max(f(np.linspace(lo, hi, npts), a))) + 0.5 * step * lip
+
+
 @lru_cache(maxsize=200_000)
 def dirichlet_sup(
     a_j: int, lo: float, hi: float, slack: float = DEFAULT_SUP_SLACK
-) -> SupremumCertificate:
+) -> float:
     """Certified upper bound for sup over (lo, hi) of |sin(pi a_j y)/sin(pi y)|.
 
-    Grid maximum plus (step/2) times a Lipschitz constant; the result never
-    exceeds a_j. Intervals touching an integer return a_j exactly, since the
-    supremum there is attained in the limit.
+    Grid maximum plus (step/2) times a local Lipschitz constant; the result
+    never exceeds a_j. Intervals touching an integer return a_j exactly, since
+    the supremum there is attained in the limit, and a_j = 1 gives |g| = 1.
     """
     if not hi > lo:
         raise PreconditionError("degenerate interval")
     if a_j < 1:
         raise PreconditionError("a_j must be a positive integer")
-    if _contains_integer(lo, hi):
-        return SupremumCertificate(lo, hi, float(a_j), 0.0, 0.0, "integer-endpoint")
-    if a_j == 1:
-        return SupremumCertificate(lo, hi, 1.0, 0.0, 0.0, "unit-coefficient")
+    if a_j == 1 or _contains_integer(lo, hi):
+        return float(a_j)
     lip = _local_lipschitz(a_j, lo, hi)
-    npts = int(math.ceil((hi - lo) * lip / slack)) + 2
-    npts = min(npts, _GRID_POINT_CAP)
-    ys = np.linspace(lo, hi, npts)
-    step = (hi - lo) / (npts - 1)
-    bound = float(np.max(dirichlet_kernel_abs(ys, a_j))) + 0.5 * step * lip
-    return SupremumCertificate(
-        lo, hi, min(bound, float(a_j)), step, lip, "grid+lipschitz"
-    )
+    return min(_grid_sup(dirichlet_kernel_abs, a_j, lo, hi, lip, slack), float(a_j))
 
 
 def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
@@ -149,16 +140,12 @@ def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
     value 0 at the integers themselves), and the |g''| cap is global.
     """
     lip2 = kernel_second_derivative_cap(a)
-    npts = int(math.ceil((hi - lo) * lip2 / (2.0 * DERIV_SUP_SLACK))) + 2
-    npts = min(npts, _GRID_POINT_CAP)
-    ys = np.linspace(lo, hi, npts)
-    step = (hi - lo) / (npts - 1)
-    bound = float(np.max(dirichlet_kernel_deriv_abs(ys, a))) + 0.5 * step * lip2
+    bound = _grid_sup(dirichlet_kernel_deriv_abs, a, lo, hi, lip2, 2.0 * DERIV_SUP_SLACK)
     return min(bound, kernel_derivative_cap(a))
 
 
-def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[SupremumCertificate]:
-    """Certificates for m(j, b) (or its shifted variant) over b = 0..a-1."""
+def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[float]:
+    """Certified bounds for m(j, b) (or its shifted variant) over b = 0..a-1."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} not in the index set")
     a = ctx.coeffs[0]
@@ -170,9 +157,7 @@ def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[SupremumCertif
 
 
 def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0) -> float:
-    certs = m_table(ctx, j, shift=shift)
-    a = ctx.coeffs[0]
-    return sum(c.bound for c in certs) / a
+    return sum(m_table(ctx, j, shift=shift)) / ctx.coeffs[0]
 
 
 def m_value(ctx: BaseContext) -> float:
@@ -273,18 +258,6 @@ class MBoundReport:
     m_shifted: float | None
     theta: float
 
-    def to_dict(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "m_jb": {str(j): v for j, v in self.m_jb.items()},
-            "m_j": {str(j): v for j, v in self.m_j.items()},
-            "m": self.m,
-            "closed_form": self.closed_form,
-            "shift_r": self.shift_r,
-            "m_shifted": self.m_shifted,
-            "theta": self.theta,
-        }
-
 
 @dataclass
 class ThetaReport:
@@ -336,7 +309,7 @@ def theta_lower_bound(
 
 def compute_mbound_report(ctx: BaseContext, shift_r: int | None = None) -> MBoundReport:
     a1 = ctx.coeffs[0]
-    m_jb = {j: [c.bound for c in m_table(ctx, j)] for j in ctx.index_set}
+    m_jb = {j: m_table(ctx, j) for j in ctx.index_set}
     m_j = {j: sum(v) / a1 for j, v in m_jb.items()}  # the sum m_of_j forms
     m = max(m_j.values())
     shifted = m_shifted(ctx, shift_r) if shift_r is not None else None

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import base, blockcert, bounds, experiments, expsum
 from .base import BaseContext, PreconditionError
-from .digits import expand, sum_of_digits
+from .digits import expand
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -28,11 +28,13 @@ EXIT_CERT_FAIL = 2
 
 
 def _round_floats(obj):
-    """Round every float to 10 significant digits, recursively."""
+    """Round every float to 10 significant digits, recursively. Dict keys
+    become strings first, so sort_keys orders int keys as JSON prints them
+    ("10" before "9")."""
     if isinstance(obj, float):
         return float(f"{obj:.10g}")
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        return {str(k): _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
     return obj
@@ -114,12 +116,6 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def cmd_sumdigits(args) -> int:
-    ctx = _context_from_args(args)
-    _emit(args, {"n": args.n, "sum": sum_of_digits(ctx, args.n)})
-    return EXIT_OK
-
-
 def cmd_expsum(args) -> int:
     ctx = _context_from_args(args)
     try:
@@ -149,8 +145,7 @@ def cmd_expsum(args) -> int:
 def cmd_onenorm(args) -> int:
     ctx = _context_from_args(args)
     est = expsum.one_norm(ctx, args.n, args.beta)
-    _emit(args, {"n": args.n, "beta": args.beta, "value": est.value,
-                 "nodes": est.nodes})
+    _emit(args, {"n": args.n, "beta": args.beta, **asdict(est)})
     return EXIT_OK
 
 
@@ -164,7 +159,7 @@ def cmd_gallagher(args) -> int:
 def cmd_mbound(args) -> int:
     ctx = _context_from_args(args)
     rep = bounds.compute_mbound_report(ctx, shift_r=args.shift_r)
-    _emit(args, rep.to_dict())
+    _emit(args, asdict(rep))
     return EXIT_OK
 
 
@@ -173,8 +168,7 @@ def cmd_theta(args) -> int:
     rep = bounds.theta_lower_bound(
         ctx, shift_r=args.shift_r, block_kappa=args.block_kappa
     )
-    _emit(args, {"theta": rep.theta, "eta": rep.eta, "winner": rep.winner,
-                 "candidates": rep.candidates})
+    _emit(args, asdict(rep))
     return EXIT_OK
 
 
@@ -236,10 +230,8 @@ def cmd_table1(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     ctx = _context_from_args(args)
-    rep = experiments.bv_discrepancy(
-        ctx, args.x, args.r, args.s, exponent=args.theta, A=args.A
-    )
-    _emit(args, rep.to_dict())
+    rep = experiments.bv_discrepancy(ctx, args.x, args.r, args.s, exponent=args.theta)
+    _emit(args, asdict(rep))
     return EXIT_OK
 
 
@@ -265,7 +257,7 @@ def cmd_vmsum(args) -> int:
     ctx = _context_from_args(args)
     sieve = experiments.sieve_spf(args.x)
     rep = experiments.von_mangoldt_sum(ctx, args.x, args.ell, args.r, args.s, sieve)
-    _emit(args, rep.to_dict())
+    _emit(args, asdict(rep))
     return EXIT_OK
 
 
@@ -289,10 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("expand", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
     sp.set_defaults(func=cmd_expand)
-
-    sp = sub.add_parser("sumdigits", parents=[with_base])
-    sp.add_argument("--n", type=int, required=True)
-    sp.set_defaults(func=cmd_sumdigits)
 
     sp = sub.add_parser("expsum", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
@@ -338,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=int, required=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--theta", type=float, required=True)
-    sp.add_argument("--A", type=float, default=1.0)
     sp.set_defaults(func=cmd_discrepancy)
 
     sp = sub.add_parser("almostprimes", parents=[with_base])

@@ -31,6 +31,7 @@ SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 _CHUNK = 1 << 20
 _ADD_AT_CHUNK = 1 << 18  # (e, m) pairs per np.add.at call in generalized_von_mangoldt
+DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
 
 class GcdPreconditionWarning(UserWarning):
@@ -100,20 +101,6 @@ class DiscrepancyReport:
     total: float
     normalized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "q_max": self.q_max,
-            "r": self.r,
-            "s": self.s,
-            "exponent": self.exponent,
-            "A": self.A,
-            "z_samples": self.z_samples,
-            "per_q": self.per_q,
-            "total": self.total,
-            "normalized": self.normalized,
-        }
-
 
 def _check_gcd_hypothesis(ctx: BaseContext, s: int) -> bool:
     return gcd(sum(ctx.coeffs) - 1, s) == 1
@@ -130,15 +117,18 @@ def geometric_z_samples(x: int) -> list[int]:
 
 
 def bv_discrepancy(
-    ctx: BaseContext, x: int, r: int, s: int, exponent: float, A: float = 1.0
+    ctx: BaseContext, x: int, r: int, s: int, exponent: float
 ) -> DiscrepancyReport:
     """The discrepancy sum over moduli q < x^exponent, with the max over z
     restricted to the geometric sample set (a lower bound for the full max;
-    the decay comparison across x remains meaningful)."""
+    the decay comparison across x remains meaningful). The level x^exponent
+    of the distribution result lies below x, so 0 < exponent < 1."""
     if x > COUNT_GUARD:
         raise CostGuardError(f"x = {x} exceeds the guard {COUNT_GUARD}")
     if x < 1 or s < 1:
         raise PreconditionError("need x >= 1 and s >= 1")
+    if not 0.0 < exponent < 1.0:
+        raise PreconditionError(f"need 0 < theta < 1, got {exponent}")
     if not _check_gcd_hypothesis(ctx, s):
         raise PreconditionError(
             f"gcd(a_1 + ... + a_d - 1, s) = gcd({sum(ctx.coeffs) - 1}, {s}) != 1"
@@ -162,14 +152,14 @@ def bv_discrepancy(
             if dev > per_q[q]:
                 per_q[q] = dev
     total = float(sum(per_q[1:]))
-    normalized = total * math.log(2 * x) ** A / x
+    normalized = total * math.log(2 * x) ** DISCREPANCY_LOG_POWER / x
     return DiscrepancyReport(
         x=x,
         q_max=q_max,
         r=r,
         s=s,
         exponent=exponent,
-        A=A,
+        A=DISCREPANCY_LOG_POWER,
         z_samples=z_samples,
         per_q=per_q[1:],
         total=total,
@@ -276,21 +266,7 @@ class VonMangoldtReport:
     s: int
     lhs: float
     main_term: float
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.main_term
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "ell": self.ell,
-            "r": self.r,
-            "s": self.s,
-            "lhs": self.lhs,
-            "main_term": self.main_term,
-            "ratio": self.ratio,
-        }
+    ratio: float  # lhs / main_term
 
 
 def von_mangoldt_sum(
@@ -322,4 +298,6 @@ def von_mangoldt_sum(
         mask = _digit_class_mask(ctx, lo, hi, r, s)
         lhs += float(np.sum(lam_ell[lo:hi][mask]))
     main = (ell / s) * x * math.log(x) ** (ell - 1)
-    return VonMangoldtReport(x=x, ell=ell, r=r, s=s, lhs=lhs, main_term=main)
+    return VonMangoldtReport(
+        x=x, ell=ell, r=r, s=s, lhs=lhs, main_term=main, ratio=lhs / main
+    )

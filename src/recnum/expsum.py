@@ -22,6 +22,7 @@ oscillates on the scale 1/G_n.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,8 +45,9 @@ class ExpSumParams:
 
     y may be an array: `exp_sum_recurrent` and `coefficient_A` then evaluate
     at every y at once, and a scalar y is their length-1 case. Exact
-    fractions, when available, let the direct sum reduce phases exactly
-    mod 1 before any floating-point rounding.
+    fractions, when available, are reduced mod 1 before they are rounded to
+    float, and let the direct sum reduce phases exactly mod 1 before any
+    floating-point rounding. y and beta must be finite.
     """
 
     y: float | np.ndarray
@@ -57,8 +59,14 @@ class ExpSumParams:
     def make(cls, y, beta) -> "ExpSumParams":
         y_frac = y if isinstance(y, Fraction) else None
         beta_frac = beta if isinstance(beta, Fraction) else None
+        if y_frac is not None:
+            y = y_frac % 1
+        if beta_frac is not None:
+            beta = beta_frac % 1
         yf = np.asarray(y, dtype=float) % 1.0 if np.ndim(y) else float(y) % 1.0
         bf = float(beta) % 1.0
+        if not (math.isfinite(bf) and np.all(np.isfinite(yf))):
+            raise PreconditionError("y and beta must be finite")
         return cls(yf, bf, y_frac, beta_frac)
 
 
@@ -133,6 +141,8 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
     """(S_n, dS_n/dy) via the order-d coefficient recurrence, at every y of
     params (complex values for a scalar y, arrays for an array of y). Only the
     last d values of each are kept."""
+    if n < 0:
+        raise PreconditionError("term index must be non-negative")
     ys = np.atleast_1d(params.y)
     sums: deque = deque(maxlen=ctx.d)
     d_sums: deque = deque(maxlen=ctx.d)
@@ -215,6 +225,8 @@ def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> Gallag
     least delta = 1/q_max^2) and compares with
     delta^{-1} * ||S_n||_1 + (1/2) * ||dS_n/dy||_1 over one full period.
     """
+    if q_max < 1:
+        raise PreconditionError("need q_max >= 1")
     if q_max * q_max > 10**4:
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
     pts = farey_fractions(q_max)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from recnum import make_context, sum_of_digits
 from recnum.cli import EXIT_CERT_FAIL, EXIT_ERROR, EXIT_OK, main
 
 
@@ -37,8 +38,7 @@ def test_expand_and_sumdigits(capsys):
     code, payload = run_json(capsys, "expand", "--coeffs", "1,1", "--n", "7")
     assert code == EXIT_OK
     assert payload["digits"] == [0, 1, 0, 1] and payload["sum"] == 2
-    code, payload = run_json(capsys, "sumdigits", "--coeffs", "1,1", "--n", "7")
-    assert code == EXIT_OK and payload["sum"] == 2
+    assert payload["sum"] == sum_of_digits(make_context((1, 1)), 7) == 2
 
 
 def test_expsum_methods_agree(capsys):
@@ -104,6 +104,9 @@ def test_dead_flags_removed_and_threads_kept(capsys):
     assert main(["theta", "--coeffs", "59,1", "--block-width", "2"]) == EXIT_ERROR
     assert main(["discrepancy", "--coeffs", "1,1", "--x", "2000", "--s", "2",
                  "--r", "1", "--theta", "0.3", "--eps", "0.01"]) == EXIT_ERROR
+    assert main(["discrepancy", "--coeffs", "1,1", "--x", "2000", "--s", "2",
+                 "--r", "1", "--theta", "0.3", "--A", "1.0"]) == EXIT_ERROR
+    assert main(["sumdigits", "--coeffs", "1,1", "--n", "7"]) == EXIT_ERROR
     capsys.readouterr()
     code, out = run(capsys, "table1", "--rows", "22", "--threads", "2")
     rows = list(csv.reader(io.StringIO(out)))
@@ -141,7 +144,7 @@ def test_vmsum(capsys):
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "base.cfg"
     cfg.write_text("coeffs = 3,1\n")
-    code, payload = run_json(capsys, "sumdigits", "--config", str(cfg), "--n", "10")
+    code, payload = run_json(capsys, "expand", "--config", str(cfg), "--n", "10")
     assert code == EXIT_OK and payload["sum"] >= 1
 
 
@@ -184,16 +187,21 @@ def test_block_commands_keep_out(tmp_path, capsys):
     assert dest.read_text().startswith("a,eps,eta,M2,kappa")
 
 
-@pytest.mark.parametrize("cmd, x, s", [
-    ("almostprimes", 1, 2), ("vmsum", 1, 2), ("vmsum", 0, 2), ("discrepancy", 0, 2),
-    *[(cmd, 100, s) for s in (0, -3) for cmd in ("almostprimes", "vmsum", "discrepancy")],
+@pytest.mark.parametrize("cmd, x, s, theta, message", [
+    *[pytest.param(cmd, x, s, "0.3", "need x >= ", id=f"{cmd}-{x}-{s}") for cmd, x, s in [
+        ("almostprimes", 1, 2), ("vmsum", 1, 2), ("vmsum", 0, 2), ("discrepancy", 0, 2),
+        *[(cmd, 100, s) for s in (0, -3) for cmd in ("almostprimes", "vmsum", "discrepancy")],
+    ]],
+    # the level x^theta of the distribution result lies strictly between 1 and x
+    *[pytest.param("discrepancy", 1000, 2, theta, "need 0 < theta < 1",
+                   id=f"discrepancy-theta-{theta}") for theta in ("-1", "0", "1", "nan")],
 ])
-def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s):
-    extra = {"vmsum": ["--ell", "2"], "discrepancy": ["--theta", "0.3"]}.get(cmd, [])
+def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s, theta, message):
+    extra = {"vmsum": ["--ell", "2"], "discrepancy": ["--theta", theta]}.get(cmd, [])
     argv = [cmd, "--coeffs", "1,1", "--x", str(x), "--s", str(s), "--r", "1", *extra]
     assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: need x >= ") and "Traceback" not in err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("y, beta", [("1/0", "1/2"), ("1/3", "2/0")])
@@ -203,3 +211,53 @@ def test_expsum_rejects_zero_denominator(capsys, y, beta):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nonzero denominator" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum", "--coeffs", "2,1", "--n", "-1", "--y", "1/3", "--beta", "1/2"],
+    ["gallagher", "--coeffs", "1,1", "--n", "-2", "--beta", "0.3", "--qmax", "5"],
+    ["gallagher", "--coeffs", "1,1", "--n", "5", "--beta", "0.3", "--qmax", "0"],
+    ["onenorm", "--coeffs", "1,1", "--n", "5", "--beta", "inf"],
+    ["gallagher", "--coeffs", "1,1", "--n", "5", "--beta", "nan", "--qmax", "5"],
+], ids=["expsum-n", "gallagher-n", "gallagher-qmax", "onenorm-beta-inf", "gallagher-beta-nan"])
+def test_expsum_commands_reject_bad_inputs(capsys, argv):
+    # an error line, not a traceback and not a NaN in the JSON
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_expsum_huge_integer_frequency_is_zero_mod_1(capsys):
+    # y = 10^400 is an integer: it reduces to 0 exactly instead of overflowing
+    args = ["expsum", "--coeffs", "2,1", "--n", "5", "--beta", "1/2"]
+    for method in ("recurrent", "direct"):
+        code, huge = run_json(capsys, *args, "--y", "1e400", "--method", method)
+        _, zero = run_json(capsys, *args, "--y", "0", "--method", method)
+        assert code == EXIT_OK
+        assert (huge["real"], huge["imag"], huge["abs"]) == (
+            zero["real"], zero["imag"], zero["abs"])
+
+
+def test_report_keys(capsys):
+    # every report prints its dataclass fields, plus the command's own inputs
+    base = ["--coeffs", "1,1"]
+    cases = {
+        ("mbound", "--coeffs", "7,1"): {
+            "coeffs", "m_jb", "m_j", "m", "closed_form", "shift_r", "m_shifted", "theta"},
+        ("theta", "--coeffs", "59,1"): {"theta", "eta", "winner", "candidates"},
+        ("onenorm", *base, "--n", "6", "--beta", "0.3"): {"n", "beta", "value", "nodes"},
+        ("discrepancy", *base, "--x", "1000", "--s", "2", "--r", "1", "--theta", "0.3"): {
+            "x", "q_max", "r", "s", "exponent", "A", "z_samples", "per_q", "total",
+            "normalized"},
+        ("vmsum", *base, "--x", "1000", "--ell", "2", "--s", "3", "--r", "1"): {
+            "x", "ell", "r", "s", "lhs", "main_term", "ratio"},
+    }
+    for argv, keys in cases.items():
+        code, payload = run_json(capsys, *argv)
+        assert code == EXIT_OK and set(payload) == keys, argv[0]
+    # int keys print as strings in string order: "10" sorts before "2"
+    code, payload = run_json(capsys, "mbound", "--coeffs", ",".join(["1"] * 10))
+    assert code == EXIT_OK
+    order = ["1", "10", *map(str, range(2, 10))]
+    assert list(payload["m_jb"]) == order and list(payload["m_j"]) == order

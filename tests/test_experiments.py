@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from functools import lru_cache
 
 import numpy as np
@@ -72,7 +73,7 @@ def test_bv_discrepancy_small():
         assert dev == expected, q
     assert rep.total == pytest.approx(sum(rep.per_q))
     assert rep.normalized == pytest.approx(rep.total * math.log(2 * x) / x)
-    assert rep.to_dict()["x"] == x
+    assert asdict(rep)["x"] == x
 
 
 def test_bv_discrepancy_rejects_bad_gcd():
@@ -263,7 +264,8 @@ def test_von_mangoldt_sum_report(sieve_1e5):
     assert rep.lhs > 0
     assert rep.main_term == pytest.approx(2 / 2 * 10**5 * math.log(10**5))
     assert 0.3 < rep.ratio < 2.0
-    assert rep.to_dict()["ratio"] == pytest.approx(rep.ratio)
+    assert rep.ratio == rep.lhs / rep.main_term
+    assert asdict(rep)["ratio"] == pytest.approx(rep.ratio)
 
 
 def test_von_mangoldt_sum_warns_on_bad_gcd(sieve_1e5):
