@@ -78,6 +78,9 @@ def validate_spec(spec: RecurrenceSpec) -> ValidationReport:
         violations.append("coefficients must be non-negative")
     if a[-1] <= 0:
         violations.append(f"a_{d} must be positive")
+    if a == (1,):
+        # for d >= 2, condition (3) at k = d gives a_1 >= a_d >= 1, so G_n grows
+        violations.append("a_1 = 1 with d = 1 gives G_n = 1 for every n")
     if g[0] != 1:
         violations.append("G_0 must equal 1")
     if any(g[i] >= g[i + 1] for i in range(d - 1)):
@@ -204,23 +207,3 @@ def make_context(coeffs, initials=None) -> BaseContext:
     spec = RecurrenceSpec(coeffs, tuple(int(g) for g in initials))
     return BaseContext(spec)
 
-
-def parse_config(text: str) -> RecurrenceSpec:
-    """Parse a flat key=value config with keys `coeffs` and `initials`."""
-    values: dict[str, str] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise PreconditionError(f"malformed config line: {line!r}")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    if "coeffs" not in values:
-        raise PreconditionError("config must define `coeffs`")
-    coeffs = tuple(int(c) for c in values["coeffs"].split(","))
-    if "initials" in values:
-        initials = tuple(int(g) for g in values["initials"].split(","))
-    else:
-        initials = strengthened_initials(coeffs)
-    return RecurrenceSpec(coeffs, initials)

@@ -52,6 +52,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,19 +67,21 @@ from .expsum import ExpSumParams, coefficient_A
 
 KAPPA_TARGET = 2.9772122
 _GRID_SNAP = 1e-9
+# slack of the sup|g| table: M_2(3) hits M_2(2)'s dirichlet_sup cache only if equal
+_SUP_SLACK = 1e-4
 
 
 @dataclass(frozen=True)
 class GridParams:
-    """Grid steps for the certification: eps on y, eta on gamma, delta the
-    supremum-approximation allowance baked into the M-quantities."""
+    """Grid steps for the certification: eps on y, eta on gamma. delta, the
+    supremum-approximation allowance baked into the M-quantities, is fixed."""
 
     eps: float
     eta: float
-    delta: float = 1e-10
+    delta: ClassVar[float] = 1e-10
 
     def __post_init__(self):
-        if self.eps <= 0 or self.eta <= 0 or self.delta <= 0:
+        if self.eps <= 0 or self.eta <= 0:
             raise PreconditionError("grid parameters must be positive")
         if self.eps > 0.01 or self.eta > 0.001:
             raise PreconditionError("grid too coarse: need eps <= 0.01, eta <= 0.001")
@@ -170,7 +173,7 @@ def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     def sups(c: int) -> tuple[float, float]:
         lo = c / a
         hi = (c + 1) / a
-        return dirichlet_sup(a, lo, hi, 1e-4), interval_sup_deriv(a, lo, hi)
+        return dirichlet_sup(a, lo, hi, _SUP_SLACK), interval_sup_deriv(a, lo, hi)
 
     sup_g, sup_gp = zip(*_pool_map(sups, range(a), threads))
     return np.array(sup_g), np.array(sup_gp)
@@ -267,6 +270,8 @@ class M22Certificate:
 def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certificate:
     if a < 2:
         raise PreconditionError("need a >= 2")
+    if threads < 1:
+        raise PreconditionError(f"need threads >= 1, got {threads}")
     ctx = quadratic_context(a)
     alpha = ctx.alpha
     alpha_inv = polished_alpha_inv(a, alpha)
@@ -306,7 +311,7 @@ def certify_M2_3(a: int, grid: GridParams) -> float:
         raise PreconditionError("need a >= 2")
     ctx = quadratic_context(a)
     n_terms = floor_alpha_cube(a, ctx.alpha) + 2
-    sups = np.array([dirichlet_sup(a, c / a, (c + 1) / a, 1e-4) for c in range(a)])
+    sups = np.array([dirichlet_sup(a, c / a, (c + 1) / a, _SUP_SLACK) for c in range(a)])
     return float(np.max(_shifted_residue_sums(sups, n_terms))) + n_terms * grid.delta
 
 

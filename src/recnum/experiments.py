@@ -102,8 +102,21 @@ class DiscrepancyReport:
     normalized: float
 
 
-def _check_gcd_hypothesis(ctx: BaseContext, s: int) -> bool:
-    return gcd(sum(ctx.coeffs) - 1, s) == 1
+def _gcd_violation(ctx: BaseContext, s: int) -> str | None:
+    """The failure of the hypothesis gcd(a_1 + ... + a_d - 1, s) = 1, or None."""
+    g = sum(ctx.coeffs) - 1
+    return None if gcd(g, s) == 1 else f"gcd(a_1 + ... + a_d - 1, s) = gcd({g}, {s}) != 1"
+
+
+def _warn_gcd_hypothesis(ctx: BaseContext, s: int) -> None:
+    """Warn the caller's caller when the hypothesis of the corollaries fails: the
+    count stays well defined, only its main-term comparison loses its backing."""
+    if violation := _gcd_violation(ctx, s):
+        warnings.warn(
+            f"{violation}; the main-term comparison is heuristic for this base",
+            GcdPreconditionWarning,
+            stacklevel=3,
+        )
 
 
 def geometric_z_samples(x: int) -> list[int]:
@@ -129,10 +142,8 @@ def bv_discrepancy(
         raise PreconditionError("need x >= 1 and s >= 1")
     if not 0.0 < exponent < 1.0:
         raise PreconditionError(f"need 0 < theta < 1, got {exponent}")
-    if not _check_gcd_hypothesis(ctx, s):
-        raise PreconditionError(
-            f"gcd(a_1 + ... + a_d - 1, s) = gcd({sum(ctx.coeffs) - 1}, {s}) != 1"
-        )
+    if violation := _gcd_violation(ctx, s):
+        raise PreconditionError(violation)
     q_max = max(1, math.ceil(x**exponent) - 1)
     z_samples = geometric_z_samples(x)
     # all k < x in the digit class, sorted; per-z restriction by searchsorted
@@ -173,11 +184,13 @@ def almost_prime_count(
     """#{k <= x : s_G(k) = r (mod s), k prime or a product of two primes}.
 
     Semiprimes include squares p^2 (the two prime factors need not differ).
+    A failed coprimality hypothesis warns, as in von_mangoldt_sum.
     """
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     if sieve.limit < x:
         raise PreconditionError("sieve limit is smaller than x")
+    _warn_gcd_hypothesis(ctx, s)
     total = 0
     spf = sieve.spf
     for lo in range(2, x + 1, _CHUNK):
@@ -275,8 +288,7 @@ def von_mangoldt_sum(
     """sum_{k < x, s_G(k) = r (mod s)} Lambda_l(k) against (l/s) x (log x)^{l-1}.
 
     The coprimality hypothesis gcd(a_1 + ... + a_d - 1, s) = 1 is reported as
-    a warning rather than an error: the sum is still well defined without it,
-    only the main-term comparison loses its theoretical backing.
+    a GcdPreconditionWarning rather than an error.
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")
@@ -284,13 +296,7 @@ def von_mangoldt_sum(
         raise CostGuardError(f"x = {x} exceeds the guard {COUNT_GUARD}")
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
-    if not _check_gcd_hypothesis(ctx, s):
-        warnings.warn(
-            f"gcd(a_1 + ... + a_d - 1, s) = gcd({sum(ctx.coeffs) - 1}, {s}) != 1; "
-            "the main-term comparison is heuristic for this base",
-            GcdPreconditionWarning,
-            stacklevel=2,
-        )
+    _warn_gcd_hypothesis(ctx, s)
     lam_ell = generalized_von_mangoldt(x - 1, ell, sieve)
     lhs = 0.0
     for lo in range(0, x, _CHUNK):

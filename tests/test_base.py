@@ -6,7 +6,6 @@ from recnum.base import (
     RecurrenceSpec,
     dominant_root,
     make_context,
-    parse_config,
     strengthened_initials,
     validate_spec,
 )
@@ -26,12 +25,21 @@ def test_strengthened_initials_general():
 def test_validate_accepts_zeckendorf():
     spec = RecurrenceSpec((1, 1), (1, 2))
     assert validate_spec(spec).ok
+    # order 1: binary is a base
+    assert validate_spec(RecurrenceSpec((2,), (1,))).ok
+    assert make_context((2,)).terms_upto(20) == [1, 2, 4, 8, 16]
 
 
 def test_validate_rejects_nonincreasing():
     spec = RecurrenceSpec((1, 1), (2, 1))
     report = validate_spec(spec)
     assert not report.ok and report.violations
+    # G_n = 1 for every n passes every other condition; terms_upto would
+    # never return on it
+    report = validate_spec(RecurrenceSpec((1,), (1,)))
+    assert report.violations == ("a_1 = 1 with d = 1 gives G_n = 1 for every n",)
+    with pytest.raises(PreconditionError):
+        make_context((1,))
 
 
 def test_validate_rejects_bad_lexicographic_tail():
@@ -76,11 +84,6 @@ def test_integer_width_guard():
     ctx = make_context((100, 1))
     with pytest.raises(IntegerWidthError):
         ctx.term(100)
-
-
-def test_parse_config():
-    spec = parse_config("coeffs = 3,1\ninitials = 1,4\n")
-    assert spec.coeffs == (3, 1) and spec.initials == (1, 4)
 
 
 def test_make_context_rejects_invalid():

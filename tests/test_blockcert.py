@@ -27,7 +27,7 @@ from recnum.blockcert import (
     reference_grid,
     sample_main_sums,
 )
-from recnum.bounds import dirichlet_kernel_abs
+from recnum.bounds import dirichlet_kernel_abs, dirichlet_sup
 from recnum.expsum import ExpSumParams, exp_sum_recurrent
 
 COARSE = GridParams(eps=0.01, eta=0.001)
@@ -40,6 +40,10 @@ def test_grid_params_validation():
         GridParams(eps=0.005, eta=0.005)
     with pytest.raises(PreconditionError):
         GridParams(eps=-0.001, eta=0.0005)
+    # delta is a constant of the certificate, not a grid parameter
+    with pytest.raises(TypeError):
+        GridParams(eps=0.01, eta=0.001, delta=1e-9)
+    assert COARSE.delta == 1e-10
 
 
 def test_floor_powers_match_float_arithmetic():
@@ -149,6 +153,17 @@ def test_threaded_equals_serial():
     serial = _hexed(certify_M2_2_detail(15, COARSE, threads=1))
     for threads in (2, 3):
         assert _hexed(certify_M2_2_detail(15, COARSE, threads=threads)) == serial
+
+
+def test_m2_3_reads_the_residue_table_from_cache():
+    # M_2(3) sums the sup|g| table that M_2(2) built: with equal slacks every
+    # one of its a dirichlet_sup calls is a cache hit
+    dirichlet_sup.cache_clear()
+    certify_M2_2_detail(7, COARSE)
+    before = dirichlet_sup.cache_info()
+    certify_M2_3(7, COARSE)
+    after = dirichlet_sup.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)
 
 
 def _per_q_main_terms(a, grid):

@@ -24,14 +24,18 @@ def test_validate_ok(capsys):
     assert code == EXIT_OK
     assert payload["ok"] and payload["initials"] == [1, 2]
     assert payload["alpha"] == pytest.approx((1 + 5**0.5) / 2)
+    code, payload = run_json(capsys, "validate", "--coeffs", "2")
+    assert code == EXIT_OK and payload["alpha"] == 2.0
 
 
 def test_validate_strict_failure(capsys):
-    code, payload = run_json(
-        capsys, "validate", "--coeffs", "1,1", "--initials", "2,1", "--strict"
-    )
+    code, payload = run_json(capsys, "validate", "--coeffs", "1,1", "--initials", "2,1")
     assert code == EXIT_CERT_FAIL
     assert not payload["ok"] and payload["violations"]
+    # G_n = 1 for every n passes every other condition
+    code, payload = run_json(capsys, "validate", "--coeffs", "1")
+    assert code == EXIT_CERT_FAIL and not payload["ok"]
+    assert payload["violations"] == ["a_1 = 1 with d = 1 gives G_n = 1 for every n"]
 
 
 def test_expand_and_sumdigits(capsys):
@@ -58,6 +62,21 @@ def test_mbound_and_theta(capsys):
     for kappa in ("1.5", "nan"):
         assert main(["theta", "--coeffs", "15,1", "--block-kappa", kappa]) == EXIT_ERROR
         assert "block kappa must be finite and >= 2" in capsys.readouterr().err
+
+
+EXPONENT = 0.4886061  # criterion 3: a decay route holds when its exponent is below
+
+
+def test_threshold_routes_at_the_low_edge(capsys):
+    # criterion 3's miss at a = 40: neither m + 3 nor m^(2) + 2 is below
+    # alpha^EXPONENT; by a = 44 the shifted route holds
+    _, payload = run_json(capsys, "mbound", "--coeffs", "40,1", "--shift-r", "2")
+    assert (round(payload["m"], 4), round(payload["m_shifted"], 4)) == (4.0514, 4.2864)
+    _, payload = run_json(capsys, "theta", "--coeffs", "40,1", "--shift-r", "2")
+    routes = payload["candidates"]
+    assert routes["interval-sup"] > EXPONENT and routes["shifted-sup"] > EXPONENT
+    _, payload = run_json(capsys, "theta", "--coeffs", "44,1", "--shift-r", "2")
+    assert payload["candidates"]["shifted-sup"] < EXPONENT
 
 
 def test_gallagher(capsys):
@@ -98,6 +117,8 @@ def test_dead_flags_removed_and_threads_kept(capsys):
     assert main(["expsum", *args, "--format", "csv"]) == EXIT_ERROR
     assert main(["expsum", *args, "--threads", "2"]) == EXIT_ERROR
     assert main(["mbound", "--coeffs", "7,1", "--strict"]) == EXIT_ERROR
+    assert main(["validate", "--coeffs", "1,1", "--strict"]) == EXIT_ERROR
+    assert main(["expand", "--config", "f", "--n", "5"]) == EXIT_ERROR
     assert main(["blockbound", "--a", "22", "--delta", "1e-10"]) == EXIT_ERROR
     assert main(["table1", "--rows", "22", "--delta", "1e-10"]) == EXIT_ERROR
     assert main(["table1", "--rows", "22", "--eps", "0.01", "--eta", "0.001"]) == EXIT_ERROR
@@ -141,13 +162,6 @@ def test_vmsum(capsys):
     assert code == EXIT_OK and 0.2 < payload["ratio"] < 2.0
 
 
-def test_config_file(tmp_path, capsys):
-    cfg = tmp_path / "base.cfg"
-    cfg.write_text("coeffs = 3,1\n")
-    code, payload = run_json(capsys, "expand", "--config", str(cfg), "--n", "10")
-    assert code == EXIT_OK and payload["sum"] >= 1
-
-
 def test_out_file(tmp_path, capsys):
     dest = tmp_path / "out.json"
     code = main(["validate", "--coeffs", "1,1", "--out", str(dest)])
@@ -176,7 +190,6 @@ def test_block_commands_reject_base_flags(capsys):
     grid = ["--eps", "0.01", "--eta", "0.001"]
     assert main(["table1", "--coeffs", "5,1", "--rows", "20"]) == EXIT_ERROR
     assert main(["blockbound", "--a", "15", "--coeffs", "5,1", *grid]) == EXIT_ERROR
-    assert main(["blockbound", "--a", "15", "--config", "base.cfg", *grid]) == EXIT_ERROR
     assert main(["table1", "--initials", "1,6", "--rows", "20"]) == EXIT_ERROR
 
 
@@ -202,6 +215,25 @@ def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s, theta, message):
     assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # G_n = 1 for every n: log alpha = 0 (expand, expsum and almostprimes
+    # would never return, so they are not called here)
+    (["mbound", "--coeffs", "1"], "invalid base: a_1 = 1 with d = 1"),
+    (["theta", "--coeffs", "1"], "invalid base: a_1 = 1 with d = 1"),
+    *[(["blockbound", "--a", "5", "--eps", "0.01", "--eta", "0.001", "--threads", t],
+       f"need threads >= 1, got {t}") for t in ("0", "-3")],
+    (["table1", "--rows", "22", "--threads", "0"], "need threads >= 1, got 0"),
+    (["table1", "--rows", "20..15"], "empty row range 20..15"),
+    (["table1", "--rows", ""], "invalid literal for int()"),
+], ids=["mbound-1", "theta-1", "blockbound-threads-0", "blockbound-threads--3",
+        "table1-threads-0", "table1-rows-reversed", "table1-rows-empty"])
+def test_degenerate_inputs_are_usage_errors(capsys, argv, message):
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("y, beta", [("1/0", "1/2"), ("1/3", "2/0")])

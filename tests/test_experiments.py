@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import asdict
 from functools import lru_cache
 
@@ -272,6 +273,16 @@ def test_von_mangoldt_sum_warns_on_bad_gcd(sieve_1e5):
     ctx = make_context((2, 1))
     with pytest.warns(GcdPreconditionWarning):
         von_mangoldt_sum(ctx, 10**4, 2, 1, 2, sieve_1e5)
+
+
+def test_almost_prime_count_warns_on_bad_gcd(sieve_1e5):
+    # gcd(100 + 1 - 1, 2) = 2: every G_j is odd, so the class s_G(k) odd is
+    # just the odd integers; Zeckendorf, gcd(1, 2) = 1, stays silent
+    with pytest.warns(GcdPreconditionWarning, match=r"gcd\(100, 2\) != 1"):
+        almost_prime_count(make_context((100, 1)), 10**4, 1, 2, sieve_1e5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GcdPreconditionWarning)
+        almost_prime_count(ZECK, 10**4, 1, 2, sieve_1e5)
 
 
 def test_von_mangoldt_sum_requires_ell_ge_2(sieve_1e5):
