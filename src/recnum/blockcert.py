@@ -37,11 +37,13 @@ The lemma-grade target is M_2 := max(M_2(2), 1) + max(M_2(3), 1)^{2/3}
 < alpha^kappa with kappa < 2.9772122 = 2 * 1.4886061, which yields the decay
 exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 
-Interval suprema are shift-periodic with period a in b + q, so only a
-distinct certificates are ever computed per row. The main term is evaluated
-on a shared y-grid with one column per interval b, so the max over y0 is a
-column max. The inner factor does not depend on q: it is evaluated once per
-chunk of the gamma-grid and shared by all a shifts. The chunks are
+Interval suprema are shift-periodic with period a in b + q, so a row needs
+one table of a per-residue suprema for |g| and one for |g'|. Residues c and
+a-1-c share their values, so ceil(a/2) of each are computed, and M_2(3) sums
+the |g| table that M_2(2)'s correction lines used. The main term is
+evaluated on a shared y-grid with one column per interval b, so the max over
+y0 is a column max. The inner factor does not depend on q: it is evaluated
+once per chunk of the gamma-grid and shared by all a shifts. The chunks are
 parallelised and combined by a max, so results are independent of the
 thread count.
 """
@@ -50,25 +52,31 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .base import BaseContext, PreconditionError, make_context
+from .base import BaseContext, CostGuardError, PreconditionError, make_context
 from .bounds import (
     dirichlet_kernel_abs,
     dirichlet_sup,
     interval_sup_deriv,
     kernel_derivative_cap,
 )
-from .expsum import ExpSumParams, coefficient_A
 
 KAPPA_TARGET = 2.9772122
 _GRID_SNAP = 1e-9
-# slack of the sup|g| table: M_2(3) hits M_2(2)'s dirichlet_sup cache only if equal
+# slack of the sup|g| table: each entry sits at most slack/2 above the true
+# supremum and M_2(3) sums about alpha^3 of them, so on rows 15..39 the sum
+# sits at most 1.5e-5 relative above the exact one; the table stays cheap
+# beside the sup|g'| table
 _SUP_SLACK = 1e-4
+# a * n_gamma * (y-grid points) above which a certificate is refused: 13 times
+# the release row's 7.6e9 (a = 15 on its reference grid)
+MAIN_NODE_GUARD = 10**11
 
 
 @dataclass(frozen=True)
@@ -121,33 +129,6 @@ def polished_alpha_inv(a: int, alpha: float) -> float:
     return 1.0 / x
 
 
-def block_coefficient(
-    ctx: BaseContext, w: int, j: int, n: int, params: ExpSumParams
-) -> complex:
-    """A^(w)_{n,j} for the order-2 recurrence, j in {w, w+1}.
-
-    Computed by iterating the defining pair recursion from the seed
-    A^(1)_{n,j} = A_{n,j}; satisfies S_n = A^(w)_{n,w} S_{n-w}
-    + A^(w)_{n,w+1} S_{n-w-1} and |A^(w)_{n,j}| <= alpha^j.
-    """
-    if ctx.d != 2:
-        raise PreconditionError("block coefficients are defined for order-2 bases")
-    if w < 1:
-        raise PreconditionError("block width must be >= 1")
-    if j not in (w, w + 1):
-        raise PreconditionError(f"j must be w or w+1, got j={j} for w={w}")
-    if n < w + 1:
-        raise PreconditionError(f"need n >= w+1, got n={n}")
-    p = coefficient_A(ctx, n, 1, params)[0]  # A^(1)_{n,1}
-    q = coefficient_A(ctx, n, 2, params)[0]  # A^(1)_{n,2}
-    for ell in range(2, w + 1):
-        p, q = (
-            p * coefficient_A(ctx, n - ell + 1, 1, params)[0] + q,
-            p * coefficient_A(ctx, n - ell + 1, 2, params)[0],
-        )
-    return p if j == w else q
-
-
 def _shifted_residue_sums(vals: np.ndarray, n_terms: int) -> np.ndarray:
     """For each q: sum_{b=0}^{n_terms-1} vals[(b + q) mod len(vals)]."""
     a = len(vals)
@@ -175,17 +156,17 @@ def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
         hi = (c + 1) / a
         return dirichlet_sup(a, lo, hi, _SUP_SLACK), interval_sup_deriv(a, lo, hi)
 
-    sup_g, sup_gp = zip(*_pool_map(sups, range(a), threads))
-    return np.array(sup_g), np.array(sup_gp)
+    # |g(1-x)| = |g(x)| and |g'(1-x)| = |g'(x)|: residue a-1-c mirrors residue c
+    halves = zip(*_pool_map(sups, range((a + 1) // 2), threads))
+    return tuple(np.array(h + h[: a // 2][::-1]) for h in halves)
 
 
-def _build_y_grid(a: int, b_max: int, eps: float) -> tuple[np.ndarray, int]:
+def _build_y_grid(a: int, b_max: int, eps: float) -> np.ndarray:
     """Main-term grid, one column per interval: column b holds the
     eps-lattice points of [b/a, (b+1)/a), b = 0..b_max, topped up to a
-    common height by repeating its last point. Also returns the number of
-    distinct points. The columns partition the lattice, every point of the
-    b-th interval lies within eps of a point of column b, and a repeated
-    point leaves the column maximum unchanged."""
+    common height by repeating its last point. The columns partition the
+    lattice, every point of the b-th interval lies within eps of a point of
+    column b, and a repeated point leaves the column maximum unchanged."""
     edges = np.array(
         [math.ceil(b / (a * eps) - _GRID_SNAP) for b in range(b_max + 2)],
         dtype=np.int64,
@@ -196,7 +177,7 @@ def _build_y_grid(a: int, b_max: int, eps: float) -> tuple[np.ndarray, int]:
             f"eps={eps} leaves an interval of width 1/a without a grid point"
         )
     ells = edges[:-1] + np.minimum(np.arange(counts.max())[:, None], counts - 1)
-    return ells * eps, int(edges[-1] - edges[0])
+    return ells * eps
 
 
 def _gamma_grid_size(eta: float) -> int:
@@ -254,6 +235,7 @@ class M22Certificate:
     additive: int
     delta_prime: float
     main_nodes: int
+    sup_g: tuple[float, ...]  # per-residue sup|g| behind the correction lines
 
     @property
     def total(self) -> float:
@@ -278,8 +260,14 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
     b_max = floor_alpha_sq(a, alpha) + 1
     n_terms = b_max + 1
 
-    ys, n_points = _build_y_grid(a, b_max, grid.eps)
     n_gamma = _gamma_grid_size(grid.eta)
+    # a * n_gamma * (points of _build_y_grid, whose lattice starts at 0)
+    main_nodes = a * n_gamma * math.ceil((b_max + 1) / (a * grid.eps) - _GRID_SNAP)
+    if main_nodes > MAIN_NODE_GUARD:
+        raise CostGuardError(
+            f"{main_nodes} main-term nodes exceed the guard {MAIN_NODE_GUARD}"
+        )
+    ys = _build_y_grid(a, b_max, grid.eps)
 
     mains = _main_terms(a, alpha_inv, ys, grid.eta, n_gamma, threads)
 
@@ -301,18 +289,20 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         corr_g_eta=grid.eta * cap * float(g_sums[q_star]),
         additive=b_max,  # floor(alpha^2) + 1
         delta_prime=(b_max + 1) * grid.delta,  # (floor(alpha^2) + 2) delta
-        main_nodes=a * n_gamma * n_points,
+        main_nodes=main_nodes,
+        sup_g=tuple(sup_g.tolist()),
     )
 
 
-def certify_M2_3(a: int, grid: GridParams) -> float:
-    """Certified upper bound for M_2(3): shifted interval suprema of |g|."""
-    if a < 2:
-        raise PreconditionError("need a >= 2")
+def certify_M2_3(a: int, grid: GridParams, sup_g: Sequence[float]) -> float:
+    """Certified upper bound for M_2(3): shifted sums of sup_g, the
+    per-residue sup|g| table of `M22Certificate`."""
+    if a < 2 or len(sup_g) != a:
+        raise PreconditionError("need a >= 2 and one sup|g| entry per residue")
     ctx = quadratic_context(a)
     n_terms = floor_alpha_cube(a, ctx.alpha) + 2
-    sups = np.array([dirichlet_sup(a, c / a, (c + 1) / a, _SUP_SLACK) for c in range(a)])
-    return float(np.max(_shifted_residue_sums(sups, n_terms))) + n_terms * grid.delta
+    sums = _shifted_residue_sums(np.asarray(sup_g, dtype=float), n_terms)
+    return float(np.max(sums)) + n_terms * grid.delta
 
 
 def combine_M2(m2_2: float, m2_3: float) -> float:
@@ -324,7 +314,7 @@ def certify_block_bound(a: int, grid: GridParams, threads: int = 1) -> BlockBoun
     t0 = time.perf_counter()
     detail = certify_M2_2_detail(a, grid, threads=threads)
     m2_2 = detail.total
-    m2_3 = certify_M2_3(a, grid)
+    m2_3 = certify_M2_3(a, grid, detail.sup_g)
     m2 = combine_M2(m2_2, m2_3)
     alpha = quadratic_context(a).alpha
     kappa = math.log(m2) / math.log(alpha)

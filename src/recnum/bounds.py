@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -112,7 +111,6 @@ def _grid_sup(f, a: int, lo: float, hi: float, lip: float, slack: float) -> floa
     return float(np.max(f(np.linspace(lo, hi, npts), a))) + 0.5 * step * lip
 
 
-@lru_cache(maxsize=200_000)
 def dirichlet_sup(
     a_j: int, lo: float, hi: float, slack: float = DEFAULT_SUP_SLACK
 ) -> float:

@@ -233,8 +233,7 @@ def cmd_discrepancy(args) -> int:
 
 def cmd_almostprimes(args) -> int:
     ctx = _context_from_args(args)
-    sieve = experiments.sieve_spf(args.x)
-    count = experiments.almost_prime_count(ctx, args.x, args.r, args.s, sieve)
+    count = experiments.almost_prime_count(ctx, args.x, args.r, args.s)
     _emit(
         args,
         {
@@ -251,8 +250,7 @@ def cmd_almostprimes(args) -> int:
 
 def cmd_vmsum(args) -> int:
     ctx = _context_from_args(args)
-    sieve = experiments.sieve_spf(args.x)
-    rep = experiments.von_mangoldt_sum(ctx, args.x, args.ell, args.r, args.s, sieve)
+    rep = experiments.von_mangoldt_sum(ctx, args.x, args.ell, args.r, args.s)
     _emit(args, asdict(rep))
     return EXIT_OK
 

@@ -178,21 +178,18 @@ def bv_discrepancy(
     )
 
 
-def almost_prime_count(
-    ctx: BaseContext, x: int, r: int, s: int, sieve: SieveCache
-) -> int:
+def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     """#{k <= x : s_G(k) = r (mod s), k prime or a product of two primes}.
 
     Semiprimes include squares p^2 (the two prime factors need not differ).
-    A failed coprimality hypothesis warns, as in von_mangoldt_sum.
+    A failed coprimality hypothesis warns, as in von_mangoldt_sum. The sieve
+    up to x is built after the arguments are checked.
     """
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
-    if sieve.limit < x:
-        raise PreconditionError("sieve limit is smaller than x")
     _warn_gcd_hypothesis(ctx, s)
     total = 0
-    spf = sieve.spf
+    spf = sieve_spf(x).spf
     for lo in range(2, x + 1, _CHUNK):
         hi = min(lo + _CHUNK, x + 1)
         ks = np.arange(lo, hi, dtype=np.int64)
@@ -283,12 +280,13 @@ class VonMangoldtReport:
 
 
 def von_mangoldt_sum(
-    ctx: BaseContext, x: int, ell: int, r: int, s: int, sieve: SieveCache
+    ctx: BaseContext, x: int, ell: int, r: int, s: int
 ) -> VonMangoldtReport:
     """sum_{k < x, s_G(k) = r (mod s)} Lambda_l(k) against (l/s) x (log x)^{l-1}.
 
     The coprimality hypothesis gcd(a_1 + ... + a_d - 1, s) = 1 is reported as
-    a GcdPreconditionWarning rather than an error.
+    a GcdPreconditionWarning rather than an error. The sieve is built after
+    the arguments are checked.
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")
@@ -297,7 +295,7 @@ def von_mangoldt_sum(
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     _warn_gcd_hypothesis(ctx, s)
-    lam_ell = generalized_von_mangoldt(x - 1, ell, sieve)
+    lam_ell = generalized_von_mangoldt(x - 1, ell, sieve_spf(x))
     lhs = 0.0
     for lo in range(0, x, _CHUNK):
         hi = min(lo + _CHUNK, x)

@@ -54,11 +54,6 @@ def block_reports():
 
 
 @pytest.fixture(scope="module")
-def sieve_1e7():
-    return sieve_spf(10**7)
-
-
-@pytest.fixture(scope="module")
 def a15_certificate():
     # the long row: one shared heavy computation for all release criteria
     grid = reference_grid(15)
@@ -257,7 +252,7 @@ def test_criterion_10_discrepancy_decay():
             f"{small.normalized:.4f} -> {large.normalized:.4f}")
 
 
-def test_criterion_11_empirical_corollaries(sieve_1e7):
+def test_criterion_11_empirical_corollaries():
     """The vmsum ratio is held to its band only inside the theorem's hypothesis
     gcd(a_1 + ... + a_d - 1, s) = 1. For the base (100, 1) that is
     gcd(100, s) = 1, so the band is checked with s = 3. With s = 2 the
@@ -268,20 +263,20 @@ def test_criterion_11_empirical_corollaries(sieve_1e7):
     ctx = make_context((1, 1))
     ratios = []
     for x in (10**5, 10**6, 10**7):
-        count = almost_prime_count(ctx, x, 1, 2, sieve_1e7)
+        count = almost_prime_count(ctx, x, 1, 2)
         ratios.append(count / (x / math.log(x)))
     stable = max(ratios) / min(ratios) < 2.0
 
     vm_ctx = make_context((100, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error", GcdPreconditionWarning)
-        rep = von_mangoldt_sum(vm_ctx, 10**6, 2, 1, 3, sieve_1e7)
+        rep = von_mangoldt_sum(vm_ctx, 10**6, 2, 1, 3)
     vm_ok = 0.5 <= rep.ratio <= 1.5
     with pytest.warns(GcdPreconditionWarning):
-        degenerate = von_mangoldt_sum(vm_ctx, 10**6, 2, 1, 2, sieve_1e7)
+        degenerate = von_mangoldt_sum(vm_ctx, 10**6, 2, 1, 2)
 
     x = 10**6
-    lam2 = generalized_von_mangoldt(x, 2, sieve_1e7)
+    lam2 = generalized_von_mangoldt(x, 2, sieve_spf(x))
     norm = float(lam2.sum()) / (2 * x * math.log(x))
     norm_ok = 0.85 <= norm <= 1.15
 

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 from recnum import blockcert
-from recnum.base import PreconditionError
+from recnum.base import CostGuardError, PreconditionError
 from recnum.blockcert import (
     GridParams,
     KAPPA_TARGET,
+    MAIN_NODE_GUARD,
     REFERENCE_ROWS,
     _CHUNK_FLOATS,
     _GRID_SNAP,
     _build_y_grid,
     _gamma_grid_size,
     _main_terms,
-    block_coefficient,
+    _residue_sup_tables,
     certify_M2_2_detail,
     certify_M2_3,
     certify_block_bound,
@@ -27,8 +28,7 @@ from recnum.blockcert import (
     reference_grid,
     sample_main_sums,
 )
-from recnum.bounds import dirichlet_kernel_abs, dirichlet_sup
-from recnum.expsum import ExpSumParams, exp_sum_recurrent
+from recnum.bounds import dirichlet_kernel_abs, dirichlet_sup, interval_sup_deriv
 
 COARSE = GridParams(eps=0.01, eta=0.001)
 
@@ -60,41 +60,6 @@ def test_polished_alpha_inv():
         assert inv * alpha == pytest.approx(1.0, abs=1e-12)
 
 
-def test_block_coefficient_reproduces_recurrence():
-    ctx = quadratic_context(5)
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        params = ExpSumParams.make(rng.random(), rng.random())
-        table = {k: exp_sum_recurrent(ctx, k, params)[0] for k in (5, 6, 7, 9)}
-        for w in (2, 3):
-            n = 9
-            lhs = table[n]
-            rhs = (
-                block_coefficient(ctx, w, w, n, params) * table[n - w]
-                + block_coefficient(ctx, w, w + 1, n, params) * table[n - w - 1]
-            )
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs))
-
-
-def test_block_coefficient_modulus_bound():
-    ctx = quadratic_context(5)
-    rng = np.random.default_rng(42)
-    for _ in range(10):
-        params = ExpSumParams.make(rng.random(), rng.random())
-        for j in (2, 3):
-            val = block_coefficient(ctx, 2, j, 9, params)
-            assert abs(val) <= ctx.alpha**j + 1e-9
-
-
-def test_block_coefficient_preconditions():
-    ctx = quadratic_context(5)
-    params = ExpSumParams.make(0.1, 0.2)
-    with pytest.raises(PreconditionError):
-        block_coefficient(ctx, 2, 4, 9, params)
-    with pytest.raises(PreconditionError):
-        block_coefficient(ctx, 2, 2, 2, params)
-
-
 def test_certificate_components_positive():
     detail = certify_M2_2_detail(15, COARSE)
     assert detail.main > 0
@@ -114,25 +79,24 @@ def test_certificate_components_positive():
 
 def _main_grid(a, grid):
     alpha = quadratic_context(a).alpha
-    ys, n_points = _build_y_grid(a, floor_alpha_sq(a, alpha) + 1, grid.eps)
-    return polished_alpha_inv(a, alpha), ys, n_points, _gamma_grid_size(grid.eta)
+    ys = _build_y_grid(a, floor_alpha_sq(a, alpha) + 1, grid.eps)
+    return polished_alpha_inv(a, alpha), ys, _gamma_grid_size(grid.eta)
 
 
 def test_coarse_grid_has_several_gamma_chunks():
     # a = 15 on COARSE: 1520 points in 228 columns of height 7, so the
     # 1001-point gamma-grid splits into 13 chunks, the last one short
-    _, ys, n_points, n_gamma = _main_grid(15, COARSE)
+    _, ys, n_gamma = _main_grid(15, COARSE)
     chunk = _CHUNK_FLOATS // ys.size
-    assert (n_points, ys.shape, n_gamma) == (1520, (7, 228), 1001)
+    assert (len(np.unique(ys)), ys.shape, n_gamma) == (1520, (7, 228), 1001)
     assert n_gamma // chunk > 3 and n_gamma % chunk
 
 
 def test_y_grid_columns_partition_the_lattice():
     a, eps = 15, 0.01
-    ys, n_points = _build_y_grid(a, 228, eps)
+    ys = _build_y_grid(a, 228, eps)
     flat = np.unique(ys)
-    assert len(flat) == n_points
-    np.testing.assert_array_equal(flat, np.arange(n_points) * eps)
+    np.testing.assert_array_equal(flat, np.arange(len(flat)) * eps)
     b = np.arange(ys.shape[1])
     assert np.all((ys >= b / a - 1e-12) & (ys < (b + 1) / a))
 
@@ -144,26 +108,71 @@ def test_y_grid_rejects_empty_interval():
 
 
 def _hexed(cert):
-    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(cert)]
+    *fields, sup_g = dataclasses.astuple(cert)
+    return [v.hex() if isinstance(v, float) else v for v in fields] + [
+        v.hex() for v in sup_g
+    ]
 
 
 def test_threaded_equals_serial():
     # more gamma chunks than threads, the last one short: the pool combines
-    # chunks by an exact max, so every field is bitwise identical
+    # chunks by an exact max, so every field, the sup|g| table included, is
+    # bitwise identical
     serial = _hexed(certify_M2_2_detail(15, COARSE, threads=1))
     for threads in (2, 3):
         assert _hexed(certify_M2_2_detail(15, COARSE, threads=threads)) == serial
 
 
-def test_m2_3_reads_the_residue_table_from_cache():
-    # M_2(3) sums the sup|g| table that M_2(2) built: with equal slacks every
-    # one of its a dirichlet_sup calls is a cache hit
-    dirichlet_sup.cache_clear()
-    certify_M2_2_detail(7, COARSE)
-    before = dirichlet_sup.cache_info()
-    certify_M2_3(7, COARSE)
-    after = dirichlet_sup.cache_info()
-    assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)
+def test_m2_3_sums_the_certificate_table():
+    rep = certify_block_bound(7, COARSE)
+    assert len(rep.detail.sup_g) == 7
+    assert rep.M2_3 == certify_M2_3(7, COARSE, rep.detail.sup_g)
+    # a flat table of ones: every shift sums floor(alpha^3) + 2 of them
+    n_terms = floor_alpha_cube(7, quadratic_context(7).alpha) + 2
+    assert certify_M2_3(7, COARSE, [1.0] * 7) == pytest.approx(n_terms * (1 + COARSE.delta))
+    with pytest.raises(PreconditionError):
+        certify_M2_3(7, COARSE, rep.detail.sup_g[:-1])
+
+
+@pytest.mark.parametrize("a", [7, 8, 15])
+def test_mirrored_tables_match_direct_evaluation(a):
+    # residue a-1-c is read from residue c; evaluated directly, the two
+    # differ only by the rounding of their own grids
+    sup_g, sup_gp = _residue_sup_tables(a)
+    for c in range(a):
+        lo, hi = c / a, (c + 1) / a
+        assert sup_g[c] == pytest.approx(dirichlet_sup(a, lo, hi, blockcert._SUP_SLACK), rel=1e-13)
+        assert sup_gp[c] == pytest.approx(interval_sup_deriv(a, lo, hi), rel=1e-13)
+
+
+@pytest.mark.parametrize("a, grid, expected", [
+    # the benchmark's tiny rows, the release row and a reference row
+    (5, COARSE, 2802800),
+    (6, COARSE, 3903900),
+    (7, COARSE, 5206201),
+    (15, reference_grid(15), None),
+    (29, reference_grid(29), None),
+])
+def test_main_nodes_closed_form_counts_the_grid(monkeypatch, a, grid, expected):
+    # main_nodes is formed before the y-grid exists, for the cost guard
+    monkeypatch.setattr(blockcert, "_main_terms", lambda a, *args: np.zeros(a))
+    monkeypatch.setattr(
+        blockcert, "_residue_sup_tables", lambda a, threads: (np.ones(a), np.ones(a))
+    )
+    nodes = certify_M2_2_detail(a, grid).main_nodes
+    _, ys, n_gamma = _main_grid(a, grid)
+    assert nodes == a * n_gamma * len(np.unique(ys)) <= MAIN_NODE_GUARD
+    assert expected is None or nodes == expected
+
+
+def test_main_node_guard_refuses_before_the_main_term(monkeypatch):
+    # eta = 1e-9 means 1e9 + 1 gamma points and about 2.8e12 nodes at a = 5
+    def no_main(*args):
+        raise AssertionError("_main_terms called past the node guard")
+
+    monkeypatch.setattr(blockcert, "_main_terms", no_main)
+    with pytest.raises(CostGuardError, match="exceed the guard 100000000000"):
+        certify_M2_2_detail(5, GridParams(eps=0.01, eta=1e-9), threads=2)
 
 
 def _per_q_main_terms(a, grid):
@@ -194,7 +203,7 @@ def per_q_reference():
 @pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
 def test_main_terms_match_per_q_reference(per_q_reference, rows_per_chunk, monkeypatch):
     # bit for bit, for any chunk size (None: the default one)
-    alpha_inv, ys, _, n_gamma = _main_grid(15, COARSE)
+    alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
     if rows_per_chunk:
         monkeypatch.setattr(blockcert, "_CHUNK_FLOATS", rows_per_chunk * ys.size)
     for threads in (1, 2):
@@ -212,8 +221,8 @@ def test_sampled_main_never_exceeds_certificate():
 
 def test_m2_3_scales_like_alpha_cubed():
     grid = COARSE
-    v15 = certify_M2_3(15, grid)
-    v20 = certify_M2_3(20, grid)
+    v15 = certify_M2_3(15, grid, _residue_sup_tables(15)[0])
+    v20 = certify_M2_3(20, grid, _residue_sup_tables(20)[0])
     assert v15 > 0 and v20 > v15
     # ~alpha^3/a terms of typical size ~log a: the ratio sits near
     # (alpha_20/alpha_15)^3 * (15/20), i.e. between 2x and 4x

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from recnum import make_context, sum_of_digits
+from recnum import experiments, make_context, sum_of_digits
 from recnum.cli import EXIT_CERT_FAIL, EXIT_ERROR, EXIT_OK, main
 
 
@@ -215,6 +215,22 @@ def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s, theta, message):
     assert main(argv) == EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["vmsum", "--x", "20000000", "--ell", "2", "--s", "2"],
+     "x = 20000000 exceeds the guard 10000000"),
+    (["vmsum", "--x", "10000000", "--ell", "1", "--s", "2"], "need ell >= 2"),
+    (["almostprimes", "--x", "10000000", "--s", "0"], "need x >= 2 and s >= 1"),
+], ids=["vmsum-guard", "vmsum-ell-1", "almostprimes-s-0"])
+def test_sieve_commands_check_before_sieving(capsys, monkeypatch, argv, message):
+    # a refused input must not pay for the sieve (400 MB at the guard)
+    def no_sieve(x):
+        raise AssertionError(f"sieve_spf({x}) called before the input was checked")
+
+    monkeypatch.setattr(experiments, "sieve_spf", no_sieve)
+    assert main([*argv, "--coeffs", "1,1", "--r", "1"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -84,7 +84,7 @@ def test_bv_discrepancy_rejects_bad_gcd():
         bv_discrepancy(ctx, 1000, 1, 2, exponent=0.3)
 
 
-def test_almost_prime_count_bruteforce(sieve_1e5):
+def test_almost_prime_count_bruteforce():
     def is_p2(n):
         facs = []
         m = n
@@ -104,7 +104,7 @@ def test_almost_prime_count_bruteforce(sieve_1e5):
     expected = sum(
         1 for k in range(2, x + 1) if is_p2(k) and sum_of_digits(ZECK, k) % 2 == 1
     )
-    assert almost_prime_count(ZECK, x, 1, 2, sieve_1e5) == expected
+    assert almost_prime_count(ZECK, x, 1, 2) == expected
 
 
 @lru_cache(maxsize=None)
@@ -260,8 +260,8 @@ def test_lambda2_mertens_normalization(sieve_1e5):
     assert 0.8 < ratio < 1.2
 
 
-def test_von_mangoldt_sum_report(sieve_1e5):
-    rep = von_mangoldt_sum(ZECK, 10**5, 2, 1, 2, sieve_1e5)
+def test_von_mangoldt_sum_report():
+    rep = von_mangoldt_sum(ZECK, 10**5, 2, 1, 2)
     assert rep.lhs > 0
     assert rep.main_term == pytest.approx(2 / 2 * 10**5 * math.log(10**5))
     assert 0.3 < rep.ratio < 2.0
@@ -269,33 +269,33 @@ def test_von_mangoldt_sum_report(sieve_1e5):
     assert asdict(rep)["ratio"] == pytest.approx(rep.ratio)
 
 
-def test_von_mangoldt_sum_warns_on_bad_gcd(sieve_1e5):
+def test_von_mangoldt_sum_warns_on_bad_gcd():
     ctx = make_context((2, 1))
     with pytest.warns(GcdPreconditionWarning):
-        von_mangoldt_sum(ctx, 10**4, 2, 1, 2, sieve_1e5)
+        von_mangoldt_sum(ctx, 10**4, 2, 1, 2)
 
 
-def test_almost_prime_count_warns_on_bad_gcd(sieve_1e5):
+def test_almost_prime_count_warns_on_bad_gcd():
     # gcd(100 + 1 - 1, 2) = 2: every G_j is odd, so the class s_G(k) odd is
     # just the odd integers; Zeckendorf, gcd(1, 2) = 1, stays silent
     with pytest.warns(GcdPreconditionWarning, match=r"gcd\(100, 2\) != 1"):
-        almost_prime_count(make_context((100, 1)), 10**4, 1, 2, sieve_1e5)
+        almost_prime_count(make_context((100, 1)), 10**4, 1, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", GcdPreconditionWarning)
-        almost_prime_count(ZECK, 10**4, 1, 2, sieve_1e5)
+        almost_prime_count(ZECK, 10**4, 1, 2)
 
 
-def test_von_mangoldt_sum_requires_ell_ge_2(sieve_1e5):
+def test_von_mangoldt_sum_requires_ell_ge_2():
     with pytest.raises(PreconditionError):
-        von_mangoldt_sum(ZECK, 1000, 1, 1, 2, sieve_1e5)
+        von_mangoldt_sum(ZECK, 1000, 1, 1, 2)
 
 
-def test_sieve_entry_points_reject_bad_x_and_s(sieve_1e5):
+def test_sieve_entry_points_reject_bad_x_and_s():
     calls = [
         lambda x, s: class_progression_count(ZECK, x, 1, s, 1, 1),
         lambda x, s: bv_discrepancy(ZECK, x, 1, s, exponent=0.3),
-        lambda x, s: almost_prime_count(ZECK, x, 1, s, sieve_1e5),
-        lambda x, s: von_mangoldt_sum(ZECK, x, 2, 1, s, sieve_1e5),
+        lambda x, s: almost_prime_count(ZECK, x, 1, s),
+        lambda x, s: von_mangoldt_sum(ZECK, x, 2, 1, s),
     ]
     for call in calls:
         for s in (0, -3):
