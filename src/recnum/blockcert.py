@@ -38,9 +38,12 @@ The lemma-grade target is M_2 := max(M_2(2), 1) + max(M_2(3), 1)^{2/3}
 exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 
 Interval suprema are shift-periodic with period a in b + q, so a row needs
-one table of a per-residue suprema for |g| and one for |g'|. Residues c and
-a-1-c share their values, so ceil(a/2) of each are computed, and M_2(3) sums
-the |g| table that M_2(2)'s correction lines used. The main term is
+one table of a per-residue suprema for |g| and one for |g'|. Each residue
+interval is one lobe of g, so `dirichlet_sup` brackets its peak by
+bisection; `interval_sup_deriv` takes a grid maximum whose spacing follows a
+|g''| bound for that residue. Residues c and a-1-c share their values, so
+ceil(a/2) of each are computed, and M_2(3) sums the |g| table that M_2(2)'s
+correction lines used. The main term is
 evaluated on a shared y-grid with one column per interval b, so the max over
 y0 is a column max. The inner factor does not depend on q: it is evaluated
 once per chunk of the gamma-grid and shared by all a shifts. The chunks are
@@ -69,11 +72,6 @@ from .bounds import (
 
 KAPPA_TARGET = 2.9772122
 _GRID_SNAP = 1e-9
-# slack of the sup|g| table: each entry sits at most slack/2 above the true
-# supremum and M_2(3) sums about alpha^3 of them, so on rows 15..39 the sum
-# sits at most 1.5e-5 relative above the exact one; the table stays cheap
-# beside the sup|g'| table
-_SUP_SLACK = 1e-4
 # a * n_gamma * (y-grid points) above which a certificate is refused: 13 times
 # the release row's 7.6e9 (a = 15 on its reference grid)
 MAIN_NODE_GUARD = 10**11
@@ -154,7 +152,7 @@ def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     def sups(c: int) -> tuple[float, float]:
         lo = c / a
         hi = (c + 1) / a
-        return dirichlet_sup(a, lo, hi, _SUP_SLACK), interval_sup_deriv(a, lo, hi)
+        return dirichlet_sup(a, lo, hi), interval_sup_deriv(a, lo, hi)
 
     # |g(1-x)| = |g(x)| and |g'(1-x)| = |g'(x)|: residue a-1-c mirrors residue c
     halves = zip(*_pool_map(sups, range((a + 1) // 2), threads))

@@ -14,8 +14,13 @@ m^(r) also uses the intervals ((b+t)/a, (b+t+1)/a) for t in {0, 1/r, ...,
 unit in the resulting base; `m_shifted` gives the covering argument and the
 shifts it has to take.
 
-All suprema here are certified from above: a uniform grid maximum plus a
-Lipschitz term covering the gaps. Intervals whose closure meets an integer
+All suprema here are certified from above. sup |g| is located: |g| is
+log-concave on every lobe between two zeros, so each lobe's maximizer is
+bracketed by bisection on the sign of (log|g|)', and the bound is the
+largest value at the brackets and the interval ends plus a Lipschitz term
+for the bracket width and a rounding allowance (`dirichlet_sup`). sup |g'|
+is a uniform grid maximum plus a gap term from a per-interval |g''| bound
+(`interval_sup_deriv`). Intervals whose closure meets an integer
 short-circuit to the exact supremum a_j.
 """
 
@@ -28,7 +33,6 @@ import numpy as np
 
 from .base import BaseContext, PreconditionError
 
-DEFAULT_SUP_SLACK = 1e-3
 DERIV_SUP_SLACK = 0.005
 THETA_FLOOR_EXPONENT = 0.5  # Parseval route always gives this
 SHIFT_EPS_SLACK = 1e-6
@@ -85,40 +89,124 @@ def _contains_integer(lo: float, hi: float) -> bool:
     return math.floor(hi) >= math.ceil(lo)
 
 
+_U = 2.0**-53  # unit roundoff of float64
+
+
+def _min_abs_sin(lo: float, hi: float) -> float:
+    """A lower bound for m = min |sin pi y| over [lo, hi]; 0 if it holds an integer.
+
+    |sin pi y| is concave between integers, so on an integer-free interval
+    its minimum sits at an endpoint. Each endpoint y is reduced to
+    f' = min(f, 1 - f), f = y - floor(y), both steps exact (Sterbenz), so
+    sin(pi f') is within a few units in the last place; the factor
+    1 - 2^-48 covers them.
+    """
+    if _contains_integer(lo, hi):
+        return 0.0
+    fs = [y - math.floor(y) for y in (lo, hi)]
+    return min(math.sin(math.pi * min(f, 1.0 - f)) for f in fs) * (1.0 - 2.0**-48)
+
+
 def _local_lipschitz(a: int, lo: float, hi: float) -> float:
     """Per-interval bound on |g'|: pi (a + min(a, 1/m)) / m with m = min |sin pi y|.
 
-    |sin pi y| attains its minimum over an integer-free interval at an
-    endpoint. Falls back to the global cap when that is smaller.
+    Falls back to the global cap when that is smaller, or when the interval
+    holds an integer.
     """
-    m = min(abs(math.sin(math.pi * lo)), abs(math.sin(math.pi * hi)))
+    m = _min_abs_sin(lo, hi)
     cap = kernel_derivative_cap(a)
     if m <= 0.0:
         return cap
     return min(cap, math.pi * (a + min(a, 1.0 / m)) / m)
 
 
+def _local_second_derivative_bound(a: int, lo: float, hi: float) -> float:
+    """Per-interval bound on |g''|, with m = min |sin pi y| over [lo, hi]:
+
+        pi^2 ((a^2 - 1) min(a, 1/m) + 2a/m^2 + 2/m^3).
+
+    With N = sin(pi a y) and D = sin(pi y), N'' = -(pi a)^2 N and
+    D'' = -pi^2 D turn g'' = (N/D)'' into
+
+        g'' = -pi^2 (a^2 - 1) g - 2 N' D' / D^2 + 2 N D'^2 / D^3,
+
+    and |g| <= min(a, 1/m), |N| <= 1, |N'| <= pi a, |D'| <= pi, |D| >= m
+    bound the three terms. Falls back to the global cap when that is
+    smaller, or when the interval holds an integer: the cap is |g''| at the
+    integers, so it is exact there.
+    """
+    m = _min_abs_sin(lo, hi)
+    cap = kernel_second_derivative_cap(a)
+    if m <= 0.0:
+        return cap
+    local = (a * a - 1) * min(a, 1.0 / m) + 2.0 * a / m**2 + 2.0 / m**3
+    return min(cap, math.pi**2 * local)
+
+
 _GRID_POINT_CAP = 6 * 10**6
 
 
-def _grid_sup(f, a: int, lo: float, hi: float, lip: float, slack: float) -> float:
-    """max of f(., a) on a uniform grid of [lo, hi] plus (step/2) lip: an upper
-    bound for sup over [lo, hi] of f when f is lip-Lipschitz there. The grid
-    holds ceil((hi - lo) lip / slack) + 2 points, so the Lipschitz term stays
-    below slack / 2 unless _GRID_POINT_CAP binds."""
-    npts = min(int(math.ceil((hi - lo) * lip / slack)) + 2, _GRID_POINT_CAP)
+def _grid_sup(a: int, lo: float, hi: float, lip: float) -> float:
+    """max of |g'| on a uniform grid of [lo, hi] plus (step/2) lip: an upper
+    bound for sup over [lo, hi] of |g'| when |g''| <= lip there. The grid
+    holds ceil((hi - lo) lip / (2 DERIV_SUP_SLACK)) + 2 points, so the
+    Lipschitz term stays below DERIV_SUP_SLACK unless _GRID_POINT_CAP binds."""
+    npts = min(int(math.ceil((hi - lo) * lip / (2.0 * DERIV_SUP_SLACK))) + 2, _GRID_POINT_CAP)
     step = (hi - lo) / (npts - 1)
-    return float(np.max(f(np.linspace(lo, hi, npts), a))) + 0.5 * step * lip
+    grid_max = float(np.max(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, npts), a)))
+    return grid_max + 0.5 * step * lip
 
 
-def dirichlet_sup(
-    a_j: int, lo: float, hi: float, slack: float = DEFAULT_SUP_SLACK
-) -> float:
+def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
+    """Bracket [l, r] of float width for the maximizer of |g| over [lo, hi],
+    an interval inside one lobe (k/a, (k+1)/a) of g.
+
+    (log|g|)' = pi phi with phi = a cot(pi a y) - cot(pi y), and
+    (log|g|)'' = pi^2 (1/sin^2(pi y) - a^2/sin^2(pi a y)) <= 0 because
+    |sin(a t)| <= a |sin t|: |g| is log-concave on every lobe, so it rises
+    while phi > 0 and falls after. On a side lobe sin(pi y) >= sin(pi/a) >=
+    2/a gives (log|g|)'' <= -(3/4)(pi a)^2; on a main lobe phi keeps one
+    sign and the bracket closes on an end.
+    """
+    l, r = lo, hi
+    while True:
+        mid = 0.5 * (l + r)
+        if not l < mid < r:
+            return l, r
+        if a / math.tan(math.pi * a * mid) > 1.0 / math.tan(math.pi * mid):
+            l = mid
+        else:
+            r = mid
+
+
+def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
     """Certified upper bound for sup over (lo, hi) of |sin(pi a_j y)/sin(pi y)|.
 
-    Grid maximum plus (step/2) times a local Lipschitz constant; the result
-    never exceeds a_j. Intervals touching an integer return a_j exactly, since
-    the supremum there is attained in the limit, and a_j = 1 gives |g| = 1.
+    The zeros k/a_j inside (lo, hi) cut it into pieces, each inside one lobe,
+    where |g| is unimodal (`_lobe_peak`). The bound is the largest |g| over
+    the piece ends and the bracket ends of each piece's maximizer, all
+    evaluated in one `dirichlet_kernel_abs` call, plus
+
+    - (w/2 + delta) L per bracket of width w, with L = `_local_lipschitz` on
+      it: |g| is L-Lipschitz there, so a maximizer within delta of the
+      bracket exceeds the larger end value by at most (w/2 + delta) L. A
+      computed sign of phi is wrong only where |phi| is below its rounding
+      error, at most 9.5 a^2 u (1 + |y|) beside a side-lobe maximizer
+      (u = 2^-53, tan within 4 ulp, |sin(pi a y)| >= 0.97 there), and
+      |phi'| >= (3/4) pi a^2, so delta = 8 u (1 + |y|) covers it. A main
+      lobe, or a piece peaking at an end, peaks at lo or hi.
+    - 32 a_j u for rounding. Each point y is evaluated at f' = min(f, 1 - f),
+      f = y - floor(y): both steps are exact (Sterbenz) and |g(f')| = |g(y)|.
+      With pi a f' rounded within 2.5 u relative and sin within 4 ulp (8 u
+      relative), sin(pi f') >= 2 f' comes out within 10.2 u relative and
+      sin(pi a f') within 2.5 u pi a f' + 8 u |sin(pi a f')|, so the quotient
+      is within 19.2 u |g| + 3.93 a u <= 23.2 a u of |g|; the rest covers
+      the two sums. A float cut point sits within u |y| of its zero, so it
+      can move a piece end into the next lobe only where |g| is near 0.
+
+    The result never exceeds a_j. Intervals touching an integer return a_j
+    exactly, since the supremum there is attained in the limit, and a_j = 1
+    gives |g| = 1.
     """
     if not hi > lo:
         raise PreconditionError("degenerate interval")
@@ -126,32 +214,49 @@ def dirichlet_sup(
         raise PreconditionError("a_j must be a positive integer")
     if a_j == 1 or _contains_integer(lo, hi):
         return float(a_j)
-    lip = _local_lipschitz(a_j, lo, hi)
-    return min(_grid_sup(dirichlet_kernel_abs, a_j, lo, hi, lip, slack), float(a_j))
+    cuts = [k / a_j for k in range(math.floor(lo * a_j), math.ceil(hi * a_j) + 1)]
+    ends = [lo, *(c for c in cuts if lo < c < hi), hi]
+    points = [lo, hi]
+    gap = 0.0
+    for p, q in zip(ends, ends[1:]):
+        l, r = _lobe_peak(a_j, p, q)
+        points += [l, r]
+        delta = 8.0 * _U * (1.0 + max(abs(l), abs(r)))
+        gap = max(gap, (0.5 * (r - l) + delta) * _local_lipschitz(a_j, l, r))
+    f = np.array(points) - np.floor(points)
+    peak = float(np.max(dirichlet_kernel_abs(np.minimum(f, 1.0 - f), a_j)))
+    return min(peak + gap + 32.0 * a_j * _U, float(a_j))
 
 
 def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
     """Certified upper bound for sup over (lo, hi) of |g'|, g the kernel ratio.
 
-    Grid maximum plus (step/2) times the |g''| cap. Valid across integers as
-    well: g' extends continuously through the removable singularities (with
-    value 0 at the integers themselves), and the |g''| cap is global.
+    Grid maximum plus (step/2) times the |g''| bound of
+    `_local_second_derivative_bound`, which is the global cap on intervals
+    that hold an integer. Valid across integers as well: g' extends
+    continuously through the removable singularities (with value 0 at the
+    integers themselves), and the cap is global.
     """
-    lip2 = kernel_second_derivative_cap(a)
-    bound = _grid_sup(dirichlet_kernel_deriv_abs, a, lo, hi, lip2, 2.0 * DERIV_SUP_SLACK)
-    return min(bound, kernel_derivative_cap(a))
+    lip2 = _local_second_derivative_bound(a, lo, hi)
+    return min(_grid_sup(a, lo, hi, lip2), kernel_derivative_cap(a))
+
+
+def _sup_table(a: int, a_j: int, shift: float) -> list[float]:
+    """dirichlet_sup(a_j, .) over the a intervals ((b + shift)/a, (b + shift + 1)/a)."""
+    return [dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a) for b in range(a)]
+
+
+def _distinct_coeffs(ctx: BaseContext) -> list[int]:
+    """The distinct a_j over the index set: m(j, b) depends on j only through
+    a_j, so each needs one table per shift."""
+    return sorted({ctx.coeffs[j - 1] for j in ctx.index_set})
 
 
 def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[float]:
     """Certified bounds for m(j, b) (or its shifted variant) over b = 0..a-1."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} not in the index set")
-    a = ctx.coeffs[0]
-    a_j = ctx.coeffs[j - 1]
-    return [
-        dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a)
-        for b in range(a)
-    ]
+    return _sup_table(ctx.coeffs[0], ctx.coeffs[j - 1], shift)
 
 
 def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0) -> float:
@@ -160,7 +265,8 @@ def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0) -> float:
 
 def m_value(ctx: BaseContext) -> float:
     """The base quantity m_G = max over the index set of the averaged suprema."""
-    return max(m_of_j(ctx, j) for j in ctx.index_set)
+    a = ctx.coeffs[0]
+    return max(sum(_sup_table(a, a_j, 0.0)) / a for a_j in _distinct_coeffs(ctx))
 
 
 def m_closed_form(a1: int) -> float:
@@ -236,9 +342,10 @@ def m_shifted(ctx: BaseContext, r: int) -> float:
             f"shift modulus r={r} violates 1/r < u (u = {u:.6g} for this base)"
         )
     run = math.floor((1.0 - u) * r) + 1  # K: shifts one window can rule out
+    a = ctx.coeffs[0]
     worst = 0.0
-    for j in ctx.index_set:
-        avgs = [m_of_j(ctx, j, shift=t / r) for t in range(r)]
+    for a_j in _distinct_coeffs(ctx):
+        avgs = [sum(_sup_table(a, a_j, t / r)) / a for t in range(r)]
         for i in range(r):
             kept = [avgs[(i + run + s) % r] for s in range(r - run)]
             worst = max(worst, min(kept))
@@ -307,7 +414,8 @@ def theta_lower_bound(
 
 def compute_mbound_report(ctx: BaseContext, shift_r: int | None = None) -> MBoundReport:
     a1 = ctx.coeffs[0]
-    m_jb = {j: m_table(ctx, j) for j in ctx.index_set}
+    tables = {a_j: _sup_table(a1, a_j, 0.0) for a_j in _distinct_coeffs(ctx)}
+    m_jb = {j: tables[ctx.coeffs[j - 1]] for j in ctx.index_set}
     m_j = {j: sum(v) / a1 for j, v in m_jb.items()}  # the sum m_of_j forms
     m = max(m_j.values())
     shifted = m_shifted(ctx, shift_r) if shift_r is not None else None

@@ -137,11 +137,11 @@ def test_m2_3_sums_the_certificate_table():
 @pytest.mark.parametrize("a", [7, 8, 15])
 def test_mirrored_tables_match_direct_evaluation(a):
     # residue a-1-c is read from residue c; evaluated directly, the two
-    # differ only by the rounding of their own grids
+    # differ only by the rounding of their own brackets and grids
     sup_g, sup_gp = _residue_sup_tables(a)
     for c in range(a):
         lo, hi = c / a, (c + 1) / a
-        assert sup_g[c] == pytest.approx(dirichlet_sup(a, lo, hi, blockcert._SUP_SLACK), rel=1e-13)
+        assert sup_g[c] == pytest.approx(dirichlet_sup(a, lo, hi), rel=1e-13)
         assert sup_gp[c] == pytest.approx(interval_sup_deriv(a, lo, hi), rel=1e-13)
 
 

@@ -1,12 +1,15 @@
 import math
 from dataclasses import asdict
 
+import mpmath
 import numpy as np
 import pytest
 
 from recnum.base import PreconditionError, make_context
 from recnum.bounds import (
     SHIFT_EPS_SLACK,
+    _lobe_peak,
+    _local_second_derivative_bound,
     compute_mbound_report,
     dirichlet_kernel_abs,
     dirichlet_kernel_deriv_abs,
@@ -79,22 +82,90 @@ def test_sup_certificate_dominates_samples():
         assert bound <= a
 
 
-@pytest.mark.parametrize("slack", [0.05, 0.2, 0.5])
-def test_sup_coarse_grid_keeps_lipschitz_term(slack):
-    # a coarse grid misses the lobe peaks; only the (step/2) lip term covers them
-    a = 13
-    for b in range(1, a - 1):
-        lo, hi = b / a, (b + 1) / a
-        dense = dirichlet_kernel_abs(np.linspace(lo, hi, 200001), a)
-        assert dirichlet_sup(a, lo, hi, slack) >= float(dense.max())
+def _reduced_kernel(ys, a):
+    # |g| at min(f, 1 - f): exact reduction, as dirichlet_sup evaluates it
+    f = ys - np.floor(ys)
+    return dirichlet_kernel_abs(np.minimum(f, 1.0 - f), a)
+
+
+# every interval of the partitions of m(j) and m^(4) for a_j = a, and
+# intervals that span several zeros of the kernel
+SUP_CASES = [
+    (a, (b + t) / a, (b + t + 1) / a)
+    for a in (7, 15, 29, 39, 59)
+    for t in (0.0, 0.25, 0.5, 0.75)
+    for b in range(a)
+] + [(13, 0.1, 0.45), (7, 0.02, 0.98), (29, 1.01, 1.6), (5, -0.9, -0.05), (59, 0.3, 0.35)]
+
+
+def test_sup_bisection_dominates_dense_grid():
+    assert len(SUP_CASES) == 596 + 5
+    for a, lo, hi in SUP_CASES:
+        dense = float(_reduced_kernel(np.linspace(lo, hi, 200001), a).max())
+        bound = dirichlet_sup(a, lo, hi)
+        assert dense <= bound <= dense * (1.0 + 1e-9), (a, lo, hi)
+
+
+def _mp_sup(a, lo, hi):
+    """sup of |g| over [lo, hi] at 200 bits: the ends, and in each lobe
+    between the zeros k/a the root of (log|g|)' found by bisection."""
+    with mpmath.workprec(200):
+        g = lambda y: abs(mpmath.sin(mpmath.pi * a * y) / mpmath.sin(mpmath.pi * y))
+        phi = lambda y: a * mpmath.cot(mpmath.pi * a * y) - mpmath.cot(mpmath.pi * y)
+        lo_mp, hi_mp = mpmath.mpf(lo), mpmath.mpf(hi)
+        zeros = [mpmath.mpf(k) / a for k in range(math.floor(lo * a), math.ceil(hi * a) + 1)]
+        ends = [lo_mp, *(z for z in zeros if lo_mp < z < hi_mp), hi_mp]
+        best = max(g(lo_mp), g(hi_mp))
+        for p, q in zip(ends, ends[1:]):
+            for _ in range(80):
+                mid = (p + q) / 2
+                if phi(mid) > 0:
+                    p = mid
+                else:
+                    q = mid
+            best = max(best, g((p + q) / 2))
+        return best
+
+
+def _mp_kernel(y, a):
+    with mpmath.workprec(200):
+        y = mpmath.mpf(y)
+        return abs(mpmath.sin(mpmath.pi * a * y) / mpmath.sin(mpmath.pi * y))
+
+
+@pytest.mark.parametrize("a", [15, 39, 59])
+def test_sup_rounding_allowance_against_mpmath(a):
+    # The float kernel at the located maximizers stays within the rounding
+    # allowance 32 a u of |g| at 200 bits, and the bound lies between the
+    # true supremum and 1e-10 relative above it, which the allowance and the
+    # bracket term stay below.
+    # Intervals: the side lobes, the half-shifted partition and intervals
+    # whose ends lie within 1e-6 of an integer.
+    allowance = 32 * a * 2.0**-53
+    intervals = [(c / a, (c + 1) / a) for c in range(1, a - 1)]
+    intervals += [((b + 0.5) / a, (b + 1.5) / a) for b in range(a - 1)]
+    intervals += [(1e-7, 1 / a), (1 - 1 / a, 1 - 3e-7), (1 + 5e-7, 1 + 2.5 / a),
+                  (2 - 3.5 / a, 2 - 1e-6), (-1 + 2e-7, -0.5)]
+    for lo, hi in intervals:
+        points = [lo, hi]
+        cuts = [k / a for k in range(math.floor(lo * a), math.ceil(hi * a) + 1)]
+        ends = [lo, *(c for c in cuts if lo < c < hi), hi]
+        for p, q in zip(ends, ends[1:]):
+            points += _lobe_peak(a, p, q)
+        vals = _reduced_kernel(np.array(points), a)
+        for y, v in zip(points, vals):
+            assert abs(float(v) - float(_mp_kernel(y, a))) <= allowance, (lo, hi, y)
+        true = float(_mp_sup(a, lo, hi))
+        bound = dirichlet_sup(a, lo, hi)
+        assert true <= bound <= true * (1.0 + 1e-10), (lo, hi)
 
 
 def test_sup_values_pinned():
-    # certificates are bit-identical across refactors of the grid routine
-    assert dirichlet_sup(13, 2 / 13, 3 / 13).hex() == "0x1.c5a27f4dda0f7p+0"
-    assert dirichlet_sup(15, 1 / 15, 2 / 15, 1e-4).hex() == "0x1.a7688f022205dp+1"
+    # certificates are bit-identical across refactors of the supremum routines
+    assert dirichlet_sup(13, 2 / 13, 3 / 13).hex() == "0x1.c581bcbe685d4p+0"
+    assert dirichlet_sup(15, 1 / 15, 2 / 15).hex() == "0x1.a766eb953429ap+1"
     assert interval_sup_deriv(15, 1 / 15, 2 / 15).hex() == "0x1.c55118a3e549dp+7"
-    assert interval_sup_deriv(9, 0.31, 0.42).hex() == "0x1.077ee58b93429p+5"
+    assert interval_sup_deriv(9, 0.31, 0.42).hex() == "0x1.077ee556d8a0bp+5"
 
 
 def test_sup_integer_interval_exact():
@@ -122,6 +193,32 @@ def test_interval_sup_deriv_near_integer_below_cap():
     a = 20
     bound = interval_sup_deriv(a, -0.5 / a, 1.0 / a)
     assert bound < 0.5 * kernel_derivative_cap(a)
+
+
+def _second_derivative_abs(ys, a):
+    # |g''| from g'' = -pi^2 (a^2-1) g - 2 N'D'/D^2 + 2 N D'^2/D^3 at the
+    # reduced argument (|g''| is symmetric about every integer and 1/2)
+    f = ys - np.floor(ys)
+    f = np.minimum(f, 1.0 - f)
+    n, d = np.sin(np.pi * a * f), np.sin(np.pi * f)
+    dn, dd = np.pi * a * np.cos(np.pi * a * f), np.pi * np.cos(np.pi * f)
+    return np.abs(-np.pi**2 * (a * a - 1) * n / d - 2 * dn * dd / d**2 + 2 * n * dd**2 / d**3)
+
+
+@pytest.mark.parametrize("a", [5, 15, 39])
+def test_local_second_derivative_bound(a):
+    # the residue intervals, and intervals next to an integer, short and long
+    intervals = [(c / a, (c + 1) / a) for c in range(1, a - 1)]
+    intervals += [(1e-3, 1 / a), (1e-3, 0.3), (0.6, 1 - 1e-4), (1 + 1e-4, 1 + 2 / a),
+                  (0.45, 0.55), (2 - 0.5 / a, 2 - 1e-4)]
+    cap = kernel_second_derivative_cap(a)
+    for lo, hi in intervals:
+        dense = float(_second_derivative_abs(np.linspace(lo, hi, 100001), a).max())
+        bound = _local_second_derivative_bound(a, lo, hi)
+        assert dense * (1.0 - 1e-9) <= bound <= cap, (lo, hi)
+    # an interval holding an integer keeps the cap, |g''| at the integer
+    assert _local_second_derivative_bound(a, -0.1, 0.2) == cap
+    assert float(_second_derivative_abs(np.array([1e-5]), a)[0]) == pytest.approx(cap, rel=1e-5)
 
 
 def test_m_table_and_average():
