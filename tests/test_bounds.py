@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from recnum import bounds
 from recnum.base import PreconditionError, make_context
 from recnum.bounds import (
     SHIFT_EPS_SLACK,
@@ -193,6 +194,21 @@ def test_interval_sup_deriv_near_integer_below_cap():
     a = 20
     bound = interval_sup_deriv(a, -0.5 / a, 1.0 / a)
     assert bound < 0.5 * kernel_derivative_cap(a)
+
+
+@pytest.mark.parametrize("slack", [0.05, 0.2, 0.5])
+def test_sup_coarse_grid_keeps_lipschitz_term(slack, monkeypatch):
+    # On the half-shifted partition the peaks of |g'| (near the zeros b/a)
+    # lie inside the intervals, so a coarse |g'| grid misses them; only the
+    # (step/2) term with the per-interval |g''| bound covers them, and it
+    # stays below the grid's slack.
+    monkeypatch.setattr(bounds, "DERIV_SUP_SLACK", slack)
+    a = 13
+    for b in range(a - 1):
+        lo, hi = (b + 0.5) / a, (b + 1.5) / a
+        dense = float(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, 200001), a).max())
+        bound = interval_sup_deriv(a, lo, hi)
+        assert dense <= bound <= dense + slack + 1e-6, (slack, b)
 
 
 def _second_derivative_abs(ys, a):
