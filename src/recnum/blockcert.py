@@ -43,12 +43,19 @@ interval is one lobe of g, so `dirichlet_sup` brackets its peak by
 bisection; `interval_sup_deriv` takes a grid maximum whose spacing follows a
 |g''| bound for that residue. Residues c and a-1-c share their values, so
 ceil(a/2) of each are computed, and M_2(3) sums the |g| table that M_2(2)'s
-correction lines used. The main term is
-evaluated on a shared y-grid with one column per interval b, so the max over
-y0 is a column max. The inner factor does not depend on q: it is evaluated
-once per chunk of the gamma-grid and shared by all a shifts. The chunks are
-parallelised and combined by a max, so results are independent of the
-thread count.
+correction lines used.
+
+The main term lives on a shared y-grid with one column per interval b, so
+the max over y0 is a column max, and the certificate reads it only at the
+binding q. It is found by bound and prune (`_main_terms`), after the
+correction sums: a bound pass over chunks of the gamma-grid, on the thread
+pool, gives every pair (q, gamma0) an upper bound from the column maxima of
+the two kernel factors, sum_b max|g(y + q/a)| max|g(alpha^{-1} y + gamma0)|,
+inflated to cover rounding. An exact walk then evaluates the pairs in
+descending order of that bound plus the q's correction sum, until the bound
+falls strictly below the best exact total. Only the pairs that can still
+bind are evaluated (34 of 36,279 on row 29), and the binding q and its
+main term are bit for bit those of the full grid, for any thread count.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ import numpy as np
 
 from .base import BaseContext, CostGuardError, PreconditionError, make_context
 from .bounds import (
+    _U,
     dirichlet_kernel_abs,
     dirichlet_sup,
     interval_sup_deriv,
@@ -194,34 +202,87 @@ def _main_terms(
     ys: np.ndarray,
     eta: float,
     n_gamma: int,
+    corrs: np.ndarray,
     threads: int = 1,
-) -> np.ndarray:
-    """max_{gamma0} sum_b max_{y0} |h(y0, gamma0, q)| for every q = 0..a-1,
-    on the column grid of `_build_y_grid`.
+) -> tuple[int, float, int]:
+    """The binding shift of the certificate and its main term, by bound and
+    prune: returns (q*, main, exact_pairs), where q* is the first argmax over
+    q of fl(main[q] + corrs[q]) with main[q] = max_{gamma0} S(q, gamma0),
+    S(q, gamma0) = sum_b max_{y0} |h(y0, gamma0, q)| on the column grid of
+    `_build_y_grid`, and exact_pairs counts the (q, gamma0) pairs whose S was
+    evaluated.
 
-    The inner factor |g(alpha^{-1} y + gamma)| does not depend on q, so it is
-    evaluated once per chunk of the gamma-grid and multiplied into each of
-    the a outer factors |g(y + q/a)|. Chunks run on the thread pool and are
-    combined by an elementwise max, which is exact: the result does not
-    depend on the thread count or the chunk size.
+    Bound pass. On the pool, over chunks of the gamma-grid, the column
+    maxima I[gamma, b] = max_y |g(alpha^-1 y + gamma)| are taken, and with
+    O[q, b] = max_y |g(y + q/a)| every pair gets U = sum_b O[q, b] I[gamma, b].
+    U bounds S, whatever order either sum is taken in. S sums, over the B
+    columns, c_b = max_y fl(o i) with 0 <= o <= O[q, b] and 0 <= i <= I[gamma, b]
+    taken from the same float kernel values. Rounding is monotone, so
+    c_b <= fl(p_b) <= (1 + u) p_b with p_b = O[q, b] I[gamma, b] exact, and
+    with gamma_k = k u / (1 - k u) the sum of the c_b comes out at most
+    (1 + u)(1 + gamma_{B-1}) sum_b p_b. U takes at most B roundings of
+    nonnegative partial sums, whether its products are rounded first or
+    fused into the sum, so it is at least (1 - gamma_B) sum_b p_b. The ratio
+    of the two factors is 1 + 2 B u to first order, below the
+    1 + (4B - 1) u of fl(U (1 + 4 B u)) while B u << 1 (the y-grid needs
+    a <= 100, so B < 2^14). Both sums are far above the subnormal
+    range. np.einsum without `optimize` runs its own loops, not BLAS, so no
+    BLAS threads compete with the pool.
+
+    Exact walk. The score fl(U (1 + 4 B u) + corrs[q]) is at least
+    fl(S + corrs[q]) by monotone rounding. The top-scoring pair is evaluated
+    first, and only the pairs scoring at least its total are sorted; they
+    are taken in descending score, in batches that double up to a chunk's
+    rows. S is evaluated as the full grid evaluates it: a column max, then a
+    row sum. A batch keeps only the pairs scoring at least the best
+    fl(S + corrs[q]) so far, and the walk stops at the first score strictly
+    below it. Every pair whose exact score reaches the final best is
+    evaluated, ties included, so q* is the first argmax and main[q*] is
+    exact: the result is bit for bit that of evaluating every pair, for any
+    thread count and chunk size.
     """
+    n_cols = ys.shape[1]
     g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
+    o_max = np.max(g_outer, axis=1)
     ys_inner = alpha_inv * ys
     chunk = max(1, _CHUNK_FLOATS // ys.size)
 
-    def run(lo: int) -> np.ndarray:
-        gammas = np.arange(lo, min(lo + chunk, n_gamma)) * eta
-        inner = dirichlet_kernel_abs(ys_inner + gammas[:, None, None], a)
-        prod = np.empty_like(inner)
-        col_max = np.empty((len(gammas), ys.shape[1]))
-        best = np.empty(a)
-        for q in range(a):
-            np.multiply(g_outer[q], inner, out=prod)
-            np.max(prod, axis=1, out=col_max)
-            best[q] = np.max(np.sum(col_max, axis=1))
-        return best
+    def inner(js: np.ndarray) -> np.ndarray:
+        return dirichlet_kernel_abs(ys_inner + (js * eta)[:, None, None], a)
 
-    return np.max(_pool_map(run, range(0, n_gamma, chunk), threads), axis=0)
+    def bound(lo: int) -> np.ndarray:
+        i_max = np.max(inner(np.arange(lo, min(lo + chunk, n_gamma))), axis=1)
+        return np.einsum("gb,qb->qg", i_max, o_max)
+
+    scores = np.concatenate(_pool_map(bound, range(0, n_gamma, chunk), threads), axis=1)
+    scores *= 1.0 + 4.0 * n_cols * _U
+    scores += corrs[:, None]
+    flat = scores.ravel()
+    sums = np.full(a, -math.inf)  # per q, the largest S evaluated
+
+    def exact(pairs: np.ndarray) -> float:
+        """Fold the S of `pairs` into sums; return their best total."""
+        qs, js = np.divmod(pairs, n_gamma)
+        s = np.sum(np.max(g_outer[qs] * inner(js), axis=1), axis=1)
+        np.maximum.at(sums, qs, s)
+        return float(np.max(s + corrs[qs]))
+
+    top = int(np.argmax(flat))
+    best = exact(np.array([top]))
+    # only the pairs scoring at least the top pair's total can bind
+    order = np.flatnonzero(flat >= best)
+    order = order[order != top]
+    order = order[np.argsort(flat[order])[::-1]]
+    ranked = flat[order]
+    done, size = 0, 1
+    while done < len(order) and ranked[done] >= best:
+        # batches double up to a chunk's rows
+        batch = order[done : done + size][ranked[done : done + size] >= best]
+        best = max(best, exact(batch))
+        done += len(batch)
+        size = min(2 * size, chunk)
+    q_star = int(np.argmax(sums + corrs))
+    return q_star, float(sums[q_star]), done + 1
 
 
 @dataclass
@@ -233,6 +294,7 @@ class M22Certificate:
     additive: int
     delta_prime: float
     main_nodes: int
+    exact_pairs: int  # (q, gamma0) pairs of the main term evaluated exactly
     sup_g: tuple[float, ...]  # per-residue sup|g| behind the correction lines
 
     @property
@@ -265,10 +327,6 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         raise CostGuardError(
             f"{main_nodes} main-term nodes exceed the guard {MAIN_NODE_GUARD}"
         )
-    ys = _build_y_grid(a, b_max, grid.eps)
-
-    mains = _main_terms(a, alpha_inv, ys, grid.eta, n_gamma, threads)
-
     # the max over q binds the main term and the correction sums jointly:
     # both sides of the sum depend on the same shift q
     sup_g, sup_gp = _residue_sup_tables(a, threads)
@@ -279,15 +337,19 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         grid.eps * alpha_inv * a * gp_sums
         + (grid.eps * alpha_inv + grid.eta) * cap * g_sums
     )
-    q_star = int(np.argmax(mains + corrs))
+    ys = _build_y_grid(a, b_max, grid.eps)
+    q_star, main, exact_pairs = _main_terms(
+        a, alpha_inv, ys, grid.eta, n_gamma, corrs, threads
+    )
     return M22Certificate(
-        main=float(mains[q_star]),
+        main=main,
         corr_gprime=grid.eps * alpha_inv * a * float(gp_sums[q_star]),
         corr_g_alpha=grid.eps * alpha_inv * cap * float(g_sums[q_star]),
         corr_g_eta=grid.eta * cap * float(g_sums[q_star]),
         additive=b_max,  # floor(alpha^2) + 1
         delta_prime=(b_max + 1) * grid.delta,  # (floor(alpha^2) + 2) delta
         main_nodes=main_nodes,
+        exact_pairs=exact_pairs,
         sup_g=tuple(sup_g.tolist()),
     )
 

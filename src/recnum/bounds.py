@@ -45,13 +45,24 @@ DERIV_INTEGER_TOL = 1e-9
 def dirichlet_kernel_abs(x: np.ndarray, a: int) -> np.ndarray:
     """|sin(pi a x)/sin(pi x)|, with the removable singularities set to a."""
     x = np.asarray(x, dtype=float)
-    f = x - np.floor(x)
-    near = np.minimum(f, 1.0 - f) < KERNEL_INTEGER_TOL
-    out = np.empty_like(f)
-    sf = np.sin(np.pi * f)
-    np.divide(np.abs(np.sin(np.pi * a * f)), np.abs(sf), out=out, where=~near)
-    out[near] = a
-    return out
+    f = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, f, out=f)
+    num = np.subtract(1.0, f, out=np.empty_like(f))
+    np.minimum(f, num, out=num)
+    near = num < KERNEL_INTEGER_TOL
+    # |sin(pi a f)| into num and |sin(pi f)| into f, step by step in the
+    # order of the plain expression, so the bits are the same
+    np.multiply(f, np.pi * a, out=num)
+    np.sin(num, out=num)
+    np.abs(num, out=num)
+    np.multiply(f, np.pi, out=f)
+    np.sin(f, out=f)
+    np.abs(f, out=f)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(num, f, out=num)
+    if near.any():
+        num[near] = a
+    return num
 
 
 def kernel_derivative_cap(a: int) -> float:
@@ -67,17 +78,31 @@ def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int) -> np.ndarray:
     below the global cap.
     """
     x = np.asarray(x, dtype=float)
-    f = x - np.floor(x)
-    cap = kernel_derivative_cap(a)
-    near = np.minimum(f, 1.0 - f) < DERIV_INTEGER_TOL
-    s = np.sin(np.pi * f)
-    c = np.cos(np.pi * f)
-    sa = np.sin(np.pi * a * f)
-    ca = np.cos(np.pi * a * f)
-    out = np.zeros_like(f)
-    num = np.abs(np.pi * (a * ca * s - c * sa))
-    np.divide(num, s * s, out=out, where=~near)
-    return np.minimum(out, cap)
+    f = np.floor(x, out=np.empty_like(x))
+    np.subtract(x, f, out=f)
+    c = np.subtract(1.0, f, out=np.empty_like(f))
+    np.minimum(f, c, out=c)
+    near = c < DERIV_INTEGER_TOL
+    # s, c = sin, cos(pi f); sa, f = sin, cos(pi a f): four buffers, then
+    # |pi (a ca s - c sa)| / s^2 in the order of that expression
+    np.multiply(f, np.pi, out=c)
+    s = np.sin(c, out=np.empty_like(c))
+    np.cos(c, out=c)
+    np.multiply(f, np.pi * a, out=f)
+    sa = np.sin(f, out=np.empty_like(f))
+    np.cos(f, out=f)
+    np.multiply(f, a, out=f)
+    np.multiply(f, s, out=f)
+    np.multiply(c, sa, out=c)
+    np.subtract(f, c, out=f)
+    np.multiply(f, np.pi, out=f)
+    np.abs(f, out=f)
+    np.multiply(s, s, out=s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(f, s, out=f)
+    if near.any():
+        f[near] = 0.0
+    return np.minimum(f, kernel_derivative_cap(a), out=f)
 
 
 def kernel_second_derivative_cap(a: int) -> float:

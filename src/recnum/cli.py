@@ -185,6 +185,7 @@ def cmd_blockbound(args) -> int:
             "kappa_target": blockcert.KAPPA_TARGET,
             "pass": rep.ok,
             "main_nodes": rep.main_nodes,
+            "exact_pairs": rep.detail.exact_pairs,
         },
     )
     return EXIT_OK if rep.ok else EXIT_CERT_FAIL

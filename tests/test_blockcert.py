@@ -155,7 +155,7 @@ def test_mirrored_tables_match_direct_evaluation(a):
 ])
 def test_main_nodes_closed_form_counts_the_grid(monkeypatch, a, grid, expected):
     # main_nodes is formed before the y-grid exists, for the cost guard
-    monkeypatch.setattr(blockcert, "_main_terms", lambda a, *args: np.zeros(a))
+    monkeypatch.setattr(blockcert, "_main_terms", lambda *args: (0, 0.0, 0))
     monkeypatch.setattr(
         blockcert, "_residue_sup_tables", lambda a, threads: (np.ones(a), np.ones(a))
     )
@@ -197,18 +197,54 @@ def _per_q_main_terms(a, grid):
 
 @pytest.fixture(scope="module")
 def per_q_reference():
-    return [v.hex() for v in _per_q_main_terms(15, COARSE)]
+    return _per_q_main_terms(15, COARSE)
+
+
+def _binding_corrs(mains, q0):
+    """Corrections under which q0 binds: every other shift scores at most
+    max(mains), q0 one unit more."""
+    corrs = np.zeros(len(mains))
+    corrs[q0] = max(mains) - mains[q0] + 1.0
+    return corrs
 
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
 def test_main_terms_match_per_q_reference(per_q_reference, rows_per_chunk, monkeypatch):
-    # bit for bit, for any chunk size (None: the default one)
+    # bit for bit, for any chunk size (None: the default one) and thread
+    # count: the binding q and its main term, whichever q the corrections
+    # make bind, and the plain argmax without corrections
     alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
     if rows_per_chunk:
         monkeypatch.setattr(blockcert, "_CHUNK_FLOATS", rows_per_chunk * ys.size)
+    mains = per_q_reference
+    cases = [(int(np.argmax(mains)), np.zeros(15))]
+    cases += [(q0, _binding_corrs(mains, q0)) for q0 in range(15)]
     for threads in (1, 2):
-        got = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, threads)
-        assert [float(v).hex() for v in got] == per_q_reference
+        for q0, corrs in cases:
+            q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, threads)
+            assert (q, main.hex()) == (q0, mains[q0].hex())
+            assert 1 <= pairs < 15 * n_gamma
+
+
+def test_main_terms_evaluate_every_tied_pair(per_q_reference):
+    # corrections that swallow every main term: all 2 * 1001 pairs of q = 3
+    # and 9 score 2^70, the first q binds, and its main term is the largest
+    # of its gamma0 row, not the one at its largest bound
+    alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
+    ties = np.zeros(15)
+    ties[[3, 9]] = 2.0**70
+    for threads in (1, 2):
+        q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, ties, threads)
+        assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
+
+
+def test_main_terms_prune_most_pairs_on_a_reference_row():
+    # row 29 on its reference grid: 29 * 1251 pairs, of which under 1 % are
+    # evaluated exactly
+    a = 29
+    detail = certify_M2_2_detail(a, reference_grid(a), threads=2)
+    n_gamma = _gamma_grid_size(reference_grid(a).eta)
+    assert 1 <= detail.exact_pairs < 0.01 * a * n_gamma
 
 
 def test_sampled_main_never_exceeds_certificate():
