@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -46,8 +46,11 @@ class ExpSumParams:
     y may be an array: `exp_sum_recurrent` and `coefficient_A` then evaluate
     at every y at once, and a scalar y is their length-1 case. Exact
     fractions, when available, are reduced mod 1 before they are rounded to
-    float, and let the direct sum reduce phases exactly mod 1 before any
-    floating-point rounding. y and beta must be finite.
+    float. With both y_frac and beta_frac set, the direct sum and the
+    recurrence (its initial terms and every A_{n,j}) reduce each phase
+    exactly mod 1 before one rounding to double, so a fraction y such as
+    1/3 stays exact at any n; the float y alone is off by up to 2^-54,
+    which offsets near G_n turn into whole turns. y and beta must be finite.
     """
 
     y: float | np.ndarray
@@ -77,17 +80,38 @@ def _e(phase: np.ndarray | float) -> np.ndarray | complex:
 def _phase_mod1(y: float, ints) -> np.ndarray | float:
     """y * ints mod 1 in extended precision.
 
-    The products reach y * G_n; reducing mod 1 before rounding to double
-    keeps the phase error near 1e-19 * G_n instead of 1e-16 * G_n.
+    The products reach y * G_n. With the 64-bit significand of x86
+    longdouble the product errs by at most 2^-64 * y * ints < 2^-64 * G_n,
+    the reduction mod 1 is exact, and the rounding to double adds at most
+    2^-54: about 2^-64 * G_n in all, against 2^-53 * G_n for a product in
+    double. (Where longdouble is double, the latter holds.) The bound is
+    relative to the double y, not to a fraction it stands for.
     """
     out = (np.asarray(y, dtype=np.longdouble) * ints) % 1.0
     return float(out) if out.shape == () else out.astype(float)
 
 
+def _phase(params: ExpSumParams, k: int, s: int) -> np.ndarray | float:
+    """The phase y k + beta s of a term e(y k + beta s), k, s >= 0, at every
+    y of params. With both exact fractions it is reduced mod 1 exactly and
+    rounded to double once; else y k goes through _phase_mod1."""
+    if params.y_frac is not None and params.beta_frac is not None:
+        return float((params.y_frac * k + params.beta_frac * int(s)) % 1)
+    return _phase_mod1(params.y, k) + params.beta * s
+
+
 def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     """S_n(y, beta) by summation over all k < G_n, in windows of _WINDOW
     integers: each window is summed pairwise by np.sum, and the window sums
-    are added in order."""
+    are added in order.
+
+    Each window allocates its digit sums, its integers and its phase and term
+    arrays, all of length _WINDOW at most. On the exact path every term is
+    e(num/mod) with an integer num in [0, mod), mod = q * sden. While
+    mod <= min(G_n, _WINDOW), the mod roots of unity are computed once and
+    each window gathers its terms from them: the table is no larger than one
+    window's terms and costs no more exponentials than the terms would. A
+    larger mod evaluates e(num/mod) per term, which gives the same bits."""
     g_n = ctx.term(n)
     if g_n > DIRECT_SUM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the direct summation guard")
@@ -99,23 +123,30 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
         # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
         # only below 2**63; larger fractions take the extended-precision path
         exact = max(q, sden) * g_n < 2**63 and 2 * mod < 2**63
+        roots = _e(np.arange(mod) / mod) if exact and mod <= min(g_n, _WINDOW) else None
     total = 0j
     for lo in range(0, g_n, _WINDOW):
         hi = min(lo + _WINDOW, g_n)
         s = digit_sums_range(ctx, hi, lo)
         ks = np.arange(lo, hi, dtype=np.int64)
         if exact:
-            num = (h * ks % q) * sden + (r * s % sden) * q
-            phase = (num % mod) / mod
+            num = ((h * ks % q) * sden + (r * s % sden) * q) % mod
+            terms = _e(num / mod) if roots is None else roots[num]
         else:
-            phase = _phase_mod1(params.beta, s) + _phase_mod1(params.y, ks)
-        total += complex(np.sum(_e(phase)))
+            terms = _e(_phase_mod1(params.beta, s) + _phase_mod1(params.y, ks))
+        total += complex(np.sum(terms))
     return total
 
 
 def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tuple:
     """(A_{n,j}, dA_{n,j}/dy) at every y of params; |A_{n,j}| <= a_j. The
-    derivative is 2 pi i sum_l (pre_g + l G_{n-j}) e(...) over the same terms."""
+    derivative is 2 pi i sum_l (pre_g + l G_{n-j}) e(...) over the same terms.
+
+    For j = 1 the l = 0 term is e(0) = 1 with weight 0 in the derivative, so
+    the sums start there instead of evaluating it. Each other term is
+    e(y offset + beta (pre_a + l)): from the exact fractions, when params
+    has both, reduced mod 1 in integers and rounded once, as in
+    exp_sum_direct; else through _phase_mod1."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -124,11 +155,12 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
     ys = np.atleast_1d(params.y)
-    total = np.zeros(len(ys), dtype=complex)
+    skip = int(j == 1)  # the e(0) terms, each adding 1 to A and 0 to dA
+    total = np.full(len(ys), skip, dtype=complex)
     d_total = np.zeros(len(ys), dtype=complex)
-    for ell in range(a[j - 1]):
+    for ell in range(skip, a[j - 1]):
         offset = pre_g + ell * ctx.term(n - j)
-        term = _e(_phase_mod1(ys, offset) + params.beta * (pre_a + ell))
+        term = _e(_phase(params, offset, pre_a + ell))
         total += term
         d_total += float(offset) * term
     d_total *= 2j * np.pi
@@ -143,7 +175,10 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
     last d values of each are kept."""
     if n < 0:
         raise PreconditionError("term index must be non-negative")
-    ys = np.atleast_1d(params.y)
+    # _phase_mod1 multiplies y in longdouble: convert it once, not per term;
+    # coefficient_A then returns arrays, also for a scalar y
+    ys = np.atleast_1d(params.y).astype(np.longdouble)
+    ext = replace(params, y=ys)
     sums: deque = deque(maxlen=ctx.d)
     d_sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
@@ -151,7 +186,7 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
         acc = np.zeros(len(ys), dtype=complex)
         d_acc = np.zeros(len(ys), dtype=complex)
         for kk, s_kk in enumerate(s):
-            term = _e(params.beta * s_kk + _phase_mod1(ys, kk))
+            term = _e(_phase(ext, kk, s_kk))
             acc += term
             d_acc += kk * term
         sums.append(acc)
@@ -159,7 +194,7 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
     for k in range(ctx.d, n + 1):
         s_k = d_s_k = 0
         for j in ctx.index_set:
-            a_kj, d_a_kj = coefficient_A(ctx, k, j, params)
+            a_kj, d_a_kj = coefficient_A(ctx, k, j, ext)
             s_k += a_kj * sums[-j]
             d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]
         sums.append(s_k)

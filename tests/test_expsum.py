@@ -135,6 +135,96 @@ def test_direct_large_denominator_matches_recurrent(n, y):
     assert abs(direct - s_n) <= 1e-12 * ctx.term(n)
 
 
+# Pinned float.hex values: the direct sum's table of roots of unity and the
+# e(0) term that A_{n,1} counts without evaluating are speed-ups that must
+# not move a bit
+@pytest.mark.parametrize("n, y, beta, want", [
+    (12, Fraction(10, 11), Fraction(2, 3),  # mod 33: the table
+     ("-0x1.2cdb7cbe689b6p+6", "0x1.f106849c88244p+4")),
+    (10, Fraction(Q10 - 1, Q10), Fraction(1, 2),  # mod 2 Q10 > _WINDOW: per term
+     ("0x1.0000000000000p+0", "-0x1.93aaaafd5e2cap-36")),
+], ids=["table", "past-table-cap"])
+def test_direct_exact_path_bits(n, y, beta, want):
+    got = exp_sum_direct(make_context((2, 1)), n, ExpSumParams.make(y, beta))
+    assert (got.real.hex(), got.imag.hex()) == want
+
+
+def test_norm_bits():
+    ctx = make_context((1, 1))
+    assert one_norm(ctx, 10, 0.2).value.hex() == "0x1.a8c1ad6eec3e5p+2"
+    assert derivative_one_norm(ctx, 10, 0.2).value.hex() == "0x1.dc7295ab7001bp+11"
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
+def test_first_coefficient_is_exactly_one_when_a1_is_one(coeffs):
+    ctx = make_context(coeffs)
+    params = ExpSumParams.make(np.random.default_rng(4).random(9), 0.37)
+    for n in range(1, 12):
+        a_n1, d_a_n1 = coefficient_A(ctx, n, 1, params)
+        assert np.all(a_n1 == 1) and np.all(d_a_n1 == 0)
+
+
+def geometric_third(g_n):
+    """S_n(1/3, 0) = sum_{k < G_n} e(k/3): 0, 1 or 1 + e(1/3) = e(1/6) by G_n mod 3."""
+    return (0, 1, cmath.exp(1j * math.pi / 3))[g_n % 3]
+
+
+@pytest.mark.parametrize("n, residue", [(60, 2), (90, 0)])
+def test_recurrence_keeps_fraction_y_exact(n, residue):
+    # y = 1/3 as a double is off by 2^-54 and the offsets in A_{n,j} near G_n
+    # turn that into whole turns; the fraction's phases are reduced exactly
+    ctx = make_context((1, 1))
+    assert ctx.term(n) % 3 == residue
+    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(Fraction(1, 3), Fraction(0)))
+    assert abs(s_n - geometric_third(ctx.term(n))) < 1e-9
+
+
+def residue_count_sum(ctx, n, y, beta):
+    """S_n from exact counts c[r] of the k < G_n with m (y k + beta s_G(k)) = r
+    mod m, m the common denominator: k < G_d counted one by one, then each G_k
+    block [pre + l G_{k-j}, pre + (l + 1) G_{k-j}) as the counts of G_{k-j}
+    shifted by the block's phase. Only the final sum over r is rounded."""
+    m = math.lcm(y.denominator, beta.denominator)
+    hy, hb, a = int(y * m), int(beta * m), ctx.coeffs
+    counts = []
+    for k in range(n + 1):
+        c = [0] * m
+        if k < ctx.d:
+            for kk in range(ctx.term(k)):
+                c[(hy * kk + hb * sum_of_digits(ctx, kk)) % m] += 1
+            counts.append(c)
+            continue
+        for j in ctx.index_set:
+            pre_g = sum(a[i - 1] * ctx.term(k - i) for i in range(1, j))
+            pre_a = sum(a[i - 1] for i in range(1, j))
+            for ell in range(a[j - 1]):
+                shift = hy * (pre_g + ell * ctx.term(k - j)) + hb * (pre_a + ell)
+                for r, cnt in enumerate(counts[k - j]):
+                    c[(r + shift) % m] += cnt
+        counts.append(c)
+    return sum(cnt * cmath.exp(2j * math.pi * r / m) for r, cnt in enumerate(counts[n]))
+
+
+def test_residue_counts_match_direct_and_closed_form():
+    ctx = make_context((2, 1))
+    y, beta = Fraction(5, 13), Fraction(2, 7)
+    want = exp_sum_direct(ctx, 9, ExpSumParams.make(y, beta))
+    assert abs(residue_count_sum(ctx, 9, y, beta) - want) <= 1e-12 * ctx.term(9)
+    fib = make_context((1, 1))
+    got = residue_count_sum(fib, 40, Fraction(1, 3), Fraction(0))
+    assert abs(got - geometric_third(fib.term(40))) <= 1e-12 * fib.term(40)
+
+
+@pytest.mark.parametrize("coeffs, n, y, beta", [
+    ((1, 1), 100, Fraction(1, 3), Fraction(1, 2)),
+    ((2, 1), 50, Fraction(7, 30), Fraction(4, 9)),
+])
+def test_recurrence_matches_residue_counts_at_large_n(coeffs, n, y, beta):
+    ctx = make_context(coeffs)
+    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(y, beta))
+    assert abs(s_n - residue_count_sum(ctx, n, y, beta)) <= 1e-12 * ctx.term(n)
+
+
 def test_modulus_bounded_by_term():
     rng = np.random.default_rng(7)
     for coeffs in BASES:
