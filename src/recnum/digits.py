@@ -80,12 +80,42 @@ def _prefix_table(ctx: BaseContext) -> np.ndarray:
     return table
 
 
-def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
-    """s_G(k) for all k in [lo, n) as an int64 array.
+def _high_part(high: list[int], k: int) -> tuple[int, int]:
+    """(H, s_H): the value and the digit sum of k's greedy digits at the terms
+    in high, given in descending order; floor division from the top term
+    down is exactly the greedy rule."""
+    h = s_h = 0
+    for g in high:
+        d, k = divmod(k, g)
+        h += d * g
+        s_h += d
+    return h, s_h
 
-    Digits at the terms >= G_m come from floor division, top term first,
-    which is exactly the greedy rule; the remainder is then below G_m and
-    the context's prefix table supplies its digit sum.
+
+def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
+    """s_G(k) for all k in [lo, n) as an int64 array, built run by run.
+
+    Let G_m be the largest term <= TABLE_LIMIT, so the context's prefix table
+    holds s_G on [0, G_m). Split k = H(k) + rem(k), where H(k) is the value of
+    k's greedy digits at the terms >= G_m. The greedy expansion of rem(k) is
+    the rest of k's, so rem(k) < G_m and s_G(k) = s_H(k) + table[rem(k)],
+    with s_H(k) the sum of those high digits.
+
+    Runs. Greedy expansions are ordered like the integers: if k < k' first
+    differ, read from the top, at term G_j, the residual k' leaves for G_j is
+    larger, so its digit there is too. If j >= m, then
+    H(k') - H(k) >= G_j - (k's high digits below G_j) > 0, since the greedy
+    residual below G_j is < G_j; if j < m, H(k') = H(k). So H is
+    non-decreasing and the k with H(k) = H form one run [H, H + L). Within it
+    rem = k - H rises by 1 per step, so the run's digit sums are
+    s_H + table[k - H], one slice and one add. rem < G_m gives L <= G_m; L is
+    smaller where the high digits restrict the ones below (Zeckendorf with a
+    1 at G_m leaves rem < G_{m-1}). Because H is monotone, the run ends at the
+    first k with H(k) != H, found by bisection whenever the window goes on
+    past it.
+
+    The output is the only window-sized array: each run adds into its slice
+    from a view of the table, and finding runs is scalar integer work.
     """
     if lo < 0:
         raise PreconditionError("window start must be non-negative")
@@ -93,17 +123,24 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
     top = len(table)  # G_m
     if n <= max(lo, top):
         return table[lo:n].copy()
-    rem = np.arange(lo, n, dtype=np.int64)
-    out = np.zeros(n - lo, dtype=np.int64)
-    for g in reversed(ctx.terms_upto(n - 1)):
-        if g < top:
-            break
-        d = rem // g
-        out += d
-        d *= g
-        rem -= d
-        del d  # in place and freed early: at most three window-sized arrays live
-    out += table[rem]
+    high = [g for g in reversed(ctx.terms_upto(n - 1)) if g >= top]
+    out = np.empty(n - lo, dtype=np.int64)
+    k = lo
+    while k < n:
+        h, s_h = _high_part(high, k)
+        end = min(n, h + top)
+        if _high_part(high, end - 1)[0] != h:
+            # H(inside) == h != H(outside); the run ends at outside
+            inside, outside = k, end - 1
+            while outside - inside > 1:
+                mid = (inside + outside) // 2
+                if _high_part(high, mid)[0] == h:
+                    inside = mid
+                else:
+                    outside = mid
+            end = outside
+        np.add(table[k - h : end - h], s_h, out=out[k - lo : end - lo])
+        k = end
     return out
 
 

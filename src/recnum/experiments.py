@@ -17,6 +17,7 @@ compared with the main term (l/s) x (log x)^{l-1}.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ from .digits import digit_sums_range
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 _CHUNK = 1 << 20
+_SEGMENT = 1 << 18  # int32 entries per sieve_spf segment: 1 MB, about one L2 cache
 _ADD_AT_CHUNK = 1 << 18  # (e, m) pairs per np.add.at call in generalized_von_mangoldt
 DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
@@ -47,45 +49,48 @@ class SieveCache:
 
 
 def sieve_spf(x: int) -> SieveCache:
-    # int32 holds every factor up to the guard (10**8 < 2**31), at half the
-    # memory of int64
+    """The smallest-prime-factor table of 0..x, segmented after Bays & Hudson
+    (BIT 17, 1977).
+
+    The primes up to isqrt(x) come from a small sieve first. The table is then
+    filled in segments of _SEGMENT entries, small enough to stay in cache:
+    each prime p <= isqrt(hi - 1) writes p at its multiples from p^2 on,
+    unconditionally and in descending p, so the smallest prime factor of a
+    composite is written last and wins. Entries left at 0 are primes and
+    get their own index. Every composite n has a prime factor p with
+    p^2 <= n, so it gets written.
+
+    int32 holds every factor up to the guard (10**8 < 2**31), at half the
+    memory of int64. The table is the only allocation that grows with x;
+    a segment's scratch is one mask and one index array of _SEGMENT entries
+    at most.
+    """
     if x > SIEVE_GUARD:
         raise CostGuardError(f"sieve limit {x} exceeds the memory guard {SIEVE_GUARD}")
     if x < 2:
         return SieveCache(x, np.zeros(max(x + 1, 2), dtype=np.int32))
+    root = math.isqrt(x)
+    is_prime = np.ones(root + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    primes = np.flatnonzero(is_prime).tolist()
     spf = np.zeros(x + 1, dtype=np.int32)
-    for i in range(2, math.isqrt(x) + 1):
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    untouched = spf == 0
-    untouched[:2] = False
-    spf[untouched] = np.nonzero(untouched)[0]
+    for lo in range(0, x + 1, _SEGMENT):
+        hi = min(lo + _SEGMENT, x + 1)
+        seg = spf[lo:hi]
+        for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
+            seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
+        untouched = np.flatnonzero(seg == 0)
+        seg[untouched] = untouched + lo
+    spf[:2] = 0
     return SieveCache(x, spf)
 
 
 def _digit_class_mask(ctx: BaseContext, lo: int, hi: int, r: int, s: int) -> np.ndarray:
     """Boolean mask over k in [lo, hi) for s_G(k) = r (mod s)."""
     return digit_sums_range(ctx, hi, lo) % s == r % s
-
-
-def class_progression_count(
-    ctx: BaseContext, z: int, r: int, s: int, h: int, q: int
-) -> int:
-    """#{k < z : s_G(k) = r (mod s), k = h (mod q)}, exactly."""
-    if z > COUNT_GUARD:
-        raise CostGuardError(f"z = {z} exceeds the single-pass guard {COUNT_GUARD}")
-    if s < 1:
-        raise PreconditionError("need s >= 1")
-    if not 1 <= h <= q:
-        raise PreconditionError("need 1 <= h <= q")
-    total = 0
-    for lo in range(0, z, _CHUNK):
-        hi = min(lo + _CHUNK, z)
-        mask = _digit_class_mask(ctx, lo, hi, r, s)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        total += int(np.count_nonzero(mask & (ks % q == h % q)))
-    return total
 
 
 @dataclass

@@ -191,9 +191,17 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
             d_acc += kk * term
         sums.append(acc)
         d_sums.append(2j * np.pi * d_acc)
+    # with a_1 = 1, coefficient_A gives A_{k,1} = 1 and dA_{k,1} = 0 exactly,
+    # and j = 1 comes first: 0 + 1*S and 0 + (0*S + 1*dS) round to the bits
+    # of 0 + S and 0 + dS, signed zeros included, so the products are skipped
+    unit_first = ctx.coeffs[0] == 1
     for k in range(ctx.d, n + 1):
         s_k = d_s_k = 0
         for j in ctx.index_set:
+            if j == 1 and unit_first:
+                s_k += sums[-1]
+                d_s_k += d_sums[-1]
+                continue
             a_kj, d_a_kj = coefficient_A(ctx, k, j, ext)
             s_k += a_kj * sums[-j]
             d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]

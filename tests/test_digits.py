@@ -9,6 +9,7 @@ from recnum.base import PreconditionError, make_context
 from recnum.digits import (
     TABLE_LIMIT,
     Expansion,
+    _prefix_table,
     digit_sums_range,
     expand,
     is_parry_admissible,
@@ -17,6 +18,26 @@ from recnum.digits import (
 )
 
 BASES = [(1, 1), (2, 1), (3, 2), (2, 1, 1), (3, 0, 1)]
+
+
+def digit_sums_range_reference(ctx, n, lo=0):
+    """s_G(k) on [lo, n) by per-term division: the digits at the terms >= G_m
+    come from floor division over the whole window, top term first, and the
+    prefix table supplies the digit sum of the remainder."""
+    table = _prefix_table(ctx)
+    top = len(table)
+    if n <= max(lo, top):
+        return table[lo:n].copy()
+    rem = np.arange(lo, n, dtype=np.int64)
+    out = np.zeros(n - lo, dtype=np.int64)
+    for g in reversed(ctx.terms_upto(n - 1)):
+        if g < top:
+            break
+        d = rem // g
+        out += d
+        rem -= d * g
+    out += table[rem]
+    return out
 
 
 def test_expand_zero_is_empty():
@@ -127,3 +148,46 @@ def test_digit_sums_range_window_matches_scalar(window):
 def test_digit_sums_range_rejects_negative_start():
     with pytest.raises(PreconditionError):
         digit_sums_range(make_context((1, 1)), 10, -1)
+
+
+@pytest.mark.parametrize("coeffs", BASES + [(100, 1)])
+def test_digit_sums_range_matches_reference(coeffs):
+    ctx = make_context(coeffs)
+    got = digit_sums_range(ctx, 3 * TABLE_LIMIT)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, digit_sums_range_reference(ctx, 3 * TABLE_LIMIT))
+
+
+def test_digit_sums_range_matches_reference_far_out():
+    ctx = make_context((1, 1))
+    lo = 9_000_000
+    got = digit_sums_range(ctx, lo + 2**20, lo)
+    assert np.array_equal(got, digit_sums_range_reference(ctx, lo + 2**20, lo))
+
+
+@st.composite
+def _early_run_ends(draw):
+    """A window around H + c G_j, j < m, where H is a greedy high part (digits
+    at the terms >= G_m only, G_m the prefix-table length) with a nonzero
+    digit at G_m. A run of equal high part can end there, before H + G_m:
+    in Zeckendorf, a 1 at G_m leaves the lower digits below G_{m-1}."""
+    coeffs = draw(st.sampled_from(BASES + [(100, 1)]))
+    ctx = make_context(coeffs)
+    m = len(ctx.terms_upto(TABLE_LIMIT)) - 1
+    g_m = ctx.term(m)
+    top_digit = (ctx.term(m + 1) - 1) // g_m  # d G_m < G_{m+1} is greedy
+    digit = draw(st.one_of(st.just(top_digit), st.integers(1, top_digit)))
+    higher = draw(st.sampled_from([0] + [ctx.term(m + i) for i in (2, 3, 4)]))
+    h = higher + digit * g_m
+    j = draw(st.integers(0, m - 1))
+    c = draw(st.integers(1, max(coeffs)))
+    lo = max(0, h + c * ctx.term(j) + draw(st.integers(-40, 40)))
+    return ctx, lo, lo + draw(st.integers(1, 120))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_early_run_ends())
+def test_digit_sums_range_runs_that_end_early(window):
+    ctx, lo, hi = window
+    sums = digit_sums_range(ctx, hi, lo)
+    assert sums.tolist() == [sum_of_digits(ctx, k) for k in range(lo, hi)]

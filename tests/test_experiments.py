@@ -8,11 +8,11 @@ import pytest
 
 import recnum.experiments as experiments
 from recnum.base import CostGuardError, PreconditionError, make_context
+from recnum.digits import digit_sums_range
 from recnum.experiments import (
     GcdPreconditionWarning,
     almost_prime_count,
     bv_discrepancy,
-    class_progression_count,
     generalized_von_mangoldt,
     geometric_z_samples,
     sieve_spf,
@@ -36,9 +36,41 @@ def test_sieve_spf_small(sieve_1e5):
     assert spf[99991] == 99991 and spf[99993] == 3
 
 
+def sieve_spf_reference(x):
+    """The smallest-prime-factor table by one masked pass over the whole table
+    per prime p <= isqrt(x): p goes to its multiples from p^2 on that no
+    smaller prime has claimed."""
+    if x < 2:
+        return np.zeros(max(x + 1, 2), dtype=np.int32)
+    spf = np.zeros(x + 1, dtype=np.int32)
+    for i in range(2, math.isqrt(x) + 1):
+        if spf[i] == 0:
+            sl = spf[i * i :: i]
+            sl[sl == 0] = i
+    untouched = spf == 0
+    untouched[:2] = False
+    spf[untouched] = np.nonzero(untouched)[0]
+    return spf
+
+
+# around one and several segments of experiments._SEGMENT = 2**18 entries
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6])
+def test_sieve_spf_matches_reference(x):
+    sieve = sieve_spf(x)
+    assert sieve.limit == x and sieve.spf.dtype == np.int32
+    assert np.array_equal(sieve.spf, sieve_spf_reference(x))
+
+
 def test_sieve_guard():
     with pytest.raises(CostGuardError):
         sieve_spf(10**9)
+
+
+def class_progression_count(ctx, z, r, s, h, q):
+    """#{k < z : s_G(k) = r (mod s), k = h (mod q)}, exactly."""
+    ks = np.arange(z, dtype=np.int64)
+    mask = digit_sums_range(ctx, z) % s == r % s
+    return int(np.count_nonzero(mask & (ks % q == h % q)))
 
 
 def test_class_progression_count_bruteforce():
@@ -292,7 +324,6 @@ def test_von_mangoldt_sum_requires_ell_ge_2():
 
 def test_sieve_entry_points_reject_bad_x_and_s():
     calls = [
-        lambda x, s: class_progression_count(ZECK, x, 1, s, 1, 1),
         lambda x, s: bv_discrepancy(ZECK, x, 1, s, exponent=0.3),
         lambda x, s: almost_prime_count(ZECK, x, 1, s),
         lambda x, s: von_mangoldt_sum(ZECK, x, 2, 1, s),
@@ -301,7 +332,7 @@ def test_sieve_entry_points_reject_bad_x_and_s():
         for s in (0, -3):
             with pytest.raises(PreconditionError):
                 call(100, s)
-    for call, x_min in zip(calls[1:], (1, 2, 2)):
+    for call, x_min in zip(calls, (1, 2, 2)):
         with pytest.raises(PreconditionError):
             call(x_min - 1, 2)
         call(x_min, 2)

@@ -164,6 +164,58 @@ def test_first_coefficient_is_exactly_one_when_a1_is_one(coeffs):
         assert np.all(a_n1 == 1) and np.all(d_a_n1 == 0)
 
 
+# Parent float.hex of (S_n, dS_n/dy), before exp_sum_recurrent skipped the
+# products with A_{k,1} = 1 and dA_{k,1} = 0: y = 0 gives signed zeros, and
+# the scalar fraction takes the exact-phase path
+UNIT_BITS = {
+    (1, 1): (20, {
+        "array": (
+            [("0x1.14bc000000000p+14", "0x0.0p+0"), ("0x1.1e2159edee4a8p-3", "-0x1.89d3153236636p-3")],
+            [("0x0.0p+0", "0x1.d5dfcc300fb92p+29"), ("0x1.634870f99fe4ap+15", "-0x1.393b1e4dba041p+15")],
+        ),
+        "fraction": (
+            [("0x1.b274891bee5dep+0", "-0x1.71fa171b4e46ep-1")],
+            [("0x1.0bf92192fece7p+17", "0x1.905642176ae0ep+15")],
+        ),
+        "float": (
+            [("-0x1.ea80ec7974a1fp+6", "0x1.9d970ba06e7f4p+6")],
+            [("-0x1.5992ccd3007a1p+21", "-0x1.3c27bd579e969p+23")],
+        ),
+    }),
+    (1, 1, 1): (14, {
+        "array": (
+            [("0x1.6880000000000p+12", "0x0.0p+0"), ("0x1.a8ba5277c0611p-2", "-0x1.4973e213bc7a7p-2")],
+            [("0x0.0p+0", "0x1.8ea4d87d5323ep+26"), ("0x1.30afc85d7cdaap+14", "-0x1.82334c134b6e4p+11")],
+        ),
+        "fraction": (
+            [("0x1.64c230ce59486p+1", "0x1.e87a839a8d0d4p+0")],
+            [("-0x1.4d014387ca6bbp+16", "0x1.b6d76f296db2dp+16")],
+        ),
+        "float": (
+            [("-0x1.eeac769d02c9cp+1", "0x1.44247c55dbb44p+0")],
+            [("-0x1.4042e83cad822p+16", "-0x1.04af694101eb2p+19")],
+        ),
+    }),
+}
+UNIT_PARAMS = {
+    "array": ExpSumParams.make(np.array([0.0, 0.37]), 0.0),
+    "fraction": ExpSumParams.make(Fraction(10, 11), Fraction(2, 3)),
+    "float": ExpSumParams.make(0.37, 0.2),
+}
+
+
+@pytest.mark.parametrize("coeffs", list(UNIT_BITS))
+@pytest.mark.parametrize("case", list(UNIT_PARAMS))
+def test_unit_first_coefficient_keeps_recurrence_bits(coeffs, case):
+    n, want = UNIT_BITS[coeffs]
+    s_n, ds_n = exp_sum_recurrent(make_context(coeffs), n, UNIT_PARAMS[case])
+    got = tuple(
+        [(complex(z).real.hex(), complex(z).imag.hex()) for z in np.atleast_1d(v)]
+        for v in (s_n, ds_n)
+    )
+    assert got == want[case]
+
+
 def geometric_third(g_n):
     """S_n(1/3, 0) = sum_{k < G_n} e(k/3): 0, 1 or 1 + e(1/3) = e(1/6) by G_n mod 3."""
     return (0, 1, cmath.exp(1j * math.pi / 3))[g_n % 3]
