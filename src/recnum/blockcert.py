@@ -392,31 +392,6 @@ def certify_block_bound(a: int, grid: GridParams, threads: int = 1) -> BlockBoun
     )
 
 
-def sample_main_sums(
-    a: int, n_samples: int, gamma_hi: float, rng: np.random.Generator
-) -> float:
-    """Worst of n_samples exact main-term evaluations at random points:
-    q uniform over {0..a-1}, gamma uniform over [0, gamma_hi), one uniform y
-    per interval b, summing |h(y_b, gamma, q)| over b. Any such value must
-    stay below the certified main term plus its corrections. Samples are
-    drawn 2000 at a time."""
-    ctx = quadratic_context(a)
-    alpha_inv = polished_alpha_inv(a, ctx.alpha)
-    b_max = floor_alpha_sq(a, ctx.alpha) + 1
-    bs = np.arange(b_max + 1, dtype=float)
-    worst = 0.0
-    for lo in range(0, n_samples, 2000):
-        m = min(2000, n_samples - lo)
-        ys = (bs[None, :] + rng.random((m, b_max + 1))) / a
-        qs = rng.integers(0, a, size=m).astype(float)
-        gammas = gamma_hi * rng.random(m)
-        h = dirichlet_kernel_abs(ys + qs[:, None] / a, a) * dirichlet_kernel_abs(
-            alpha_inv * ys + gammas[:, None], a
-        )
-        worst = max(worst, float(h.sum(axis=1).max()))
-    return worst
-
-
 # Reference values for the quadratic family, a = 39 down to 15: the grid
 # (eps, eta) used per row, the published upper bound for M_2, its exponent
 # kappa, and round(alpha^3). Only the pass/fail against KAPPA_TARGET is

@@ -277,17 +277,6 @@ def _distinct_coeffs(ctx: BaseContext) -> list[int]:
     return sorted({ctx.coeffs[j - 1] for j in ctx.index_set})
 
 
-def m_table(ctx: BaseContext, j: int, shift: float = 0.0) -> list[float]:
-    """Certified bounds for m(j, b) (or its shifted variant) over b = 0..a-1."""
-    if j not in ctx.index_set:
-        raise PreconditionError(f"j={j} not in the index set")
-    return _sup_table(ctx.coeffs[0], ctx.coeffs[j - 1], shift)
-
-
-def m_of_j(ctx: BaseContext, j: int, shift: float = 0.0) -> float:
-    return sum(m_table(ctx, j, shift=shift)) / ctx.coeffs[0]
-
-
 def m_value(ctx: BaseContext) -> float:
     """The base quantity m_G = max over the index set of the averaged suprema."""
     a = ctx.coeffs[0]
@@ -317,12 +306,13 @@ def m_shifted(ctx: BaseContext, r: int) -> float:
 
     Write P_t for the partition of R/Z into the a = a_1 intervals
     I^t_b = ((b+t)/a, (b+t+1)/a), and m_j(t) for its averaged suprema
-    (`m_of_j` with shift t). P_0 is cut at the zeros b/a of the kernel for
-    a_j = a, and at the integers, where the main lobe peaks at a_j. A step of
-    the recurrence bounds the kernel term j over a window J = [c, c + L/a) of
-    R/Z with L <= alpha + eps (the eventual ratio G_n/G_{n-1}) by the suprema
-    of a run of consecutive intervals covering J. The two routes differ only
-    in this window sum; the unit both add after it is not touched here.
+    (the mean of _sup_table(a, a_j, t)). P_0 is cut at the zeros b/a of the
+    kernel for a_j = a, and at the integers, where the main lobe peaks at a_j.
+    A step of the recurrence bounds the kernel term j over a window
+    J = [c, c + L/a) of R/Z with L <= alpha + eps (the eventual ratio
+    G_n/G_{n-1}) by the suprema of a run of consecutive intervals covering J.
+    The two routes differ only in this window sum; the unit both add after it
+    is not touched here.
 
     - Route m + 3: J meets at most floor(alpha) + 2 = a + 2 consecutive
       intervals of P_0. a of them make one period (sum a m_j(0)); each of
@@ -441,7 +431,7 @@ def compute_mbound_report(ctx: BaseContext, shift_r: int | None = None) -> MBoun
     a1 = ctx.coeffs[0]
     tables = {a_j: _sup_table(a1, a_j, 0.0) for a_j in _distinct_coeffs(ctx)}
     m_jb = {j: tables[ctx.coeffs[j - 1]] for j in ctx.index_set}
-    m_j = {j: sum(v) / a1 for j, v in m_jb.items()}  # the sum m_of_j forms
+    m_j = {j: sum(v) / a1 for j, v in m_jb.items()}
     m = max(m_j.values())
     shifted = m_shifted(ctx, shift_r) if shift_r is not None else None
     return MBoundReport(

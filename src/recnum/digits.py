@@ -92,37 +92,63 @@ def _high_part(high: list[int], k: int) -> tuple[int, int]:
     return h, s_h
 
 
+def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int) -> None:
+    """out[i] = s_h + s_G(rem + i) for rem + len(out) <= G_{m+1}, where the
+    table holds s_G on [0, G_m): below G_{m+1} the greedy digit at G_m is
+    r // G_m and the rest is r mod G_m, so the values form rows of length G_m,
+    the table plus the row's digit. A partial first and last row are slices;
+    the full rows in between are one broadcast add."""
+    g = len(table)
+    end = rem + len(out)
+    first = -(-rem // g)  # the first row that starts at or after rem
+    last = end // g  # the row that holds end, or starts at it
+    if first > last:  # inside one row
+        d = rem // g
+        np.add(table[rem - d * g : end - d * g], s_h + d, out=out)
+        return
+    head = first * g - rem
+    np.add(table[g - head :], s_h + first - 1, out=out[:head])
+    body = out[head : head + (last - first) * g].reshape(last - first, g)
+    np.add(table, (s_h + np.arange(first, last))[:, None], out=body)
+    np.add(table[: end - last * g], s_h + last, out=out[head + (last - first) * g :])
+
+
 def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
     """s_G(k) for all k in [lo, n) as an int64 array, built run by run.
 
     Let G_m be the largest term <= TABLE_LIMIT, so the context's prefix table
-    holds s_G on [0, G_m). Split k = H(k) + rem(k), where H(k) is the value of
-    k's greedy digits at the terms >= G_m. The greedy expansion of rem(k) is
-    the rest of k's, so rem(k) < G_m and s_G(k) = s_H(k) + table[rem(k)],
-    with s_H(k) the sum of those high digits.
+    holds s_G on [0, G_m), and let G_M = G_{m+1} > TABLE_LIMIT be the next
+    term. Split k = H(k) + rem(k), where H(k) is the value of k's greedy
+    digits at the terms >= G_M. The greedy expansion of rem(k) is the rest of
+    k's, so rem(k) < G_M and s_G(k) = s_H(k) + s_G(rem(k)), with s_H(k) the
+    sum of those high digits; _fill_low reads s_G below G_M off the table.
 
     Runs. Greedy expansions are ordered like the integers: if k < k' first
     differ, read from the top, at term G_j, the residual k' leaves for G_j is
-    larger, so its digit there is too. If j >= m, then
+    larger, so its digit there is too. If j >= M, then
     H(k') - H(k) >= G_j - (k's high digits below G_j) > 0, since the greedy
-    residual below G_j is < G_j; if j < m, H(k') = H(k). So H is
+    residual below G_j is < G_j; if j < M, H(k') = H(k). So H is
     non-decreasing and the k with H(k) = H form one run [H, H + L). Within it
-    rem = k - H rises by 1 per step, so the run's digit sums are
-    s_H + table[k - H], one slice and one add. rem < G_m gives L <= G_m; L is
-    smaller where the high digits restrict the ones below (Zeckendorf with a
-    1 at G_m leaves rem < G_{m-1}). Because H is monotone, the run ends at the
-    first k with H(k) != H, found by bisection whenever the window goes on
-    past it.
+    rem = k - H rises by 1 per step, so the run's digit sums are s_H plus
+    s_G over consecutive values, that is table rows. rem < G_M gives
+    L <= G_M; L is smaller where the high digits restrict the ones below
+    (Zeckendorf with a 1 at G_M leaves rem < G_{M-1}). Because H is monotone,
+    the run ends at the first k with H(k) != H, found by bisection whenever the
+    window goes on past it.
 
-    The output is the only window-sized array: each run adds into its slice
-    from a view of the table, and finding runs is scalar integer work.
+    Runs at G_M rather than G_m keep them long on every base: G_M exceeds
+    TABLE_LIMIT even where G_m is tiny (a_1 >= 2**20 leaves the table one
+    entry long, and runs at G_m would hold one integer each).
+
+    Each run adds into its slice of the output from views of the table, plus
+    one digit per row of G_m integers; finding runs is scalar integer work.
     """
     if lo < 0:
         raise PreconditionError("window start must be non-negative")
     table = _prefix_table(ctx)
-    top = len(table)  # G_m
-    if n <= max(lo, top):
+    if n <= max(lo, len(table)):
         return table[lo:n].copy()
+    top = ctx.term(len(ctx.terms_upto(TABLE_LIMIT)))  # G_M = G_{m+1}
     high = [g for g in reversed(ctx.terms_upto(n - 1)) if g >= top]
     out = np.empty(n - lo, dtype=np.int64)
     k = lo
@@ -139,7 +165,7 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
                 else:
                     outside = mid
             end = outside
-        np.add(table[k - h : end - h], s_h, out=out[k - lo : end - lo])
+        _fill_low(table, out[k - lo : end - lo], k - h, s_h)
         k = end
     return out
 

@@ -15,9 +15,12 @@ which satisfy S_n = sum_{j : a_j != 0} A_{n,j} S_{n-j} for n >= d. The modulus
 x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`). Differentiated in y, the
 recurrence gives dS_n = sum_j (dA_{n,j} S_{n-j} + A_{n,j} dS_{n-j}), d = d/dy.
 
-1-norms of S_n and of dS_n/dy over y in [0,1) are estimated by composite
-midpoint quadrature with node density tied to G_n, since the integrand
-oscillates on the scale 1/G_n.
+1-norms of S_n and of dS_n/dy over y in [0,1) are estimated by the midpoint
+rule with node density tied to G_n, since the integrand oscillates on the
+scale 1/G_n. The midpoints are equally spaced, so S_n and dS_n/dy at all of
+them come from fast Fourier transforms of the terms e(beta s_G(k)) over
+k < G_n; the recurrence serves single frequencies and sets of them such as
+the Farey points.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ from .base import BaseContext, CostGuardError, PreconditionError
 from .digits import digit_sums_range
 
 DIRECT_SUM_GUARD = 10**7
+# Worst admissible 1-norm: G_n prime just below the guard, so every transform
+# in _norm_nodes takes Bluestein's route. `recnum onenorm --coeffs 99990,1
+# --n 1` (G_1 = 99991, 1,599,856 nodes) takes 0.60-0.64 s and peaks at 143 MB
+# RSS, against 30 MB for the interpreter with numpy and recnum, in a fresh
+# interpreter on a 2-vCPU x86-64 machine (numpy 2.4): the 16 x G_n terms and
+# the node arrays are 25.6 MB each. (1, 1) at n = 23 (1,200,400 nodes) takes
+# 0.46 s and 121 MB.
 ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 _WINDOW = 1 << 20  # integers per window of the direct sum
@@ -77,6 +87,15 @@ def _e(phase: np.ndarray | float) -> np.ndarray | complex:
     return np.exp(2j * np.pi * np.asarray(phase))
 
 
+def _roots_of_unity(mod: int) -> np.ndarray:
+    """e(j/mod) for j < mod, each from its quarter turn: with j/mod = quad/4 + f,
+    0 <= f < 1/4 taken exactly in integers and rounded once, e(j/mod) =
+    i^quad e(f), and the factor i^quad only swaps and negates parts."""
+    j = np.arange(mod, dtype=np.int64)
+    quad = 4 * j // mod
+    return np.array([1, 1j, -1, -1j])[quad] * _e((4 * j - quad * mod) / (4 * mod))
+
+
 def _phase_mod1(y: float, ints) -> np.ndarray | float:
     """y * ints mod 1 in extended precision.
 
@@ -100,18 +119,46 @@ def _phase(params: ExpSumParams, k: int, s: int) -> np.ndarray | float:
     return _phase_mod1(params.y, k) + params.beta * s
 
 
+def _counted_sum(ctx: BaseContext, g_n: int, y: Fraction, beta: Fraction) -> complex:
+    """sum_{k < G_n} e(y k + beta s_G(k)) for fractions with mod = q * sden <=
+    min(G_n, _WINDOW), q and sden the denominators of y and beta.
+
+    Each term is e(num/mod) with num = (h i mod q) sden + (r b mod sden) q,
+    where y = h/q, beta = r/sden, i = k mod q and b = s_G(k) mod sden. So the
+    sum is a dot product of the int64 counts of the pairs (i, b), added per
+    window by np.bincount, with the mod roots of unity: each product is
+    rounded once and math.fsum adds them exactly. Windows start at multiples
+    of q, so one array holds i * sden for every window; b is looked up in a
+    table of s mod sden over the window's few distinct s, which costs less
+    than a remainder per integer."""
+    q, sden = y.denominator, beta.denominator
+    h, r = y.numerator % q, beta.numerator % sden
+    mod = q * sden
+    step = _WINDOW // q * q
+    i_part = np.arange(min(step, g_n), dtype=np.int64) % q * sden
+    counts = np.zeros(mod, dtype=np.int64)
+    for lo in range(0, g_n, step):
+        hi = min(lo + step, g_n)
+        s = digit_sums_range(ctx, hi, lo)
+        pair = (np.arange(int(s.max()) + 1, dtype=np.int64) % sden)[s]
+        pair += i_part[: hi - lo]
+        counts += np.bincount(pair, minlength=mod)
+    num = (np.arange(q) * h % q * sden)[:, None] + np.arange(sden) * r % sden * q
+    terms = counts * _roots_of_unity(mod)[num.ravel() % mod]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
 def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     """S_n(y, beta) by summation over all k < G_n, in windows of _WINDOW
-    integers: each window is summed pairwise by np.sum, and the window sums
-    are added in order.
+    integers.
 
-    Each window allocates its digit sums, its integers and its phase and term
-    arrays, all of length _WINDOW at most. On the exact path every term is
-    e(num/mod) with an integer num in [0, mod), mod = q * sden. While
-    mod <= min(G_n, _WINDOW), the mod roots of unity are computed once and
-    each window gathers its terms from them: the table is no larger than one
-    window's terms and costs no more exponentials than the terms would. A
-    larger mod evaluates e(num/mod) per term, which gives the same bits."""
+    On the exact path every term is e(num/mod) with an integer num in
+    [0, mod), mod = q * sden. While mod <= min(G_n, _WINDOW), _counted_sum
+    adds counts of residues and rounds only the final sum. A larger mod
+    evaluates e(num/mod) per term, and the float path e(phase) per term; each
+    of their windows is summed pairwise by np.sum, and the window sums are
+    added in order. Each window allocates its digit sums and a few index,
+    phase or term arrays, of length _WINDOW at most."""
     g_n = ctx.term(n)
     if g_n > DIRECT_SUM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the direct summation guard")
@@ -120,10 +167,11 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
         q, sden = params.y_frac.denominator, params.beta_frac.denominator
         h, r = params.y_frac.numerator % q, params.beta_frac.numerator % sden
         mod = q * sden
+        if mod <= min(g_n, _WINDOW):
+            return _counted_sum(ctx, g_n, params.y_frac, params.beta_frac)
         # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
         # only below 2**63; larger fractions take the extended-precision path
         exact = max(q, sden) * g_n < 2**63 and 2 * mod < 2**63
-        roots = _e(np.arange(mod) / mod) if exact and mod <= min(g_n, _WINDOW) else None
     total = 0j
     for lo in range(0, g_n, _WINDOW):
         hi = min(lo + _WINDOW, g_n)
@@ -131,7 +179,7 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
         ks = np.arange(lo, hi, dtype=np.int64)
         if exact:
             num = ((h * ks % q) * sden + (r * s % sden) * q) % mod
-            terms = _e(num / mod) if roots is None else roots[num]
+            terms = _e(num / mod)
         else:
             terms = _e(_phase_mod1(params.beta, s) + _phase_mod1(params.y, ks))
         total += complex(np.sum(terms))
@@ -219,17 +267,40 @@ class QuadratureEstimate:
 
 
 def _norm_nodes(ctx: BaseContext, n: int, beta: float) -> tuple:
-    """(S_n, dS_n/dy) on the midpoint nodes that both 1-norms share."""
+    """(S_n, dS_n/dy) at the midpoint nodes y_j = (2j + 1)/(2N), j < N, that
+    both 1-norms share, N = max(64, 16 G_n) = 16 L with L = max(4, G_n).
+
+    For j = 16 m + t, e(y_j k) = e(m k / L) e((2t + 1) k / (2N)), so the nodes
+    of residue t are one inverse DFT of length L of the twisted terms
+    c_t[k] = e(beta s_G(k) + (2t + 1) k / (2N)), zero-padded past G_n, and
+    dS_n/dy the same transform of 2 pi i k c_t[k]. The 16 transforms run as
+    one batched call, whose (t, m) rows are then copied into node order. Each
+    twist is reduced mod 1 in integers before one rounding. Memory: one
+    16 x G_n array of terms and three node arrays at most, all complex, plus
+    the transform's work space (see ONE_NORM_GUARD)."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
+    beta = ExpSumParams.make(0.0, beta).beta
     nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
-    ys = (np.arange(nodes) + 0.5) / nodes
-    return exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    length = nodes // SAMPLES_PER_OSCILLATION
+    ks = np.arange(g_n, dtype=np.int64)
+    twist = np.arange(1, 2 * SAMPLES_PER_OSCILLATION, 2)[:, None] * ks % (2 * nodes)
+    phase = twist / (2 * nodes)
+    del twist
+    phase += beta * digit_sums_range(ctx, g_n) % 1.0
+    terms = _e(phase)
+    del phase
+    # row t holds the nodes 16 m + t; norm="forward" leaves the inverse unscaled
+    s_n = np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
+    terms *= 2j * np.pi * ks
+    d_s_n = np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
+    return s_n, d_s_n
 
 
 def one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
-    """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1)."""
+    """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1),
+    on the nodes of _norm_nodes."""
     vals = np.abs(_norm_nodes(ctx, n, beta)[0])
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
@@ -272,15 +343,17 @@ def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> Gallag
         raise PreconditionError("need q_max >= 1")
     if q_max * q_max > 10**4:
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
+    # one node pass feeds both norms, as in one_norm and derivative_one_norm;
+    # it goes first, so its guard refuses before any other work
+    s_nodes, ds_nodes = _norm_nodes(ctx, n, beta)
+    nrm = float(np.mean(np.abs(s_nodes)))
+    dnrm = float(np.mean(np.abs(ds_nodes)))
+    del s_nodes, ds_nodes
     pts = farey_fractions(q_max)
     ys = np.array([float(p) for p in pts])
     s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
     lhs = float(np.sum(np.abs(s_n)))
     delta = 1.0 / (q_max * q_max)
-    # one node pass feeds both norms, as in one_norm and derivative_one_norm
-    s_nodes, ds_nodes = _norm_nodes(ctx, n, beta)
-    nrm = float(np.mean(np.abs(s_nodes)))
-    dnrm = float(np.mean(np.abs(ds_nodes)))
     rhs = nrm / delta + 0.5 * dnrm
     return GallagherReport(
         lhs=lhs,

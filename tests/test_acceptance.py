@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bound_helpers import sample_main_sums
 from recnum.base import make_context
 from recnum.blockcert import (
     KAPPA_TARGET,
@@ -18,7 +19,6 @@ from recnum.blockcert import (
     certify_block_bound,
     quadratic_context,
     reference_grid,
-    sample_main_sums,
 )
 from recnum.bounds import m_closed_form, m_shifted, m_value, theta_lower_bound
 from recnum.digits import expand, is_parry_admissible, value_of

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bound_helpers import sample_main_sums
 from recnum import blockcert
 from recnum.base import CostGuardError, PreconditionError
 from recnum.blockcert import (
@@ -26,7 +27,6 @@ from recnum.blockcert import (
     polished_alpha_inv,
     quadratic_context,
     reference_grid,
-    sample_main_sums,
 )
 from recnum.bounds import dirichlet_kernel_abs, dirichlet_sup, interval_sup_deriv
 

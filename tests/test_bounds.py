@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from bound_helpers import m_of_j, m_table
 from recnum import bounds
 from recnum.base import PreconditionError, make_context
 from recnum.bounds import (
@@ -19,9 +20,7 @@ from recnum.bounds import (
     kernel_derivative_cap,
     kernel_second_derivative_cap,
     m_closed_form,
-    m_of_j,
     m_shifted,
-    m_table,
     m_value,
     shift_modulus_limit,
     theta_lower_bound,

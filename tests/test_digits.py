@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recnum.digits as digits
 from recnum.base import PreconditionError, make_context
 from recnum.digits import (
     TABLE_LIMIT,
@@ -167,15 +168,16 @@ def test_digit_sums_range_matches_reference_far_out():
 
 @st.composite
 def _early_run_ends(draw):
-    """A window around H + c G_j, j < m, where H is a greedy high part (digits
-    at the terms >= G_m only, G_m the prefix-table length) with a nonzero
-    digit at G_m. A run of equal high part can end there, before H + G_m:
-    in Zeckendorf, a 1 at G_m leaves the lower digits below G_{m-1}."""
+    """A window around H + c G_j, j < M, where H is a greedy high part (digits
+    at the terms >= G_M only, G_M = G_{m+1} the first term past the prefix
+    table) with a nonzero digit at G_M. A run of equal high part can end
+    there, before H + G_M: in Zeckendorf, a 1 at G_M leaves the lower digits
+    below G_{M-1}."""
     coeffs = draw(st.sampled_from(BASES + [(100, 1)]))
     ctx = make_context(coeffs)
-    m = len(ctx.terms_upto(TABLE_LIMIT)) - 1
+    m = len(ctx.terms_upto(TABLE_LIMIT))  # M = m + 1 in the notation above
     g_m = ctx.term(m)
-    top_digit = (ctx.term(m + 1) - 1) // g_m  # d G_m < G_{m+1} is greedy
+    top_digit = (ctx.term(m + 1) - 1) // g_m  # d G_M < G_{M+1} is greedy
     digit = draw(st.one_of(st.just(top_digit), st.integers(1, top_digit)))
     higher = draw(st.sampled_from([0] + [ctx.term(m + i) for i in (2, 3, 4)]))
     h = higher + digit * g_m
@@ -191,3 +193,26 @@ def test_digit_sums_range_runs_that_end_early(window):
     ctx, lo, hi = window
     sums = digit_sums_range(ctx, hi, lo)
     assert sums.tolist() == [sum_of_digits(ctx, k) for k in range(lo, hi)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 2**20),
+    (2**21 - 5, 2**21 + 2**20),  # across G_1 = 2**21 + 1
+    (3 * 2**42, 3 * 2**42 + 2**20),  # near G_2 = 2**21 G_1 + 1
+], ids=["from-0", "across-G1", "far-out"])
+def test_digit_sums_range_with_one_entry_table(monkeypatch, lo, hi):
+    # a_1 >= 2**20 puts G_1 past TABLE_LIMIT: the prefix table is [0], and
+    # runs at G_1 hold up to G_1 integers each, so a 2**20 window meets at
+    # most three runs, each found from its start, its last integer and a
+    # bisection over fewer than G_1 < 2**22 integers (runs at G_0 would take
+    # one or two high-part evaluations per integer)
+    ctx = make_context((2**21, 1))
+    assert len(_prefix_table(ctx)) == 1
+    calls = []
+    real = digits._high_part
+    monkeypatch.setattr(digits, "_high_part", lambda high, k: calls.append(k) or real(high, k))
+    got = digit_sums_range(ctx, hi, lo)
+    assert len(calls) <= 3 * (2 + 22)
+    assert np.array_equal(got, digit_sums_range_reference(ctx, hi, lo))
+    sample = range(lo, hi, 997)
+    assert got[:: 997].tolist() == [sum_of_digits(ctx, k) for k in sample]

@@ -1,7 +1,9 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,24 +137,124 @@ def test_direct_large_denominator_matches_recurrent(n, y):
     assert abs(direct - s_n) <= 1e-12 * ctx.term(n)
 
 
-# Pinned float.hex values: the direct sum's table of roots of unity and the
-# e(0) term that A_{n,1} counts without evaluating are speed-ups that must
-# not move a bit
-@pytest.mark.parametrize("n, y, beta, want", [
-    (12, Fraction(10, 11), Fraction(2, 3),  # mod 33: the table
+# Pinned float.hex values of the exact direct sum. Counting residues moved the
+# last bits of the table case on purpose, so it also checks that the pin is
+# at least as close to a 50-digit reference as the pin before (`before`,
+# terms summed pairwise). The per-term path past the table cap is unchanged.
+@pytest.mark.parametrize("n, y, beta, want, before", [
+    (12, Fraction(10, 11), Fraction(2, 3),  # mod 33: counts
+     ("-0x1.2cdb7cbe689b8p+6", "0x1.f106849c88150p+4"),
      ("-0x1.2cdb7cbe689b6p+6", "0x1.f106849c88244p+4")),
     (10, Fraction(Q10 - 1, Q10), Fraction(1, 2),  # mod 2 Q10 > _WINDOW: per term
-     ("0x1.0000000000000p+0", "-0x1.93aaaafd5e2cap-36")),
+     ("0x1.0000000000000p+0", "-0x1.93aaaafd5e2cap-36"), None),
 ], ids=["table", "past-table-cap"])
-def test_direct_exact_path_bits(n, y, beta, want):
-    got = exp_sum_direct(make_context((2, 1)), n, ExpSumParams.make(y, beta))
+def test_direct_exact_path_bits(n, y, beta, want, before):
+    ctx = make_context((2, 1))
+    got = exp_sum_direct(ctx, n, ExpSumParams.make(y, beta))
     assert (got.real.hex(), got.imag.hex()) == want
+    if before is not None:
+        ref = residue_count_reference(ctx, n, y, beta)
+        old = complex(float.fromhex(before[0]), float.fromhex(before[1]))
+        assert abs(got - ref) <= abs(old - ref)
+
+
+def midpoint_norms_reference(ctx, n, beta, bits=180):
+    """The midpoint-rule 1-norms of S_n and dS_n/dy on the nodes of one_norm,
+    to about 2^-bits: Horner's rule in fixed-point integers (scale 2^bits)
+    at each node z = e(y_j), with every e(.) rounded once from mpmath, then
+    |.| by integer square root. Returns two mpmath numbers."""
+    g_n = ctx.term(n)
+    nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
+    one = 1 << bits
+    with mpmath.workprec(bits + 20):
+        def fixed(turns):
+            return (int(mpmath.nint(mpmath.cospi(2 * turns) * one)),
+                    int(mpmath.nint(mpmath.sinpi(2 * turns) * one)))
+        w = [fixed(mpmath.mpf(beta) * sum_of_digits(ctx, k)) for k in range(g_n)]
+        total = d_total = 0
+        for j in range(nodes):
+            zr, zi = fixed(mpmath.mpf(2 * j + 1) / (2 * nodes))
+            sr = si = dr = di = 0
+            for k in range(g_n - 1, -1, -1):
+                wr, wi = w[k]
+                sr, si = ((sr * zr - si * zi) >> bits) + wr, ((sr * zi + si * zr) >> bits) + wi
+                dr, di = ((dr * zr - di * zi) >> bits) + k * wr, ((dr * zi + di * zr) >> bits) + k * wi
+            total += math.isqrt(sr * sr + si * si)
+            d_total += math.isqrt(dr * dr + di * di)
+        scale = mpmath.mpf(nodes) * one
+        return total / scale, 2 * mpmath.pi * d_total / scale
+
+
+# The FFT nodes moved the last bit of both norms on purpose; each new value
+# is at least as close to the reference as the recurrence's was
+NORM_BITS = ("0x1.a8c1ad6eec3e6p+2", "0x1.dc7295ab7001cp+11")
+RECURRENCE_NORM_BITS = ("0x1.a8c1ad6eec3e5p+2", "0x1.dc7295ab7001bp+11")
 
 
 def test_norm_bits():
     ctx = make_context((1, 1))
-    assert one_norm(ctx, 10, 0.2).value.hex() == "0x1.a8c1ad6eec3e5p+2"
-    assert derivative_one_norm(ctx, 10, 0.2).value.hex() == "0x1.dc7295ab7001bp+11"
+    got = (one_norm(ctx, 10, 0.2).value, derivative_one_norm(ctx, 10, 0.2).value)
+    assert tuple(v.hex() for v in got) == NORM_BITS
+    for new, old, ref in zip(got, RECURRENCE_NORM_BITS, midpoint_norms_reference(ctx, 10, 0.2)):
+        assert abs(new - ref) <= abs(float.fromhex(old) - ref)
+
+
+# G_n < 4 hits the nodes = 64 floor (transforms of length 4, zero-padded);
+# G_n = 4, 5, 7 and 16 sit just past it. At the larger n the recurrence's own
+# rounding stays below 3e-13 G_n at the nodes.
+FFT_CASES = [((1, 1), n) for n in (0, 1, 2, 3, 14)] + [((2, 1), n) for n in (1, 2, 8)] + [
+    ((1, 1, 1), n) for n in (1, 2, 10)] + [((15, 1), n) for n in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("coeffs, n", FFT_CASES)
+@pytest.mark.parametrize("beta", [0.0, 0.2, 0.61803])
+def test_fft_nodes_match_recurrence(coeffs, n, beta):
+    ctx = make_context(coeffs)
+    g_n = ctx.term(n)
+    s_n, d_s_n = expsum._norm_nodes(ctx, n, beta)
+    nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
+    assert s_n.shape == d_s_n.shape == (nodes,)
+    ys = (np.arange(nodes) + 0.5) / nodes
+    s_rec, d_s_rec = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    assert np.max(np.abs(s_n - s_rec)) <= 1e-12 * g_n
+    assert np.max(np.abs(d_s_n - d_s_rec)) <= 1e-12 * 2 * np.pi * g_n**2
+    for fft, rec in ((s_n, s_rec), (d_s_n, d_s_rec)):
+        want = np.mean(np.abs(rec))
+        assert abs(np.mean(np.abs(fft)) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("coeffs, n", [((1, 1), 2), ((1, 1), 20), ((2, 1), 9), ((15, 1), 3)])
+def test_fft_nodes_parseval(coeffs, n):
+    # N >= G_n equally spaced nodes: the node mean of |sum_k c_k e(y_j k)|^2 is
+    # sum_k |c_k|^2, so G_n for S_n and 4 pi^2 sum k^2 for dS_n/dy
+    ctx = make_context(coeffs)
+    g_n = ctx.term(n)
+    s_n, d_s_n = expsum._norm_nodes(ctx, n, 0.37)
+    assert abs(np.mean(np.abs(s_n) ** 2) - g_n) <= 1e-13 * g_n
+    d_want = 4 * np.pi**2 * (g_n - 1) * g_n * (2 * g_n - 1) / 6
+    assert abs(np.mean(np.abs(d_s_n) ** 2) - d_want) <= 1e-13 * d_want
+
+
+@pytest.mark.parametrize("norm", [
+    one_norm, derivative_one_norm, lambda ctx, n, beta: gallagher_check(ctx, n, beta, 3)])
+def test_one_norm_guard(monkeypatch, norm):
+    # G_1 = ONE_NORM_GUARD + 1 is refused before the digit sums, the terms or
+    # the transform allocate anything
+    ctx = make_context((expsum.ONE_NORM_GUARD, 1))
+    assert ctx.term(1) == expsum.ONE_NORM_GUARD + 1
+
+    def no_digit_sums(*args):
+        raise AssertionError("digit sums computed past the guard")
+
+    monkeypatch.setattr(expsum, "digit_sums_range", no_digit_sums)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CostGuardError):
+            norm(ctx, 1, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
@@ -231,11 +333,11 @@ def test_recurrence_keeps_fraction_y_exact(n, residue):
     assert abs(s_n - geometric_third(ctx.term(n))) < 1e-9
 
 
-def residue_count_sum(ctx, n, y, beta):
-    """S_n from exact counts c[r] of the k < G_n with m (y k + beta s_G(k)) = r
+def residue_counts(ctx, n, y, beta):
+    """(m, c): exact counts c[r] of the k < G_n with m (y k + beta s_G(k)) = r
     mod m, m the common denominator: k < G_d counted one by one, then each G_k
     block [pre + l G_{k-j}, pre + (l + 1) G_{k-j}) as the counts of G_{k-j}
-    shifted by the block's phase. Only the final sum over r is rounded."""
+    shifted by the block's phase."""
     m = math.lcm(y.denominator, beta.denominator)
     hy, hb, a = int(y * m), int(beta * m), ctx.coeffs
     counts = []
@@ -254,7 +356,21 @@ def residue_count_sum(ctx, n, y, beta):
                 for r, cnt in enumerate(counts[k - j]):
                     c[(r + shift) % m] += cnt
         counts.append(c)
-    return sum(cnt * cmath.exp(2j * math.pi * r / m) for r, cnt in enumerate(counts[n]))
+    return m, counts[n]
+
+
+def residue_count_sum(ctx, n, y, beta):
+    """S_n from residue_counts; only the final sum over r is rounded."""
+    m, counts = residue_counts(ctx, n, y, beta)
+    return sum(cnt * cmath.exp(2j * math.pi * r / m) for r, cnt in enumerate(counts))
+
+
+def residue_count_reference(ctx, n, y, beta):
+    """S_n from residue_counts at 50 digits, as an mpmath complex."""
+    m, counts = residue_counts(ctx, n, y, beta)
+    with mpmath.workdps(50):
+        return mpmath.fsum(cnt * mpmath.expjpi(mpmath.mpf(2 * r) / m)
+                           for r, cnt in enumerate(counts))
 
 
 def test_residue_counts_match_direct_and_closed_form():
