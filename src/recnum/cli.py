@@ -138,16 +138,23 @@ def cmd_expsum(args) -> int:
     return EXIT_OK
 
 
+def _exact_beta(args) -> Fraction:
+    """--beta of onenorm and gallagher, a double, as the Fraction it equals."""
+    if not math.isfinite(args.beta):
+        raise PreconditionError("--beta must be finite")
+    return Fraction(args.beta)
+
+
 def cmd_onenorm(args) -> int:
     ctx = _context_from_args(args)
-    est = expsum.one_norm(ctx, args.n, args.beta)
+    est = expsum.one_norm(ctx, args.n, _exact_beta(args))
     _emit(args, {"n": args.n, "beta": args.beta, **asdict(est)})
     return EXIT_OK
 
 
 def cmd_gallagher(args) -> int:
     ctx = _context_from_args(args)
-    rep = expsum.gallagher_check(ctx, args.n, args.beta, args.qmax)
+    rep = expsum.gallagher_check(ctx, args.n, _exact_beta(args), args.qmax)
     _emit(args, {"n": args.n, "beta": args.beta, "qmax": args.qmax, **asdict(rep)})
     return EXIT_OK
 

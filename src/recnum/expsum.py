@@ -21,14 +21,20 @@ scale 1/G_n. The midpoints are equally spaced, so S_n and dS_n/dy at all of
 them come from fast Fourier transforms of the terms e(beta s_G(k)) over
 k < G_n; the recurrence serves single frequencies and sets of them such as
 the Farey points.
+
+The frequencies are exact: y and beta are ints or Fractions, never floats, so
+every phase y k + beta s is reduced mod 1 in integers and rounded to double
+once (`_turns`), at any denominator and any n.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -38,7 +44,7 @@ from .digits import digit_sums_range
 
 DIRECT_SUM_GUARD = 10**7
 # Worst admissible 1-norm: G_n prime just below the guard, so every transform
-# in _norm_nodes takes Bluestein's route. `recnum onenorm --coeffs 99990,1
+# in _transform takes Bluestein's route. `recnum onenorm --coeffs 99990,1
 # --n 1` (G_1 = 99991, 1,599,856 nodes) takes 0.60-0.64 s and peaks at 143 MB
 # RSS, against 30 MB for the interpreter with numpy and recnum, in a fresh
 # interpreter on a 2-vCPU x86-64 machine (numpy 2.4): the 16 x G_n terms and
@@ -51,40 +57,39 @@ _WINDOW = 1 << 20  # integers per window of the direct sum
 
 @dataclass(frozen=True)
 class ExpSumParams:
-    """Frequencies y (on k) and beta (on the digit sum), both taken mod 1.
+    """Frequencies y (on k) and beta (on the digit sum), exact rationals
+    reduced mod 1.
 
-    y may be an array: `exp_sum_recurrent` and `coefficient_A` then evaluate
-    at every y at once, and a scalar y is their length-1 case. Exact
-    fractions, when available, are reduced mod 1 before they are rounded to
-    float. With both y_frac and beta_frac set, the direct sum and the
-    recurrence (its initial terms and every A_{n,j}) reduce each phase
-    exactly mod 1 before one rounding to double, so a fraction y such as
-    1/3 stays exact at any n; the float y alone is off by up to 2^-54,
-    which offsets near G_n turn into whole turns. y and beta must be finite.
+    y is a Fraction or a tuple of them: `exp_sum_recurrent` and
+    `coefficient_A` then evaluate at every y at once, and a scalar y is
+    their length-1 case. beta is a Fraction. `make` takes ints and Fractions
+    (a sequence of them for several y) and refuses floats, whose error of
+    up to 2^-54 offsets near G_n would turn into whole turns.
     """
 
-    y: float | np.ndarray
-    beta: float
-    y_frac: Fraction | None = None
-    beta_frac: Fraction | None = None
+    y: Fraction | tuple[Fraction, ...]
+    beta: Fraction
 
     @classmethod
     def make(cls, y, beta) -> "ExpSumParams":
-        y_frac = y if isinstance(y, Fraction) else None
-        beta_frac = beta if isinstance(beta, Fraction) else None
-        if y_frac is not None:
-            y = y_frac % 1
-        if beta_frac is not None:
-            beta = beta_frac % 1
-        yf = np.asarray(y, dtype=float) % 1.0 if np.ndim(y) else float(y) % 1.0
-        bf = float(beta) % 1.0
-        if not (math.isfinite(bf) and np.all(np.isfinite(yf))):
-            raise PreconditionError("y and beta must be finite")
-        return cls(yf, bf, y_frac, beta_frac)
+        return cls(tuple(map(_exact, y)) if np.ndim(y) else _exact(y), _exact(beta))
+
+    @cached_property
+    def _hq(self) -> tuple[np.ndarray, np.ndarray]:
+        """Numerators and denominators of the y, as object arrays of Python ints."""
+        ys = self.y if isinstance(self.y, tuple) else (self.y,)
+        return (np.array([v.numerator for v in ys], dtype=object),
+                np.array([v.denominator for v in ys], dtype=object))
+
+
+def _exact(v) -> Fraction:
+    if not isinstance(v, numbers.Rational):
+        raise PreconditionError(f"frequencies must be ints or Fractions, not {type(v).__name__}")
+    return Fraction(v) % 1
 
 
 def _e(phase: np.ndarray | float) -> np.ndarray | complex:
-    return np.exp(2j * np.pi * np.asarray(phase))
+    return np.exp(2j * np.pi * np.asarray(phase, dtype=float))
 
 
 def _roots_of_unity(mod: int) -> np.ndarray:
@@ -96,27 +101,19 @@ def _roots_of_unity(mod: int) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[quad] * _e((4 * j - quad * mod) / (4 * mod))
 
 
-def _phase_mod1(y: float, ints) -> np.ndarray | float:
-    """y * ints mod 1 in extended precision.
+def _turns(params: ExpSumParams, k, s) -> np.ndarray:
+    """The phases (y k + beta s) mod 1 at every y of params, for Python ints
+    k, s >= 0 (or object arrays of them that broadcast against the y).
 
-    The products reach y * G_n. With the 64-bit significand of x86
-    longdouble the product errs by at most 2^-64 * y * ints < 2^-64 * G_n,
-    the reduction mod 1 is exact, and the rounding to double adds at most
-    2^-54: about 2^-64 * G_n in all, against 2^-53 * G_n for a product in
-    double. (Where longdouble is double, the latter holds.) The bound is
-    relative to the double y, not to a fraction it stands for.
-    """
-    out = (np.asarray(y, dtype=np.longdouble) * ints) % 1.0
-    return float(out) if out.shape == () else out.astype(float)
-
-
-def _phase(params: ExpSumParams, k: int, s: int) -> np.ndarray | float:
-    """The phase y k + beta s of a term e(y k + beta s), k, s >= 0, at every
-    y of params. With both exact fractions it is reduced mod 1 exactly and
-    rounded to double once; else y k goes through _phase_mod1."""
-    if params.y_frac is not None and params.beta_frac is not None:
-        return float((params.y_frac * k + params.beta_frac * int(s)) % 1)
-    return _phase_mod1(params.y, k) + params.beta * s
+    With y = h/q and beta = r/sden, the phase is num/mod, mod = q sden, with
+    num = ((h (k mod q) mod q) sden + (r s mod sden) q) mod mod taken in
+    Python integers at any denominator; int / int rounds the quotient
+    correctly, so each phase is rounded once."""
+    h, q = params._hq
+    r, sden = params.beta.numerator, params.beta.denominator
+    mod = q * sden
+    num = (h * (k % q) % q * sden + r * s % sden * q) % mod
+    return (num / mod).astype(float)
 
 
 def _counted_sum(ctx: BaseContext, g_n: int, y: Fraction, beta: Fraction) -> complex:
@@ -149,39 +146,36 @@ def _counted_sum(ctx: BaseContext, g_n: int, y: Fraction, beta: Fraction) -> com
 
 
 def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
-    """S_n(y, beta) by summation over all k < G_n, in windows of _WINDOW
-    integers.
+    """S_n(y, beta) at a scalar y by summation over all k < G_n, in windows
+    of _WINDOW integers.
 
-    On the exact path every term is e(num/mod) with an integer num in
-    [0, mod), mod = q * sden. While mod <= min(G_n, _WINDOW), _counted_sum
-    adds counts of residues and rounds only the final sum. A larger mod
-    evaluates e(num/mod) per term, and the float path e(phase) per term; each
-    of their windows is summed pairwise by np.sum, and the window sums are
-    added in order. Each window allocates its digit sums and a few index,
-    phase or term arrays, of length _WINDOW at most."""
+    Every term is e(num/mod) with an integer num in [0, mod), mod = q * sden,
+    reduced exactly as in _turns. While mod <= min(G_n, _WINDOW),
+    _counted_sum adds counts of residues and rounds only the final sum. A
+    larger mod evaluates e(num/mod) per term: in int64 while the products
+    fit, else over Python ints; each window is summed pairwise by np.sum,
+    and the window sums are added in order. In int64, num and mod are
+    converted to double before the division, exact while mod <= 2^53. Each
+    window allocates its digit sums and a few index, phase or term arrays,
+    of length _WINDOW at most."""
     g_n = ctx.term(n)
     if g_n > DIRECT_SUM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the direct summation guard")
-    exact = params.y_frac is not None and params.beta_frac is not None
-    if exact:
-        q, sden = params.y_frac.denominator, params.beta_frac.denominator
-        h, r = params.y_frac.numerator % q, params.beta_frac.numerator % sden
-        mod = q * sden
-        if mod <= min(g_n, _WINDOW):
-            return _counted_sum(ctx, g_n, params.y_frac, params.beta_frac)
-        # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
-        # only below 2**63; larger fractions take the extended-precision path
-        exact = max(q, sden) * g_n < 2**63 and 2 * mod < 2**63
+    q, sden = params.y.denominator, params.beta.denominator
+    h, r = params.y.numerator, params.beta.numerator
+    mod = q * sden
+    if mod <= min(g_n, _WINDOW):
+        return _counted_sum(ctx, g_n, params.y, params.beta)
+    # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
+    # only below 2**63; larger fractions run the same expression over Python ints
+    dtype = np.int64 if max(q, sden) * g_n < 2**63 and 2 * mod < 2**63 else object
     total = 0j
     for lo in range(0, g_n, _WINDOW):
         hi = min(lo + _WINDOW, g_n)
-        s = digit_sums_range(ctx, hi, lo)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        if exact:
-            num = ((h * ks % q) * sden + (r * s % sden) * q) % mod
-            terms = _e(num / mod)
-        else:
-            terms = _e(_phase_mod1(params.beta, s) + _phase_mod1(params.y, ks))
+        s = digit_sums_range(ctx, hi, lo).astype(dtype, copy=False)
+        ks = np.arange(lo, hi, dtype=dtype)
+        num = ((h * ks % q) * sden + (r * s % sden) * q) % mod
+        terms = _e(num / mod)
         total += complex(np.sum(terms))
     return total
 
@@ -192,9 +186,7 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
 
     For j = 1 the l = 0 term is e(0) = 1 with weight 0 in the derivative, so
     the sums start there instead of evaluating it. Each other term is
-    e(y offset + beta (pre_a + l)): from the exact fractions, when params
-    has both, reduced mod 1 in integers and rounded once, as in
-    exp_sum_direct; else through _phase_mod1."""
+    e(y offset + beta (pre_a + l)), its phase reduced exactly by _turns."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -202,39 +194,36 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
     a = ctx.coeffs
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
-    ys = np.atleast_1d(params.y)
+    size = len(params._hq[0])
     skip = int(j == 1)  # the e(0) terms, each adding 1 to A and 0 to dA
-    total = np.full(len(ys), skip, dtype=complex)
-    d_total = np.zeros(len(ys), dtype=complex)
+    total = np.full(size, skip, dtype=complex)
+    d_total = np.zeros(size, dtype=complex)
     for ell in range(skip, a[j - 1]):
         offset = pre_g + ell * ctx.term(n - j)
-        term = _e(_phase(params, offset, pre_a + ell))
+        term = _e(_turns(params, offset, pre_a + ell))
         total += term
         d_total += float(offset) * term
     d_total *= 2j * np.pi
-    if np.ndim(params.y):
+    if isinstance(params.y, tuple):
         return total, d_total
     return complex(total[0]), complex(d_total[0])
 
 
 def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
     """(S_n, dS_n/dy) via the order-d coefficient recurrence, at every y of
-    params (complex values for a scalar y, arrays for an array of y). Only the
+    params (complex values for a scalar y, arrays for a tuple of y). Only the
     last d values of each are kept."""
     if n < 0:
         raise PreconditionError("term index must be non-negative")
-    # _phase_mod1 multiplies y in longdouble: convert it once, not per term;
-    # coefficient_A then returns arrays, also for a scalar y
-    ys = np.atleast_1d(params.y).astype(np.longdouble)
-    ext = replace(params, y=ys)
+    size = len(params._hq[0])
     sums: deque = deque(maxlen=ctx.d)
     d_sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
         s = digit_sums_range(ctx, ctx.term(k))
-        acc = np.zeros(len(ys), dtype=complex)
-        d_acc = np.zeros(len(ys), dtype=complex)
-        for kk, s_kk in enumerate(s):
-            term = _e(_phase(ext, kk, s_kk))
+        acc = np.zeros(size, dtype=complex)
+        d_acc = np.zeros(size, dtype=complex)
+        for kk, s_kk in enumerate(s.tolist()):
+            term = _e(_turns(params, kk, s_kk))
             acc += term
             d_acc += kk * term
         sums.append(acc)
@@ -250,12 +239,12 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
                 s_k += sums[-1]
                 d_s_k += d_sums[-1]
                 continue
-            a_kj, d_a_kj = coefficient_A(ctx, k, j, ext)
+            a_kj, d_a_kj = coefficient_A(ctx, k, j, params)
             s_k += a_kj * sums[-j]
             d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]
         sums.append(s_k)
         d_sums.append(d_s_k)
-    if np.ndim(params.y):
+    if isinstance(params.y, tuple):
         return sums[-1], d_sums[-1]
     return complex(sums[-1][0]), complex(d_sums[-1][0])
 
@@ -266,52 +255,61 @@ class QuadratureEstimate:
     nodes: int
 
 
-def _norm_nodes(ctx: BaseContext, n: int, beta: float) -> tuple:
-    """(S_n, dS_n/dy) at the midpoint nodes y_j = (2j + 1)/(2N), j < N, that
-    both 1-norms share, N = max(64, 16 G_n) = 16 L with L = max(4, G_n).
+def _twisted_terms(ctx: BaseContext, n: int, beta: Fraction | int) -> np.ndarray:
+    """The 16 x G_n terms c_t[k] = e(beta s_G(k) + (2t + 1) k / (2N)) whose
+    transforms give S_n at the midpoint nodes y_j = (2j + 1)/(2N), j < N,
+    that both 1-norms share, N = max(64, 16 G_n) = 16 L with L = max(4, G_n).
 
     For j = 16 m + t, e(y_j k) = e(m k / L) e((2t + 1) k / (2N)), so the nodes
-    of residue t are one inverse DFT of length L of the twisted terms
-    c_t[k] = e(beta s_G(k) + (2t + 1) k / (2N)), zero-padded past G_n, and
-    dS_n/dy the same transform of 2 pi i k c_t[k]. The 16 transforms run as
-    one batched call, whose (t, m) rows are then copied into node order. Each
-    twist is reduced mod 1 in integers before one rounding. Memory: one
-    16 x G_n array of terms and three node arrays at most, all complex, plus
-    the transform's work space (see ONE_NORM_GUARD)."""
+    of residue t are one inverse DFT of length L of c_t, zero-padded past
+    G_n (`_transform`), and dS_n/dy the same transform of 2 pi i k c_t[k]
+    (`_derivative_terms`). Each twist is reduced mod 1 in integers, and
+    beta s_G(k) comes from a table over the digit sums filled by _turns,
+    each rounded once. Memory: one 16 x G_n array of terms and three node
+    arrays at most, all complex, plus the transform's work space (see
+    ONE_NORM_GUARD)."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
-    beta = ExpSumParams.make(0.0, beta).beta
+    params = ExpSumParams.make(0, beta)
     nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
-    length = nodes // SAMPLES_PER_OSCILLATION
     ks = np.arange(g_n, dtype=np.int64)
     twist = np.arange(1, 2 * SAMPLES_PER_OSCILLATION, 2)[:, None] * ks % (2 * nodes)
     phase = twist / (2 * nodes)
     del twist
-    phase += beta * digit_sums_range(ctx, g_n) % 1.0
-    terms = _e(phase)
-    del phase
-    # row t holds the nodes 16 m + t; norm="forward" leaves the inverse unscaled
-    s_n = np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
-    terms *= 2j * np.pi * ks
-    d_s_n = np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
-    return s_n, d_s_n
+    s = digit_sums_range(ctx, g_n)
+    phase += _turns(params, 0, np.arange(int(s.max()) + 1, dtype=object))[s]
+    return _e(phase)
 
 
-def one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
+def _derivative_terms(terms: np.ndarray) -> np.ndarray:
+    """2 pi i k c_t[k], in place of the c_t[k] of _twisted_terms."""
+    terms *= 2j * np.pi * np.arange(terms.shape[1])
+    return terms
+
+
+def _transform(terms: np.ndarray) -> np.ndarray:
+    """The node values of _twisted_terms' rows by one batched inverse DFT of
+    length L; row t holds the nodes 16 m + t, copied into node order.
+    norm="forward" leaves the inverse unscaled."""
+    length = max(4, terms.shape[1])
+    return np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
+
+
+def one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> QuadratureEstimate:
     """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1),
-    on the nodes of _norm_nodes."""
-    vals = np.abs(_norm_nodes(ctx, n, beta)[0])
+    on the nodes of _twisted_terms; beta is an int or a Fraction."""
+    vals = np.abs(_transform(_twisted_terms(ctx, n, beta)))
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
-def derivative_one_norm(ctx: BaseContext, n: int, beta: float) -> QuadratureEstimate:
+def derivative_one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> QuadratureEstimate:
     """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1)."""
-    vals = np.abs(_norm_nodes(ctx, n, beta)[1])
+    vals = np.abs(_transform(_derivative_terms(_twisted_terms(ctx, n, beta))))
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
-def farey_fractions(q_max: int) -> list[Fraction]:
+def farey_points(q_max: int) -> list[Fraction]:
     """All reduced fractions h/q in [0, 1) with q <= q_max."""
     pts = {Fraction(0, 1)}
     for q in range(1, q_max + 1):
@@ -332,7 +330,7 @@ class GallagherReport:
     derivative_one_norm: float
 
 
-def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> GallagherReport:
+def gallagher_check(ctx: BaseContext, n: int, beta: Fraction | int, q_max: int) -> GallagherReport:
     """Numeric check of the well-spaced-points inequality.
 
     Sums |S_n| over the Farey fractions of order q_max (pairwise spacing at
@@ -343,15 +341,15 @@ def gallagher_check(ctx: BaseContext, n: int, beta: float, q_max: int) -> Gallag
         raise PreconditionError("need q_max >= 1")
     if q_max * q_max > 10**4:
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
-    # one node pass feeds both norms, as in one_norm and derivative_one_norm;
-    # it goes first, so its guard refuses before any other work
-    s_nodes, ds_nodes = _norm_nodes(ctx, n, beta)
-    nrm = float(np.mean(np.abs(s_nodes)))
-    dnrm = float(np.mean(np.abs(ds_nodes)))
-    del s_nodes, ds_nodes
-    pts = farey_fractions(q_max)
-    ys = np.array([float(p) for p in pts])
-    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    # one set of terms feeds both norms, as in one_norm and
+    # derivative_one_norm; it goes first, so its guard refuses before any
+    # other work
+    terms = _twisted_terms(ctx, n, beta)
+    nrm = float(np.mean(np.abs(_transform(terms))))
+    dnrm = float(np.mean(np.abs(_transform(_derivative_terms(terms)))))
+    del terms
+    pts = farey_points(q_max)
+    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(pts, beta))
     lhs = float(np.sum(np.abs(s_n)))
     delta = 1.0 / (q_max * q_max)
     rhs = nrm / delta + 0.5 * dnrm

@@ -7,6 +7,7 @@ them with `pytest -m release`.
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,11 @@ def test_criterion_05_theta_with_block_a15(a15_certificate):
             f"theta={rep.theta:.7f} via {rep.winner}, kappa={kappa:.5f}")
 
 
+def dyadic(rng):
+    """A random frequency with denominator 2^30 (the library takes no floats)."""
+    return Fraction(int(rng.integers(2**30)), 2**30)
+
+
 def test_criterion_06_expsum_oracle_equivalence():
     rng = np.random.default_rng(20260823)
     bases = [(1, 1), (2, 1), (3, 1), (3, 2), (2, 1, 1)]
@@ -142,7 +148,7 @@ def test_criterion_06_expsum_oracle_equivalence():
     for coeffs in bases:
         ctx = make_context(coeffs)
         for _ in range(20):
-            params = ExpSumParams.make(rng.random(), rng.random())
+            params = ExpSumParams.make(dyadic(rng), dyadic(rng))
             table = [exp_sum_recurrent(ctx, n, params)[0] for n in range(13)]
             bounded &= all(
                 abs(v) <= ctx.term(n) * (1 + 1e-12)
@@ -194,7 +200,7 @@ def test_criterion_08_gallagher_inequality():
         ctx = make_context(coeffs)
         n = int(rng.integers(4, 7))
         q_max = int(rng.integers(3, 11))
-        rep = gallagher_check(ctx, n, float(rng.random()), q_max)
+        rep = gallagher_check(ctx, n, dyadic(rng), q_max)
         ok &= rep.ok
     _report(8, "well-spaced-points inequality for 10 random tuples", ok)
 

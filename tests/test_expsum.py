@@ -20,51 +20,73 @@ from recnum.expsum import (
     derivative_one_norm,
     exp_sum_direct,
     exp_sum_recurrent,
-    farey_fractions,
+    farey_points,
     gallagher_check,
     one_norm,
 )
 
 BASES = [(1, 1), (2, 1), (3, 2), (2, 1, 1), (5, 1)]
+frequencies = st.fractions(0, 1, max_denominator=2**20)
+
+
+def random_fraction(rng):
+    """A random dyadic fraction with denominator 2^30: y, beta and their
+    products with k < G_n stay on the int64 path of the direct sum."""
+    return Fraction(int(rng.integers(2**30)), 2**30)
+
+
+def midpoints(nodes):
+    """The exact midpoint nodes (2j + 1)/(2 nodes), j < nodes, of the 1-norms."""
+    return [Fraction(2 * j + 1, 2 * nodes) for j in range(nodes)]
 
 
 def derivative_direct(ctx, n, ys, beta):
-    """dS_n/dy = sum_{k < G_n} 2 pi i k e(beta s_G(k) + y k) at every y of ys,
-    summed directly over all k (the reference for the recurrence).
+    """dS_n/dy = sum_{k < G_n} 2 pi i k e(beta s_G(k) + y k) at every fraction
+    y of ys, summed directly over all k (the reference for the recurrence).
 
-    Phases are reduced mod 1 in extended precision, as in exp_sum_direct:
-    rounded in double, y k errs by about 1e-16 k, and near a cancelling y
-    that error is larger than the recurrence's."""
+    Each phase is reduced mod 1 in int64 over the common denominator q sden
+    of y and beta and rounded once, so no check depends on the platform's
+    long double; the fractions must keep q sden below 2^53 and h k, r s
+    below 2^63."""
     g_n = ctx.term(n)
     s = digit_sums_range(ctx, g_n)
-    ys = np.asarray(ys, dtype=np.longdouble)
+    h = np.array([y.numerator for y in ys], dtype=np.int64)
+    q = np.array([y.denominator for y in ys], dtype=np.int64)
+    r, sden = beta.numerator, beta.denominator
+    assert int(q.max()) * sden < 2**53 and max(int(q.max()), sden) * g_n < 2**63
+    mod = q * sden
     acc = np.zeros(len(ys), dtype=complex)
     chunk = max(1, 10**6 // max(len(ys), 1))
     for start in range(0, g_n, chunk):
         ks = np.arange(start, min(start + chunk, g_n), dtype=np.int64)
-        phases = (np.longdouble(beta) * s[ks])[:, None] + np.outer(ks, ys)
-        phases = (phases % 1.0).astype(float)
-        acc += (ks[:, None] * np.exp(2j * np.pi * phases)).sum(axis=0)
+        num = (np.outer(ks, h) % q * sden + (r * s[ks] % sden)[:, None] * q) % mod
+        acc += (ks[:, None] * np.exp(2j * np.pi * (num / mod))).sum(axis=0)
     return 2j * np.pi * acc
 
 
 def derivative_one_norm_direct(ctx, n, beta):
     """Midpoint rule for the 1-norm of dS_n/dy on the direct sum."""
     nodes = max(64, SAMPLES_PER_OSCILLATION * ctx.term(n))
-    ys = (np.arange(nodes) + 0.5) / nodes
-    return float(np.mean(np.abs(derivative_direct(ctx, n, ys, beta))))
+    return float(np.mean(np.abs(derivative_direct(ctx, n, midpoints(nodes), beta))))
+
+
+def norm_nodes(ctx, n, beta):
+    """(S_n, dS_n/dy) at the midpoint nodes of the 1-norms, by the transforms."""
+    terms = expsum._twisted_terms(ctx, n, beta)
+    s_n = expsum._transform(terms)
+    return s_n, expsum._transform(expsum._derivative_terms(terms))
 
 
 def test_trivial_frequencies_count_everything():
     ctx = make_context((2, 1))
-    params = ExpSumParams.make(0.0, 0.0)
+    params = ExpSumParams.make(0, 0)
     for n in range(6):
         assert exp_sum_direct(ctx, n, params) == pytest.approx(ctx.term(n))
 
 
 def test_direct_matches_bruteforce():
     ctx = make_context((1, 1))
-    params = ExpSumParams.make(0.3, 0.7)
+    params = ExpSumParams.make(Fraction(3, 10), Fraction(7, 10))
     n = 7
     expected = sum(
         complex(np.exp(2j * np.pi * (0.7 * sum_of_digits(ctx, k) + 0.3 * k)))
@@ -81,16 +103,21 @@ def direct_bruteforce(ctx, n, y, beta):
                for k in range(ctx.term(n)))
 
 
+# 3^41 > 2^64: h k and the products of the int64 path no longer fit, so the
+# int64=False case runs the expression over Python ints
+BIG_Q = Fraction(12345678901234567891, 3**41)
+
+
 @pytest.mark.parametrize("window", [1, 7, 64])
-@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("int64", [True, False])
 @pytest.mark.parametrize("coeffs, n", [((1, 1), 12), ((2, 1), 7), ((2, 1, 1), 6)])
-def test_direct_windows_match_unwindowed_and_bruteforce(monkeypatch, coeffs, n, exact, window):
+def test_direct_windows_match_unwindowed_and_bruteforce(monkeypatch, coeffs, n, int64, window):
     # window edges fall inside the range (G_n is no multiple of 7 or 64 here)
     ctx = make_context(coeffs)
-    y, beta = (Fraction(5, 13), Fraction(2, 7)) if exact else (0.3817, 0.6623)
+    y, beta = (Fraction(5, 13) if int64 else BIG_Q), Fraction(2, 7)
     params = ExpSumParams.make(y, beta)
-    assert (params.y_frac is not None) == exact
     g_n = ctx.term(n)
+    assert (y.denominator * g_n < 2**63) == int64
     assert g_n < expsum._WINDOW and g_n % 7 and g_n % 64
     whole = exp_sum_direct(ctx, n, params)
     monkeypatch.setattr(expsum, "_WINDOW", window)
@@ -104,7 +131,7 @@ def test_recurrent_matches_direct(coeffs):
     ctx = make_context(coeffs)
     rng = np.random.default_rng(2026)
     for _ in range(5):
-        params = ExpSumParams.make(rng.random(), rng.random())
+        params = ExpSumParams.make(random_fraction(rng), random_fraction(rng))
         for n in (6, 9):
             s_n, _ = exp_sum_recurrent(ctx, n, params)
             direct = exp_sum_direct(ctx, n, params)
@@ -125,8 +152,8 @@ Q10 = (2**63 - 1) // 8119  # the largest q with q G_10 < 2**63 in base (2, 1)
 
 @pytest.mark.parametrize("n, y", [
     (16, Fraction(9999999999999, 10**13)),  # h k passes 2**63 below G_16 = 1607521
-    (10, Fraction(Q10 - 1, Q10)),  # the last fraction on the exact path
-    (10, Fraction(Q10, Q10 + 1)),  # the first on the extended-precision path
+    (10, Fraction(Q10 - 1, Q10)),  # the last fraction on the int64 path
+    (10, Fraction(Q10, Q10 + 1)),  # the first on the Python-int path
 ], ids=["q=1e13", "below-int64-bound", "above-int64-bound"])
 def test_direct_large_denominator_matches_recurrent(n, y):
     ctx = make_context((2, 1))
@@ -170,7 +197,8 @@ def midpoint_norms_reference(ctx, n, beta, bits=180):
         def fixed(turns):
             return (int(mpmath.nint(mpmath.cospi(2 * turns) * one)),
                     int(mpmath.nint(mpmath.sinpi(2 * turns) * one)))
-        w = [fixed(mpmath.mpf(beta) * sum_of_digits(ctx, k)) for k in range(g_n)]
+        w = [fixed(mpmath.mpf(beta.numerator * sum_of_digits(ctx, k) % beta.denominator)
+                   / beta.denominator) for k in range(g_n)]
         total = d_total = 0
         for j in range(nodes):
             zr, zi = fixed(mpmath.mpf(2 * j + 1) / (2 * nodes))
@@ -193,9 +221,10 @@ RECURRENCE_NORM_BITS = ("0x1.a8c1ad6eec3e5p+2", "0x1.dc7295ab7001bp+11")
 
 def test_norm_bits():
     ctx = make_context((1, 1))
-    got = (one_norm(ctx, 10, 0.2).value, derivative_one_norm(ctx, 10, 0.2).value)
+    beta = Fraction(1, 5)
+    got = (one_norm(ctx, 10, beta).value, derivative_one_norm(ctx, 10, beta).value)
     assert tuple(v.hex() for v in got) == NORM_BITS
-    for new, old, ref in zip(got, RECURRENCE_NORM_BITS, midpoint_norms_reference(ctx, 10, 0.2)):
+    for new, old, ref in zip(got, RECURRENCE_NORM_BITS, midpoint_norms_reference(ctx, 10, beta)):
         assert abs(new - ref) <= abs(float.fromhex(old) - ref)
 
 
@@ -207,15 +236,15 @@ FFT_CASES = [((1, 1), n) for n in (0, 1, 2, 3, 14)] + [((2, 1), n) for n in (1, 
 
 
 @pytest.mark.parametrize("coeffs, n", FFT_CASES)
-@pytest.mark.parametrize("beta", [0.0, 0.2, 0.61803])
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1, 5), Fraction(61803, 100000)],
+                         ids=["0.0", "0.2", "0.61803"])
 def test_fft_nodes_match_recurrence(coeffs, n, beta):
     ctx = make_context(coeffs)
     g_n = ctx.term(n)
-    s_n, d_s_n = expsum._norm_nodes(ctx, n, beta)
+    s_n, d_s_n = norm_nodes(ctx, n, beta)
     nodes = max(64, SAMPLES_PER_OSCILLATION * g_n)
     assert s_n.shape == d_s_n.shape == (nodes,)
-    ys = (np.arange(nodes) + 0.5) / nodes
-    s_rec, d_s_rec = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    s_rec, d_s_rec = exp_sum_recurrent(ctx, n, ExpSumParams.make(midpoints(nodes), beta))
     assert np.max(np.abs(s_n - s_rec)) <= 1e-12 * g_n
     assert np.max(np.abs(d_s_n - d_s_rec)) <= 1e-12 * 2 * np.pi * g_n**2
     for fft, rec in ((s_n, s_rec), (d_s_n, d_s_rec)):
@@ -229,7 +258,7 @@ def test_fft_nodes_parseval(coeffs, n):
     # sum_k |c_k|^2, so G_n for S_n and 4 pi^2 sum k^2 for dS_n/dy
     ctx = make_context(coeffs)
     g_n = ctx.term(n)
-    s_n, d_s_n = expsum._norm_nodes(ctx, n, 0.37)
+    s_n, d_s_n = norm_nodes(ctx, n, Fraction(37, 100))
     assert abs(np.mean(np.abs(s_n) ** 2) - g_n) <= 1e-13 * g_n
     d_want = 4 * np.pi**2 * (g_n - 1) * g_n * (2 * g_n - 1) / 6
     assert abs(np.mean(np.abs(d_s_n) ** 2) - d_want) <= 1e-13 * d_want
@@ -250,7 +279,7 @@ def test_one_norm_guard(monkeypatch, norm):
     tracemalloc.start()
     try:
         with pytest.raises(CostGuardError):
-            norm(ctx, 1, 0.2)
+            norm(ctx, 1, Fraction(1, 5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -260,49 +289,52 @@ def test_one_norm_guard(monkeypatch, norm):
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
 def test_first_coefficient_is_exactly_one_when_a1_is_one(coeffs):
     ctx = make_context(coeffs)
-    params = ExpSumParams.make(np.random.default_rng(4).random(9), 0.37)
+    rng = np.random.default_rng(4)
+    params = ExpSumParams.make([random_fraction(rng) for _ in range(9)], Fraction(37, 100))
     for n in range(1, 12):
         a_n1, d_a_n1 = coefficient_A(ctx, n, 1, params)
         assert np.all(a_n1 == 1) and np.all(d_a_n1 == 0)
 
 
-# Parent float.hex of (S_n, dS_n/dy), before exp_sum_recurrent skipped the
-# products with A_{k,1} = 1 and dA_{k,1} = 0: y = 0 gives signed zeros, and
-# the scalar fraction takes the exact-phase path
+# float.hex of (S_n, dS_n/dy) from before exp_sum_recurrent skipped the
+# products with A_{k,1} = 1 and dA_{k,1} = 0; y = 0 gives signed zeros. The
+# array and decimal pins, whose inputs were floats until the library took
+# only fractions, come from the scalar fraction path before and after the
+# skip, which agree; the array gives each y's scalar bits
 UNIT_BITS = {
     (1, 1): (20, {
         "array": (
-            [("0x1.14bc000000000p+14", "0x0.0p+0"), ("0x1.1e2159edee4a8p-3", "-0x1.89d3153236636p-3")],
-            [("0x0.0p+0", "0x1.d5dfcc300fb92p+29"), ("0x1.634870f99fe4ap+15", "-0x1.393b1e4dba041p+15")],
+            [("0x1.14bc000000000p+14", "0x0.0p+0"), ("0x1.1e2159edf0205p-3", "-0x1.89d3153237eb4p-3")],
+            [("0x0.0p+0", "0x1.d5dfcc300fb92p+29"), ("0x1.634870f9a08dbp+15", "-0x1.393b1e4db93f6p+15")],
         ),
         "fraction": (
             [("0x1.b274891bee5dep+0", "-0x1.71fa171b4e46ep-1")],
             [("0x1.0bf92192fece7p+17", "0x1.905642176ae0ep+15")],
         ),
-        "float": (
-            [("-0x1.ea80ec7974a1fp+6", "0x1.9d970ba06e7f4p+6")],
-            [("-0x1.5992ccd3007a1p+21", "-0x1.3c27bd579e969p+23")],
+        "decimal": (
+            [("-0x1.ea80ec7974d8cp+6", "0x1.9d970ba06db56p+6")],
+            [("-0x1.5992ccd2fe7adp+21", "-0x1.3c27bd579ea08p+23")],
         ),
     }),
     (1, 1, 1): (14, {
         "array": (
-            [("0x1.6880000000000p+12", "0x0.0p+0"), ("0x1.a8ba5277c0611p-2", "-0x1.4973e213bc7a7p-2")],
-            [("0x0.0p+0", "0x1.8ea4d87d5323ep+26"), ("0x1.30afc85d7cdaap+14", "-0x1.82334c134b6e4p+11")],
+            [("0x1.6880000000000p+12", "0x0.0p+0"), ("0x1.a8ba5277c0c8dp-2", "-0x1.4973e213bc8abp-2")],
+            [("0x0.0p+0", "0x1.8ea4d87d5323ep+26"), ("0x1.30afc85d7ce0bp+14", "-0x1.82334c1349a22p+11")],
         ),
         "fraction": (
             [("0x1.64c230ce59486p+1", "0x1.e87a839a8d0d4p+0")],
             [("-0x1.4d014387ca6bbp+16", "0x1.b6d76f296db2dp+16")],
         ),
-        "float": (
-            [("-0x1.eeac769d02c9cp+1", "0x1.44247c55dbb44p+0")],
-            [("-0x1.4042e83cad822p+16", "-0x1.04af694101eb2p+19")],
+        "decimal": (
+            [("-0x1.eeac769d02fdcp+1", "0x1.44247c55d9164p+0")],
+            [("-0x1.4042e83cac104p+16", "-0x1.04af694101f22p+19")],
         ),
     }),
 }
 UNIT_PARAMS = {
-    "array": ExpSumParams.make(np.array([0.0, 0.37]), 0.0),
+    "array": ExpSumParams.make([Fraction(0), Fraction(37, 100)], Fraction(0)),
     "fraction": ExpSumParams.make(Fraction(10, 11), Fraction(2, 3)),
-    "float": ExpSumParams.make(0.37, 0.2),
+    "decimal": ExpSumParams.make(Fraction(37, 100), Fraction(1, 5)),
 }
 
 
@@ -397,7 +429,7 @@ def test_modulus_bounded_by_term():
     rng = np.random.default_rng(7)
     for coeffs in BASES:
         ctx = make_context(coeffs)
-        params = ExpSumParams.make(rng.random(), rng.random())
+        params = ExpSumParams.make(random_fraction(rng), random_fraction(rng))
         for n in range(11):
             s_n, _ = exp_sum_recurrent(ctx, n, params)
             assert abs(s_n) <= ctx.term(n) * (1 + 1e-12)
@@ -407,7 +439,7 @@ def test_coefficient_modulus_bound():
     ctx = make_context((4, 2, 1))
     rng = np.random.default_rng(11)
     for _ in range(20):
-        params = ExpSumParams.make(rng.random(), rng.random())
+        params = ExpSumParams.make(random_fraction(rng), random_fraction(rng))
         for j in ctx.index_set:
             val, _ = coefficient_A(ctx, 8, j, params)
             assert abs(val) <= ctx.coeffs[j - 1] + 1e-12
@@ -417,10 +449,11 @@ def test_kernel_ratio_equals_coefficient_modulus():
     ctx = make_context((3, 1))
     rng = np.random.default_rng(3)
     for _ in range(20):
-        y, beta = rng.random(), rng.random()
+        y, beta = random_fraction(rng), random_fraction(rng)
         params = ExpSumParams.make(y, beta)
         for j in ctx.index_set:
-            kernel = dirichlet_kernel_abs(beta + y * ctx.term(9 - j), ctx.coeffs[j - 1])
+            x = float((beta + y * ctx.term(9 - j)) % 1)
+            kernel = dirichlet_kernel_abs(x, ctx.coeffs[j - 1])
             assert float(kernel) == pytest.approx(
                 abs(coefficient_A(ctx, 9, j, params)[0]), abs=1e-8
             )
@@ -430,12 +463,12 @@ def test_kernel_ratio_equals_coefficient_modulus():
 @given(
     coeffs=st.sampled_from(BASES),
     n=st.integers(3, 9),
-    beta=st.floats(0.0, 1.0, exclude_max=True),
-    ys=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=8),
+    beta=frequencies,
+    ys=st.lists(frequencies, min_size=1, max_size=8),
 )
 def test_array_recurrence_matches_scalar_and_direct(coeffs, n, beta, ys):
     ctx = make_context(coeffs)
-    arrays = [exp_sum_recurrent(ctx, k, ExpSumParams.make(np.array(ys), beta))[0]
+    arrays = [exp_sum_recurrent(ctx, k, ExpSumParams.make(ys, beta))[0]
               for k in range(n + 1)]
     for i, y in enumerate(ys):
         params = ExpSumParams.make(y, beta)
@@ -456,14 +489,14 @@ DERIVATIVE_CASES = [(c, n) for c in BASES for n in range(1, 13)
 @settings(max_examples=40, deadline=None)
 @given(
     case=st.sampled_from(DERIVATIVE_CASES),
-    beta=st.floats(0.0, 1.0, exclude_max=True),
-    ys=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
+    beta=frequencies,
+    ys=st.lists(frequencies, min_size=1, max_size=6),
 )
 def test_recurrence_derivative_matches_direct(case, beta, ys):
     coeffs, n = case
     ctx = make_context(coeffs)
     ref = derivative_direct(ctx, n, ys, beta)
-    _, d_arr = exp_sum_recurrent(ctx, n, ExpSumParams.make(np.array(ys), beta))
+    _, d_arr = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
     for i, y in enumerate(ys):
         _, d_scalar = exp_sum_recurrent(ctx, n, ExpSumParams.make(y, beta))
         for got in (d_arr[i], d_scalar):
@@ -477,12 +510,12 @@ def test_recurrence_derivative_matches_direct(case, beta, ys):
 def test_direct_sum_guard():
     ctx = make_context((100, 1))
     with pytest.raises(CostGuardError):
-        exp_sum_direct(ctx, 12, ExpSumParams.make(0.1, 0.1))
+        exp_sum_direct(ctx, 12, ExpSumParams.make(Fraction(1, 10), Fraction(1, 10)))
 
 
 def test_coefficient_preconditions():
     ctx = make_context((3, 0, 1))
-    params = ExpSumParams.make(0.1, 0.2)
+    params = ExpSumParams.make(Fraction(1, 10), Fraction(1, 5))
     with pytest.raises(PreconditionError):
         coefficient_A(ctx, 8, 2, params)  # a_2 = 0
     with pytest.raises(PreconditionError):
@@ -490,7 +523,7 @@ def test_coefficient_preconditions():
 
 
 def test_farey_fractions():
-    f3 = farey_fractions(3)
+    f3 = farey_points(3)
     assert f3 == [
         Fraction(0),
         Fraction(1, 3),
@@ -502,20 +535,70 @@ def test_farey_fractions():
 def test_one_norm_at_beta_zero():
     # S_n(y, 0) is the geometric kernel; its 1-norm is ~ log G_n scale, > 1
     ctx = make_context((1, 1))
-    est = one_norm(ctx, 6, 0.0)
+    est = one_norm(ctx, 6, 0)
     assert 1.0 < est.value < ctx.term(6)
 
 
 def test_gallagher_inequality_holds():
     ctx = make_context((2, 1))
-    rep = gallagher_check(ctx, 5, 0.37, 7)
+    beta = Fraction(37, 100)
+    rep = gallagher_check(ctx, 5, beta, 7)
     assert rep.ok and rep.lhs <= rep.rhs * (1 + 1e-6)
-    # one node pass gives both norms, bit for bit as the two functions do
-    assert rep.one_norm == one_norm(ctx, 5, 0.37).value
-    assert rep.derivative_one_norm == derivative_one_norm(ctx, 5, 0.37).value
+    # one set of terms gives both norms, bit for bit as the two functions do
+    assert rep.one_norm == one_norm(ctx, 5, beta).value
+    assert rep.derivative_one_norm == derivative_one_norm(ctx, 5, beta).value
+
+
+@pytest.mark.parametrize("coeffs, n, q_max, beta", [
+    ((2, 1), 5, 7, Fraction(37, 100)),
+    ((1, 1), 16, 40, Fraction(0.4)),  # the double 0.4 as the CLI passes it: 2^53 below
+], ids=["small", "cli-double"])
+def test_gallagher_lhs_sums_the_scalar_recurrence(coeffs, n, q_max, beta):
+    ctx = make_context(coeffs)
+    rep = gallagher_check(ctx, n, beta, q_max)
+    scalar = [abs(exp_sum_recurrent(ctx, n, ExpSumParams.make(p, beta))[0])
+              for p in farey_points(q_max)]
+    assert rep.n_points == len(scalar)
+    assert rep.lhs == float(np.sum(scalar))
 
 
 def test_gallagher_guard():
     ctx = make_context((2, 1))
     with pytest.raises(CostGuardError):
-        gallagher_check(ctx, 5, 0.1, 200)
+        gallagher_check(ctx, 5, Fraction(1, 10), 200)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: ExpSumParams.make(0.25, Fraction(1, 2)),
+    lambda ctx: ExpSumParams.make(Fraction(1, 4), 0.5),
+    lambda ctx: ExpSumParams.make([Fraction(1, 4), 0.5], 0),
+    lambda ctx: ExpSumParams.make(np.array([0.25]), 0),
+    lambda ctx: ExpSumParams.make(np.float64(0.25), 0),
+    lambda ctx: one_norm(ctx, 5, 0.25),
+    lambda ctx: derivative_one_norm(ctx, 5, 0.25),
+    lambda ctx: gallagher_check(ctx, 5, 0.25, 3),
+], ids=["y", "beta", "y-list", "y-array", "numpy-float", "one_norm", "derivative_one_norm",
+        "gallagher"])
+def test_floats_are_refused(call):
+    with pytest.raises(PreconditionError, match="ints or Fractions"):
+        call(make_context((2, 1)))
+
+
+def test_array_y_past_int64_matches_scalar_and_residue_counts():
+    # one y of the array has a denominator above 2^63, next to small ones:
+    # every phase is reduced in Python ints, and the small y stay exact
+    ctx = make_context((2, 1))
+    beta = Fraction(2, 7)
+    ys = [Fraction(1, 3**41), BIG_Q, Fraction(1, 3), Fraction(7, 30)]
+    n = 40
+    arr, d_arr = exp_sum_recurrent(ctx, n, ExpSumParams.make(ys, beta))
+    for i, y in enumerate(ys):
+        s_n, d_s_n = exp_sum_recurrent(ctx, n, ExpSumParams.make(y, beta))
+        assert arr[i] == s_n and d_arr[i] == d_s_n
+    for i in (2, 3):
+        assert abs(arr[i] - residue_count_sum(ctx, n, ys[i], beta)) <= 1e-12 * ctx.term(n)
+    # at a size the direct sum reaches, on its Python-int path
+    for y in ys[:2]:
+        params = ExpSumParams.make(y, beta)
+        want = exp_sum_direct(ctx, 12, params)
+        assert abs(exp_sum_recurrent(ctx, 12, params)[0] - want) <= 1e-12 * ctx.term(12)
