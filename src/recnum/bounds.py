@@ -42,26 +42,38 @@ KERNEL_INTEGER_TOL = 1e-12
 DERIV_INTEGER_TOL = 1e-9
 
 
-def dirichlet_kernel_abs(x: np.ndarray, a: int) -> np.ndarray:
-    """|sin(pi a x)/sin(pi x)|, with the removable singularities set to a."""
+def reduced_argument(x: np.ndarray) -> np.ndarray:
+    """f' = min(f, 1 - f), f = x - floor(x): the distance from x to the nearest
+    integer. As |x - rint(x)| it is exact for every finite x (Sterbenz, since
+    |n|/2 <= |x| <= 2|n| for n = rint(x) != 0), where x - floor(x) rounds
+    1 + x for x in (-1/2, 0). |g| and |g'| are even and 1-periodic, so the
+    kernels take them at f' in [0, 1/2], where sin(pi f'), cos(pi f') >= 0."""
     x = np.asarray(x, dtype=float)
-    f = np.floor(x, out=np.empty_like(x))
+    f = np.rint(x, out=np.empty_like(x))
     np.subtract(x, f, out=f)
-    num = np.subtract(1.0, f, out=np.empty_like(f))
-    np.minimum(f, num, out=num)
-    near = num < KERNEL_INTEGER_TOL
-    # |sin(pi a f)| into num and |sin(pi f)| into f, step by step in the
-    # order of the plain expression, so the bits are the same
-    np.multiply(f, np.pi * a, out=num)
+    return np.abs(f, out=f)
+
+
+def dirichlet_kernel_abs(x: np.ndarray, a: int) -> np.ndarray:
+    """|g(x)| = |sin(pi a x)/sin(pi x)| at f' = `reduced_argument`(x), and a
+    where f' < KERNEL_INTEGER_TOL (the removable singularities).
+
+    Within 23.2 a u of |g(x)| (u = 2^-53, a <= 8000): pi f' and pi a f' are
+    rounded within 1.4 u and 2.5 u relative and sin within 4 ulp, so
+    sin(pi f') >= 2 f' is within 10.2 u relative, |sin(pi a f')| within
+    2.5 u pi a f' + 8 u |sin(pi a f')|, and the quotient within
+    19.2 u |g| + 3.93 a u. The substituted a is within (pi^2/6) a^3 f'^2 < a u.
+    """
+    f = reduced_argument(x)
+    near = f < KERNEL_INTEGER_TOL
+    num = np.multiply(f, np.pi * a, out=np.empty_like(f))
     np.sin(num, out=num)
     np.abs(num, out=num)
     np.multiply(f, np.pi, out=f)
     np.sin(f, out=f)
-    np.abs(f, out=f)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(num, f, out=num)
-    if near.any():
-        num[near] = a
+    num[near] = a
     return num
 
 
@@ -71,21 +83,20 @@ def kernel_derivative_cap(a: int) -> float:
 
 
 def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int) -> np.ndarray:
-    """|g'(x)| for g = sin(pi a x)/sin(pi x), capped at pi a (a-1).
+    """|g'(x)| = pi |a C s - c S| / s^2, with s, c = sin, cos(pi f') and
+    S, C = sin, cos(pi a f') at f' = `reduced_argument`(x), capped at pi a (a-1).
 
-    g is even around every integer, so g' vanishes there; the sup of |g'|
-    near an integer sits at the first oscillation (about 0.436 pi a^2), well
-    below the global cap.
+    g' vanishes at the integers: where f' < DERIV_INTEGER_TOL the result 0 is
+    within (pi^2/3) a^3 f' of |g'|. Elsewhere it is within 72 a u/f' + 88 a^2 u:
+    rounded as in `dirichlet_kernel_abs`, the numerator is within
+    (45.4 + 2.5 pi a f') u a s (by |S| <= a s and pi f' <= pi s/2), which
+    pi/s^2 with s >= 2 f' turns into 71.3 a u/f' + 12.4 a^2 u; pi, s^2 and the
+    last two roundings add 24 u |g'| <= 75.4 a^2 u.
     """
-    x = np.asarray(x, dtype=float)
-    f = np.floor(x, out=np.empty_like(x))
-    np.subtract(x, f, out=f)
-    c = np.subtract(1.0, f, out=np.empty_like(f))
-    np.minimum(f, c, out=c)
-    near = c < DERIV_INTEGER_TOL
-    # s, c = sin, cos(pi f); sa, f = sin, cos(pi a f): four buffers, then
-    # |pi (a ca s - c sa)| / s^2 in the order of that expression
-    np.multiply(f, np.pi, out=c)
+    f = reduced_argument(x)
+    near = f < DERIV_INTEGER_TOL
+    # c, s = cos, sin(pi f') and f, sa = cos, sin(pi a f'): four buffers
+    c = np.multiply(f, np.pi, out=np.empty_like(f))
     s = np.sin(c, out=np.empty_like(c))
     np.cos(c, out=c)
     np.multiply(f, np.pi * a, out=f)
@@ -100,8 +111,7 @@ def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int) -> np.ndarray:
     np.multiply(s, s, out=s)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(f, s, out=f)
-    if near.any():
-        f[near] = 0.0
+    f[near] = 0.0
     return np.minimum(f, kernel_derivative_cap(a), out=f)
 
 
@@ -121,15 +131,14 @@ def _min_abs_sin(lo: float, hi: float) -> float:
     """A lower bound for m = min |sin pi y| over [lo, hi]; 0 if it holds an integer.
 
     |sin pi y| is concave between integers, so on an integer-free interval
-    its minimum sits at an endpoint. Each endpoint y is reduced to
-    f' = min(f, 1 - f), f = y - floor(y), both steps exact (Sterbenz), so
-    sin(pi f') is within a few units in the last place; the factor
+    its minimum sits at an endpoint. At the exact `reduced_argument` f' of
+    each, sin(pi f') is within a few units in the last place; the factor
     1 - 2^-48 covers them.
     """
     if _contains_integer(lo, hi):
         return 0.0
-    fs = [y - math.floor(y) for y in (lo, hi)]
-    return min(math.sin(math.pi * min(f, 1.0 - f)) for f in fs) * (1.0 - 2.0**-48)
+    fs = reduced_argument([lo, hi]).tolist()
+    return min(math.sin(math.pi * f) for f in fs) * (1.0 - 2.0**-48)
 
 
 def _local_lipschitz(a: int, lo: float, hi: float) -> float:
@@ -171,17 +180,6 @@ def _local_second_derivative_bound(a: int, lo: float, hi: float) -> float:
 _GRID_POINT_CAP = 6 * 10**6
 
 
-def _grid_sup(a: int, lo: float, hi: float, lip: float) -> float:
-    """max of |g'| on a uniform grid of [lo, hi] plus (step/2) lip: an upper
-    bound for sup over [lo, hi] of |g'| when |g''| <= lip there. The grid
-    holds ceil((hi - lo) lip / (2 DERIV_SUP_SLACK)) + 2 points, so the
-    Lipschitz term stays below DERIV_SUP_SLACK unless _GRID_POINT_CAP binds."""
-    npts = min(int(math.ceil((hi - lo) * lip / (2.0 * DERIV_SUP_SLACK))) + 2, _GRID_POINT_CAP)
-    step = (hi - lo) / (npts - 1)
-    grid_max = float(np.max(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, npts), a)))
-    return grid_max + 0.5 * step * lip
-
-
 def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
     """Bracket [l, r] of float width for the maximizer of |g| over [lo, hi],
     an interval inside one lobe (k/a, (k+1)/a) of g.
@@ -220,14 +218,10 @@ def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
       (u = 2^-53, tan within 4 ulp, |sin(pi a y)| >= 0.97 there), and
       |phi'| >= (3/4) pi a^2, so delta = 8 u (1 + |y|) covers it. A main
       lobe, or a piece peaking at an end, peaks at lo or hi.
-    - 32 a_j u for rounding. Each point y is evaluated at f' = min(f, 1 - f),
-      f = y - floor(y): both steps are exact (Sterbenz) and |g(f')| = |g(y)|.
-      With pi a f' rounded within 2.5 u relative and sin within 4 ulp (8 u
-      relative), sin(pi f') >= 2 f' comes out within 10.2 u relative and
-      sin(pi a f') within 2.5 u pi a f' + 8 u |sin(pi a f')|, so the quotient
-      is within 19.2 u |g| + 3.93 a u <= 23.2 a u of |g|; the rest covers
-      the two sums. A float cut point sits within u |y| of its zero, so it
-      can move a piece end into the next lobe only where |g| is near 0.
+    - 32 a_j u for rounding: each kernel value is within 23.2 a_j u of |g|
+      (`dirichlet_kernel_abs`), and the rest covers the two sums. A float
+      cut point sits within u |y| of its zero, so it can move a piece end
+      into the next lobe only where |g| is near 0.
 
     The result never exceeds a_j. Intervals touching an integer return a_j
     exactly, since the supremum there is attained in the limit, and a_j = 1
@@ -248,22 +242,25 @@ def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
         points += [l, r]
         delta = 8.0 * _U * (1.0 + max(abs(l), abs(r)))
         gap = max(gap, (0.5 * (r - l) + delta) * _local_lipschitz(a_j, l, r))
-    f = np.array(points) - np.floor(points)
-    peak = float(np.max(dirichlet_kernel_abs(np.minimum(f, 1.0 - f), a_j)))
+    peak = float(np.max(dirichlet_kernel_abs(points, a_j)))
     return min(peak + gap + 32.0 * a_j * _U, float(a_j))
 
 
 def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
     """Certified upper bound for sup over (lo, hi) of |g'|, g the kernel ratio.
 
-    Grid maximum plus (step/2) times the |g''| bound of
-    `_local_second_derivative_bound`, which is the global cap on intervals
-    that hold an integer. Valid across integers as well: g' extends
-    continuously through the removable singularities (with value 0 at the
-    integers themselves), and the cap is global.
+    The max of |g'| on a grid of ceil((hi - lo) lip2 / (2 DERIV_SUP_SLACK)) + 2
+    points of [lo, hi] plus (step/2) lip2 <= DERIV_SUP_SLACK (unless
+    _GRID_POINT_CAP binds), lip2 the |g''| bound of
+    `_local_second_derivative_bound`. On intervals that hold an integer lip2
+    is the global cap, and g' extends continuously through the removable
+    singularity with value 0.
     """
     lip2 = _local_second_derivative_bound(a, lo, hi)
-    return min(_grid_sup(a, lo, hi, lip2), kernel_derivative_cap(a))
+    npts = min(int(math.ceil((hi - lo) * lip2 / (2.0 * DERIV_SUP_SLACK))) + 2, _GRID_POINT_CAP)
+    step = (hi - lo) / (npts - 1)
+    grid_max = float(np.max(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, npts), a)))
+    return min(grid_max + 0.5 * step * lip2, kernel_derivative_cap(a))
 
 
 def _sup_table(a: int, a_j: int, shift: float) -> list[float]:

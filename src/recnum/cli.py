@@ -112,12 +112,17 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
+def _frequency(text: str, flag: str) -> Fraction:
+    """A frequency argument, H/Q or a decimal, as the exact Fraction it names."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise PreconditionError(f"{flag} needs a nonzero denominator") from None
+
+
 def cmd_expsum(args) -> int:
     ctx = _context_from_args(args)
-    try:
-        y, beta = Fraction(args.y), Fraction(args.beta)
-    except ZeroDivisionError:
-        raise PreconditionError("--y and --beta need a nonzero denominator") from None
+    y, beta = _frequency(args.y, "--y"), _frequency(args.beta, "--beta")
     params = expsum.ExpSumParams.make(y, beta)
     if args.method == "direct":
         value = expsum.exp_sum_direct(ctx, args.n, params)
@@ -138,24 +143,19 @@ def cmd_expsum(args) -> int:
     return EXIT_OK
 
 
-def _exact_beta(args) -> Fraction:
-    """--beta of onenorm and gallagher, a double, as the Fraction it equals."""
-    if not math.isfinite(args.beta):
-        raise PreconditionError("--beta must be finite")
-    return Fraction(args.beta)
-
-
 def cmd_onenorm(args) -> int:
     ctx = _context_from_args(args)
-    est = expsum.one_norm(ctx, args.n, _exact_beta(args))
-    _emit(args, {"n": args.n, "beta": args.beta, **asdict(est)})
+    beta = _frequency(args.beta, "--beta")
+    est = expsum.one_norm(ctx, args.n, beta)
+    _emit(args, {"n": args.n, "beta": str(beta), **asdict(est)})
     return EXIT_OK
 
 
 def cmd_gallagher(args) -> int:
     ctx = _context_from_args(args)
-    rep = expsum.gallagher_check(ctx, args.n, _exact_beta(args), args.qmax)
-    _emit(args, {"n": args.n, "beta": args.beta, "qmax": args.qmax, **asdict(rep)})
+    beta = _frequency(args.beta, "--beta")
+    rep = expsum.gallagher_check(ctx, args.n, beta, args.qmax)
+    _emit(args, {"n": args.n, "beta": str(beta), "qmax": args.qmax, **asdict(rep)})
     return EXIT_OK
 
 
@@ -284,19 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("expsum", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--y", required=True, help="frequency on k, as H/Q")
-    sp.add_argument("--beta", required=True, help="frequency on s_G, as R/S")
+    sp.add_argument("--y", required=True, help="frequency on k, as H/Q or a decimal")
+    sp.add_argument("--beta", required=True, help="frequency on s_G, as R/S or a decimal")
     sp.add_argument("--method", choices=["direct", "recurrent"], default="recurrent")
     sp.set_defaults(func=cmd_expsum)
 
     sp = sub.add_parser("onenorm", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", required=True, help="frequency on s_G, as R/S or a decimal")
     sp.set_defaults(func=cmd_onenorm)
 
     sp = sub.add_parser("gallagher", parents=[with_base])
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--beta", type=float, required=True)
+    sp.add_argument("--beta", required=True, help="frequency on s_G, as R/S or a decimal")
     sp.add_argument("--qmax", type=int, required=True)
     sp.set_defaults(func=cmd_gallagher)
 

@@ -8,6 +8,14 @@ import pytest
 from bound_helpers import m_of_j, m_table
 from recnum import bounds
 from recnum.base import PreconditionError, make_context
+from recnum.blockcert import (
+    _build_y_grid,
+    certify_M2_2_detail,
+    floor_alpha_sq,
+    polished_alpha_inv,
+    quadratic_context,
+    reference_grid,
+)
 from recnum.bounds import (
     SHIFT_EPS_SLACK,
     _lobe_peak,
@@ -22,6 +30,7 @@ from recnum.bounds import (
     m_closed_form,
     m_shifted,
     m_value,
+    reduced_argument,
     shift_modulus_limit,
     theta_lower_bound,
 )
@@ -66,6 +75,78 @@ def test_derivative_cap_holds():
     assert np.all(dirichlet_kernel_deriv_abs(ys, a) <= kernel_derivative_cap(a))
 
 
+U = 2.0**-53
+
+
+def _mp_kernels(xs, a):
+    """|g| and |g'| at 200 bits, with their limits a and 0 at the integers."""
+    g, gp = [], []
+    with mpmath.workprec(200):
+        pi = mpmath.pi
+        for x in map(mpmath.mpf, np.asarray(xs, dtype=float).tolist()):
+            if x == mpmath.nint(x):
+                g.append(a)
+                gp.append(0)
+                continue
+            s, c = mpmath.sin(pi * x), mpmath.cos(pi * x)
+            big_s, big_c = mpmath.sin(pi * a * x), mpmath.cos(pi * a * x)
+            g.append(abs(big_s / s))
+            gp.append(abs(pi * (a * big_c * s - c * big_s) / s**2))
+    return np.array(g, dtype=float), np.array(gp, dtype=float)
+
+
+def _assert_kernels_within_written_bounds(xs, a):
+    # the bounds in the docstrings of dirichlet_kernel_abs and
+    # dirichlet_kernel_deriv_abs
+    g, gp = _mp_kernels(xs, a)
+    f = reduced_argument(xs)
+    assert np.all(np.abs(dirichlet_kernel_abs(xs, a) - g) <= 23.2 * a * U)
+    far = f >= bounds.DERIV_INTEGER_TOL
+    deriv_bound = np.where(
+        far, 72 * a * U / np.where(far, f, 1.0) + 88 * a * a * U, math.pi**2 / 3 * a**3 * f
+    )
+    assert np.all(np.abs(dirichlet_kernel_deriv_abs(xs, a) - gp) <= deriv_bound)
+
+
+@pytest.mark.parametrize("a", [7, 15, 39, 59])
+def test_kernels_within_written_bounds_against_mpmath(a):
+    # 1e-9..1e-2 from an integer on both sides (x - floor(x) near 1 is where
+    # an unreduced argument loses its digits), the same distances from the
+    # zeros k/a of the numerator, and points inside DERIV_INTEGER_TOL
+    rng = np.random.default_rng(a)
+    d = 10.0 ** rng.uniform(-9, -2, 400)
+    n = rng.integers(-2, 3, 400).astype(float)
+    k = rng.integers(1, a, 400) + a * n
+    near = [0.0, 1.0, 3e-10, 1 - 3e-10]
+    _assert_kernels_within_written_bounds(
+        np.concatenate([n + d, n - d, k / a + d, k / a - d, near]), a
+    )
+
+
+@pytest.mark.parametrize("a, q_star, j_star", [(29, 27, 17), (39, 37, 22)])
+def test_kernels_within_written_bounds_at_binding_cells(a, q_star, j_star):
+    # the binding shift q* and gamma* = j* eta of rows 29 and 39 on their
+    # reference grids: at these (q*, gamma*) the column maxima of h sum to the
+    # certificate's main term; both factors are checked at those maxima
+    grid = reference_grid(a)
+    alpha = quadratic_context(a).alpha
+    alpha_inv = polished_alpha_inv(a, alpha)
+    ys = _build_y_grid(a, floor_alpha_sq(a, alpha) + 1, grid.eps)
+    outer, inner = ys + q_star / a, alpha_inv * ys + j_star * grid.eta
+    h = dirichlet_kernel_abs(outer, a) * dirichlet_kernel_abs(inner, a)
+    main = certify_M2_2_detail(a, grid, threads=2).main
+    assert float(np.sum(np.max(h, axis=0))) == main
+    at_max = np.argmax(h, axis=0), np.arange(ys.shape[1])
+    _assert_kernels_within_written_bounds(np.concatenate([outer[at_max], inner[at_max]]), a)
+
+
+@pytest.mark.parametrize(
+    "a, lo, hi", [(15, 14 / 15, 1.0), (59, 58 / 59, 1.0), (7, 25 / 28, 29 / 28)]
+)
+def test_kernel_never_exceeds_its_supremum_next_to_an_integer(a, lo, hi):
+    assert float(dirichlet_kernel_abs(np.linspace(lo, hi, 200001), a).max()) <= a
+
+
 def test_second_derivative_cap_positive():
     assert kernel_second_derivative_cap(5) > kernel_derivative_cap(5)
 
@@ -82,12 +163,6 @@ def test_sup_certificate_dominates_samples():
         assert bound <= a
 
 
-def _reduced_kernel(ys, a):
-    # |g| at min(f, 1 - f): exact reduction, as dirichlet_sup evaluates it
-    f = ys - np.floor(ys)
-    return dirichlet_kernel_abs(np.minimum(f, 1.0 - f), a)
-
-
 # every interval of the partitions of m(j) and m^(4) for a_j = a, and
 # intervals that span several zeros of the kernel
 SUP_CASES = [
@@ -101,7 +176,7 @@ SUP_CASES = [
 def test_sup_bisection_dominates_dense_grid():
     assert len(SUP_CASES) == 596 + 5
     for a, lo, hi in SUP_CASES:
-        dense = float(_reduced_kernel(np.linspace(lo, hi, 200001), a).max())
+        dense = float(dirichlet_kernel_abs(np.linspace(lo, hi, 200001), a).max())
         bound = dirichlet_sup(a, lo, hi)
         assert dense <= bound <= dense * (1.0 + 1e-9), (a, lo, hi)
 
@@ -127,12 +202,6 @@ def _mp_sup(a, lo, hi):
         return best
 
 
-def _mp_kernel(y, a):
-    with mpmath.workprec(200):
-        y = mpmath.mpf(y)
-        return abs(mpmath.sin(mpmath.pi * a * y) / mpmath.sin(mpmath.pi * y))
-
-
 @pytest.mark.parametrize("a", [15, 39, 59])
 def test_sup_rounding_allowance_against_mpmath(a):
     # The float kernel at the located maximizers stays within the rounding
@@ -141,7 +210,7 @@ def test_sup_rounding_allowance_against_mpmath(a):
     # bracket term stay below.
     # Intervals: the side lobes, the half-shifted partition and intervals
     # whose ends lie within 1e-6 of an integer.
-    allowance = 32 * a * 2.0**-53
+    allowance = 32 * a * U
     intervals = [(c / a, (c + 1) / a) for c in range(1, a - 1)]
     intervals += [((b + 0.5) / a, (b + 1.5) / a) for b in range(a - 1)]
     intervals += [(1e-7, 1 / a), (1 - 1 / a, 1 - 3e-7), (1 + 5e-7, 1 + 2.5 / a),
@@ -152,9 +221,8 @@ def test_sup_rounding_allowance_against_mpmath(a):
         ends = [lo, *(c for c in cuts if lo < c < hi), hi]
         for p, q in zip(ends, ends[1:]):
             points += _lobe_peak(a, p, q)
-        vals = _reduced_kernel(np.array(points), a)
-        for y, v in zip(points, vals):
-            assert abs(float(v) - float(_mp_kernel(y, a))) <= allowance, (lo, hi, y)
+        vals = dirichlet_kernel_abs(points, a)
+        assert np.all(np.abs(vals - _mp_kernels(points, a)[0]) <= allowance), (lo, hi)
         true = float(_mp_sup(a, lo, hi))
         bound = dirichlet_sup(a, lo, hi)
         assert true <= bound <= true * (1.0 + 1e-10), (lo, hi)
@@ -213,8 +281,7 @@ def test_sup_coarse_grid_keeps_lipschitz_term(slack, monkeypatch):
 def _second_derivative_abs(ys, a):
     # |g''| from g'' = -pi^2 (a^2-1) g - 2 N'D'/D^2 + 2 N D'^2/D^3 at the
     # reduced argument (|g''| is symmetric about every integer and 1/2)
-    f = ys - np.floor(ys)
-    f = np.minimum(f, 1.0 - f)
+    f = reduced_argument(ys)
     n, d = np.sin(np.pi * a * f), np.sin(np.pi * f)
     dn, dd = np.pi * a * np.cos(np.pi * a * f), np.pi * np.cos(np.pi * f)
     return np.abs(-np.pi**2 * (a * a - 1) * n / d - 2 * dn * dd / d**2 + 2 * n * dd**2 / d**3)

@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from recnum import experiments, make_context, sum_of_digits
-from recnum.cli import EXIT_CERT_FAIL, EXIT_ERROR, EXIT_OK, main
+from recnum.blockcert import KAPPA_TARGET, REFERENCE_ROWS
+from recnum.cli import EXIT_CERT_FAIL, EXIT_ERROR, EXIT_OK, _round_floats, main
+from recnum.expsum import one_norm
 
 
 def run(capsys, *argv):
@@ -85,6 +88,25 @@ def test_gallagher(capsys):
         "--qmax", "7",
     )
     assert code == EXIT_OK and payload["ok"]
+
+
+def test_onenorm_beta_is_the_exact_fraction_it_names(capsys):
+    # a decimal --beta means its exact decimal value, as H/Q does
+    want = _round_floats(one_norm(make_context((1, 1)), 12, Fraction(1, 5)).value)
+    for beta in ("0.2", "1/5"):
+        code, payload = run_json(capsys, "onenorm", "--coeffs", "1,1", "--n", "12", "--beta", beta)
+        assert code == EXIT_OK and (payload["beta"], payload["value"]) == ("1/5", want)
+
+
+def test_table1_rows_34_and_35_miss_the_target(capsys):
+    # the documented sweep failure: both rows print pass = 0 and the sweep
+    # exits 2, with M2 still within 2 % of the stored row
+    code, out = run(capsys, "table1", "--rows", "34,35", "--threads", "2")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == EXIT_CERT_FAIL and [r["a"] for r in rows] == ["34", "35"]
+    for r in rows:
+        assert r["pass"] == "0" and float(r["kappa"]) > KAPPA_TARGET
+        assert float(r["M2"]) == pytest.approx(REFERENCE_ROWS[int(r["a"])][2], rel=0.02)
 
 
 def test_blockbound_exit_matches_pass(capsys):
