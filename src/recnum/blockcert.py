@@ -40,10 +40,9 @@ exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 Interval suprema are shift-periodic with period a in b + q, so a row needs
 one table of a per-residue suprema for |g| and one for |g'|. Each residue
 interval is one lobe of g, so `dirichlet_sup` brackets its peak by
-bisection; `interval_sup_deriv` takes a grid maximum whose spacing follows a
-|g''| bound for that residue. Residues c and a-1-c share their values, so
-ceil(a/2) of each are computed, and M_2(3) sums the |g| table that M_2(2)'s
-correction lines used.
+bisection (`sup_table`, the table `m_value` reads); `interval_sup_deriv`
+gives sup |g'| per residue in closed form. M_2(3) sums the |g| table that
+M_2(2)'s correction lines used.
 
 The main term lives on a shared y-grid with one column per interval b, so
 the max over y0 is a column max, and the certificate reads it only at the
@@ -73,9 +72,9 @@ from .base import BaseContext, CostGuardError, PreconditionError, make_context
 from .bounds import (
     _U,
     dirichlet_kernel_abs,
-    dirichlet_sup,
     interval_sup_deriv,
     kernel_derivative_cap,
+    sup_table,
 )
 
 KAPPA_TARGET = 2.9772122
@@ -152,19 +151,6 @@ def _pool_map(fn, items, threads: int) -> list:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-def _residue_sup_tables(a: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Per-residue sup|g| and sup|g'| over the closed intervals [c/a, (c+1)/a]."""
-
-    def sups(c: int) -> tuple[float, float]:
-        lo = c / a
-        hi = (c + 1) / a
-        return dirichlet_sup(a, lo, hi), interval_sup_deriv(a, lo, hi)
-
-    # |g(1-x)| = |g(x)| and |g'(1-x)| = |g'(x)|: residue a-1-c mirrors residue c
-    halves = zip(*_pool_map(sups, range((a + 1) // 2), threads))
-    return tuple(np.array(h + h[: a // 2][::-1]) for h in halves)
 
 
 def _build_y_grid(a: int, b_max: int, eps: float) -> np.ndarray:
@@ -329,7 +315,8 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         )
     # the max over q binds the main term and the correction sums jointly:
     # both sides of the sum depend on the same shift q
-    sup_g, sup_gp = _residue_sup_tables(a, threads)
+    sup_g = np.array(sup_table(a, a, 0.0))
+    sup_gp = np.array([interval_sup_deriv(a, c) for c in range(a)])
     cap = kernel_derivative_cap(a)
     gp_sums = _shifted_residue_sums(sup_gp, n_terms)
     g_sums = _shifted_residue_sums(sup_g, n_terms)

@@ -18,10 +18,10 @@ All suprema here are certified from above. sup |g| is located: |g| is
 log-concave on every lobe between two zeros, so each lobe's maximizer is
 bracketed by bisection on the sign of (log|g|)', and the bound is the
 largest value at the brackets and the interval ends plus a Lipschitz term
-for the bracket width and a rounding allowance (`dirichlet_sup`). sup |g'|
-is a uniform grid maximum plus a gap term from a per-interval |g''| bound
-(`interval_sup_deriv`). Intervals whose closure meets an integer
-short-circuit to the exact supremum a_j.
+for the bracket width and a rounding allowance (`dirichlet_sup`). Intervals
+whose closure meets an integer short-circuit to the exact supremum a_j.
+sup |g'| over a residue interval [c/a, (c+1)/a] has a closed form
+(`interval_sup_deriv`).
 """
 
 from __future__ import annotations
@@ -33,13 +33,14 @@ import numpy as np
 
 from .base import BaseContext, PreconditionError
 
-DERIV_SUP_SLACK = 0.005
 THETA_FLOOR_EXPONENT = 0.5  # Parseval route always gives this
 SHIFT_EPS_SLACK = 1e-6
 # distance to the nearest integer below which a point counts as the
-# removable singularity of the kernel ratio (or of its derivative)
+# removable singularity of the kernel ratio
 KERNEL_INTEGER_TOL = 1e-12
-DERIV_INTEGER_TOL = 1e-9
+# max over [0, pi] of the spherical Bessel function
+# j1(phi) = (sin phi - phi cos phi)/phi^2, at phi = 2.08157597781810..., rounded up
+J1_MAX = 0.43618181727145855
 
 
 def reduced_argument(x: np.ndarray) -> np.ndarray:
@@ -82,44 +83,6 @@ def kernel_derivative_cap(a: int) -> float:
     return math.pi * a * (a - 1)
 
 
-def dirichlet_kernel_deriv_abs(x: np.ndarray, a: int) -> np.ndarray:
-    """|g'(x)| = pi |a C s - c S| / s^2, with s, c = sin, cos(pi f') and
-    S, C = sin, cos(pi a f') at f' = `reduced_argument`(x), capped at pi a (a-1).
-
-    g' vanishes at the integers: where f' < DERIV_INTEGER_TOL the result 0 is
-    within (pi^2/3) a^3 f' of |g'|. Elsewhere it is within 72 a u/f' + 88 a^2 u:
-    rounded as in `dirichlet_kernel_abs`, the numerator is within
-    (45.4 + 2.5 pi a f') u a s (by |S| <= a s and pi f' <= pi s/2), which
-    pi/s^2 with s >= 2 f' turns into 71.3 a u/f' + 12.4 a^2 u; pi, s^2 and the
-    last two roundings add 24 u |g'| <= 75.4 a^2 u.
-    """
-    f = reduced_argument(x)
-    near = f < DERIV_INTEGER_TOL
-    # c, s = cos, sin(pi f') and f, sa = cos, sin(pi a f'): four buffers
-    c = np.multiply(f, np.pi, out=np.empty_like(f))
-    s = np.sin(c, out=np.empty_like(c))
-    np.cos(c, out=c)
-    np.multiply(f, np.pi * a, out=f)
-    sa = np.sin(f, out=np.empty_like(f))
-    np.cos(f, out=f)
-    np.multiply(f, a, out=f)
-    np.multiply(f, s, out=f)
-    np.multiply(c, sa, out=c)
-    np.subtract(f, c, out=f)
-    np.multiply(f, np.pi, out=f)
-    np.abs(f, out=f)
-    np.multiply(s, s, out=s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(f, s, out=f)
-    f[near] = 0.0
-    return np.minimum(f, kernel_derivative_cap(a), out=f)
-
-
-def kernel_second_derivative_cap(a: int) -> float:
-    """Bound (2 pi)^2 a (a^2 - 1) / 12 on |g''| (centered-series coefficients)."""
-    return (2.0 * math.pi) ** 2 * a * (a * a - 1) / 12.0
-
-
 def _contains_integer(lo: float, hi: float) -> bool:
     return math.floor(hi) >= math.ceil(lo)
 
@@ -152,32 +115,6 @@ def _local_lipschitz(a: int, lo: float, hi: float) -> float:
     if m <= 0.0:
         return cap
     return min(cap, math.pi * (a + min(a, 1.0 / m)) / m)
-
-
-def _local_second_derivative_bound(a: int, lo: float, hi: float) -> float:
-    """Per-interval bound on |g''|, with m = min |sin pi y| over [lo, hi]:
-
-        pi^2 ((a^2 - 1) min(a, 1/m) + 2a/m^2 + 2/m^3).
-
-    With N = sin(pi a y) and D = sin(pi y), N'' = -(pi a)^2 N and
-    D'' = -pi^2 D turn g'' = (N/D)'' into
-
-        g'' = -pi^2 (a^2 - 1) g - 2 N' D' / D^2 + 2 N D'^2 / D^3,
-
-    and |g| <= min(a, 1/m), |N| <= 1, |N'| <= pi a, |D'| <= pi, |D| >= m
-    bound the three terms. Falls back to the global cap when that is
-    smaller, or when the interval holds an integer: the cap is |g''| at the
-    integers, so it is exact there.
-    """
-    m = _min_abs_sin(lo, hi)
-    cap = kernel_second_derivative_cap(a)
-    if m <= 0.0:
-        return cap
-    local = (a * a - 1) * min(a, 1.0 / m) + 2.0 * a / m**2 + 2.0 / m**3
-    return min(cap, math.pi**2 * local)
-
-
-_GRID_POINT_CAP = 6 * 10**6
 
 
 def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
@@ -246,24 +183,61 @@ def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
     return min(peak + gap + 32.0 * a_j * _U, float(a_j))
 
 
-def interval_sup_deriv(a: int, lo: float, hi: float) -> float:
-    """Certified upper bound for sup over (lo, hi) of |g'|, g the kernel ratio.
+def interval_sup_deriv(a: int, c: int) -> float:
+    """Certified upper bound for sup |g'| over the closed residue interval
+    [c/a, (c+1)/a], 0 <= c < a: with c' = min(c, a-1-c), the value
 
-    The max of |g'| on a grid of ceil((hi - lo) lip2 / (2 DERIV_SUP_SLACK)) + 2
-    points of [lo, hi] plus (step/2) lip2 <= DERIV_SUP_SLACK (unless
-    _GRID_POINT_CAP binds), lip2 the |g''| bound of
-    `_local_second_derivative_bound`. On intervals that hold an integer lip2
-    is the global cap, and g' extends continuously through the removable
-    singularity with value 0.
+        pi a / sin(pi c'/a)                             for c' >= 1 (exact),
+        pi (a^2 - 1) J1_MAX / (1 - pi^2/(6 a^2))^2       for c' = 0,
+
+    times 1 + 2^-48 for rounding.
+
+    Proof. |g'(1 - x)| = |g'(x)| carries residue c onto a-1-c, so c' may
+    replace c; for odd a the middle interval c' = (a-1)/2 is symmetric about
+    1/2 and only [c'/a, 1/2] is needed. Put x = c'/a + t/pi, t in [0, pi/a]
+    (t <= pi/(2a) on that middle half), s0, c0 = sin, cos(pi c'/a) and
+    s = sin(pi x) >= s0 (pi x stays in [0, pi/2]). Then s^2 |g'(x)| / pi = |N|,
+
+        N = s0 k(t) + c0 h(t),
+        k = a cos(at) cos t + sin(at) sin t,  h = a cos(at) sin t - sin(at) cos t,
+
+    and k' = -(a^2-1) sin(at) cos t <= 0, h' = -(a^2-1) sin(at) sin t <= 0,
+    with k(0) = a, h(0) = 0, k(pi/a) = -a cos(pi/a), h(pi/a) = -a sin(pi/a).
+
+    - c' >= 1, where k >= 0 (every t <= pi/(2a), so all of the middle half):
+      0 <= s0 k <= a s0 and 0 <= -c0 h <= a c0 sin(pi/a) <= a s0, since
+      tan(pi c'/a) >= sin(pi/a). So |N| <= a s0 and |g'| <= pi a/s0.
+    - c' >= 1, where k < 0: both terms of N are negative and grow in size,
+      so |N| <= a (s0 cos(pi/a) + c0 sin(pi/a)) = a s1, s1 = sin(pi(c'+1)/a).
+      There at > pi/2, so pi x is past the midpoint of
+      [pi c'/a, pi(c'+1)/a], where s^2 >= s0 s1 since log sin is concave.
+      So |g'| <= pi a s1/(s0 s1) = pi a/s0 again, and |g'(c'/a)| attains it
+      (sin(pi a x) = 0 there).
+    - c' = 0: s0 = 0 and c0 = 1, so with phi = a t and sin u <= u,
+      |N| = |h(t)| = (a^2-1) int_0^t sin(au) sin u du
+      <= (a^2-1)(sin phi - phi cos phi)/a^2 = (a^2-1) t^2 j1(phi), and
+      s = sin t >= t (1 - t^2/6) >= t (1 - pi^2/(6 a^2)) > 0 for a >= 2.
+      j1 <= J1_MAX on [0, pi] gives the bound (0 for a = 1, where g = 1).
+
+    Rounding (u = 2^-53): math.pi is within 0.4 u of pi, every other
+    operation rounds within u, and math.sin is taken within 4 ulp (8 u
+    relative); an argument within 2.4 u relative moves sin on [0, pi/2] by
+    at most as much (theta cot theta <= 1). So the c' >= 1 value is within
+    13.4 u of pi a/s0, and the c' = 0 value within 12 u of its formula
+    (J1_MAX rounded up). The factor 1 + 32 u, rounded once, covers both.
     """
-    lip2 = _local_second_derivative_bound(a, lo, hi)
-    npts = min(int(math.ceil((hi - lo) * lip2 / (2.0 * DERIV_SUP_SLACK))) + 2, _GRID_POINT_CAP)
-    step = (hi - lo) / (npts - 1)
-    grid_max = float(np.max(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, npts), a)))
-    return min(grid_max + 0.5 * step * lip2, kernel_derivative_cap(a))
+    if not 0 <= c < a:
+        raise PreconditionError(f"residue c={c} outside 0..{a - 1}")
+    c = min(c, a - 1 - c)
+    if c:
+        value = math.pi * a / math.sin(math.pi * c / a)
+    else:
+        lead = 1.0 - math.pi * math.pi / (6 * a * a)
+        value = math.pi * (a * a - 1) * J1_MAX / (lead * lead)
+    return value * (1.0 + 2.0**-48)
 
 
-def _sup_table(a: int, a_j: int, shift: float) -> list[float]:
+def sup_table(a: int, a_j: int, shift: float) -> list[float]:
     """dirichlet_sup(a_j, .) over the a intervals ((b + shift)/a, (b + shift + 1)/a)."""
     return [dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a) for b in range(a)]
 
@@ -276,8 +250,7 @@ def _distinct_coeffs(ctx: BaseContext) -> list[int]:
 
 def m_value(ctx: BaseContext) -> float:
     """The base quantity m_G = max over the index set of the averaged suprema."""
-    a = ctx.coeffs[0]
-    return max(sum(_sup_table(a, a_j, 0.0)) / a for a_j in _distinct_coeffs(ctx))
+    return _m_routes(ctx, None)[0]
 
 
 def m_closed_form(a1: int) -> float:
@@ -303,7 +276,7 @@ def m_shifted(ctx: BaseContext, r: int) -> float:
 
     Write P_t for the partition of R/Z into the a = a_1 intervals
     I^t_b = ((b+t)/a, (b+t+1)/a), and m_j(t) for its averaged suprema
-    (the mean of _sup_table(a, a_j, t)). P_0 is cut at the zeros b/a of the
+    (the mean of sup_table(a, a_j, t)). P_0 is cut at the zeros b/a of the
     kernel for a_j = a, and at the integers, where the main lobe peaks at a_j.
     A step of the recurrence bounds the kernel term j over a window
     J = [c, c + L/a) of R/Z with L <= alpha + eps (the eventual ratio
@@ -346,22 +319,37 @@ def m_shifted(ctx: BaseContext, r: int) -> float:
       their intervals. Such shifts average below m: for the bases (a, 1),
       a = 39..59, m^(4) is about m - 0.017.
     """
-    if r < 1:
-        raise PreconditionError("shift modulus r must be >= 1")
-    u = shift_modulus_limit(ctx)
-    if 1.0 / r >= u:
-        raise PreconditionError(
-            f"shift modulus r={r} violates 1/r < u (u = {u:.6g} for this base)"
-        )
-    run = math.floor((1.0 - u) * r) + 1  # K: shifts one window can rule out
+    return _m_routes(ctx, r)[2]
+
+
+def _m_routes(
+    ctx: BaseContext, shift_r: int | None
+) -> tuple[float, dict[int, list[float]], float | None]:
+    """(m_G, the shift-0 sup table of each distinct a_j, m^(shift_r)), the last
+    None without shift_r. m^(r) reads its shift-0 averages off the same
+    tables, so each (a_j, shift) table is built once; `m_shifted` gives the
+    covering argument."""
+    r = 1
+    if shift_r is not None:
+        r = shift_r
+        if r < 1:
+            raise PreconditionError("shift modulus r must be >= 1")
+        u = shift_modulus_limit(ctx)
+        if 1.0 / r >= u:
+            raise PreconditionError(
+                f"shift modulus r={r} violates 1/r < u (u = {u:.6g} for this base)"
+            )
+        run = math.floor((1.0 - u) * r) + 1  # K: shifts one window can rule out
     a = ctx.coeffs[0]
-    worst = 0.0
-    for a_j in _distinct_coeffs(ctx):
-        avgs = [sum(_sup_table(a, a_j, t / r)) / a for t in range(r)]
-        for i in range(r):
-            kept = [avgs[(i + run + s) % r] for s in range(r - run)]
-            worst = max(worst, min(kept))
-    return worst
+    tables = {a_j: [sup_table(a, a_j, t / r) for t in range(r)] for a_j in _distinct_coeffs(ctx)}
+    avgs = [[sum(row) / a for row in rows] for rows in tables.values()]
+    m = max(v[0] for v in avgs)
+    m_r = None
+    if shift_r is not None:
+        m_r = max(
+            min(v[(i + run + s) % r] for s in range(r - run)) for v in avgs for i in range(r)
+        )
+    return m, {a_j: rows[0] for a_j, rows in tables.items()}, m_r
 
 
 @dataclass
@@ -420,17 +408,15 @@ def theta_lower_bound(
     # not a number) cannot come from a block certificate.
     if block_kappa is not None and not (math.isfinite(block_kappa) and block_kappa >= 2.0):
         raise PreconditionError(f"block kappa must be finite and >= 2, got {block_kappa}")
-    m_r = m_shifted(ctx, shift_r) if shift_r is not None else None
-    return _theta_report(ctx, m_value(ctx), m_r, block_kappa)
+    m, _, m_r = _m_routes(ctx, shift_r)
+    return _theta_report(ctx, m, m_r, block_kappa)
 
 
 def compute_mbound_report(ctx: BaseContext, shift_r: int | None = None) -> MBoundReport:
     a1 = ctx.coeffs[0]
-    tables = {a_j: _sup_table(a1, a_j, 0.0) for a_j in _distinct_coeffs(ctx)}
+    m, tables, shifted = _m_routes(ctx, shift_r)
     m_jb = {j: tables[ctx.coeffs[j - 1]] for j in ctx.index_set}
     m_j = {j: sum(v) / a1 for j, v in m_jb.items()}
-    m = max(m_j.values())
-    shifted = m_shifted(ctx, shift_r) if shift_r is not None else None
     return MBoundReport(
         coeffs=ctx.coeffs,
         m_jb=m_jb,

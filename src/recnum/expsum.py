@@ -158,6 +158,8 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     converted to double before the division, exact while mod <= 2^53. Each
     window allocates its digit sums and a few index, phase or term arrays,
     of length _WINDOW at most."""
+    if isinstance(params.y, tuple):
+        raise PreconditionError("exp_sum_direct takes a scalar y, not a tuple")
     g_n = ctx.term(n)
     if g_n > DIRECT_SUM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the direct summation guard")

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bound_helpers import sample_main_sums
+from bound_helpers import dirichlet_kernel_deriv_abs, sample_main_sums
 from recnum import blockcert
 from recnum.base import CostGuardError, PreconditionError
 from recnum.blockcert import (
@@ -17,7 +17,6 @@ from recnum.blockcert import (
     _build_y_grid,
     _gamma_grid_size,
     _main_terms,
-    _residue_sup_tables,
     certify_M2_2_detail,
     certify_M2_3,
     certify_block_bound,
@@ -28,7 +27,7 @@ from recnum.blockcert import (
     quadratic_context,
     reference_grid,
 )
-from recnum.bounds import dirichlet_kernel_abs, dirichlet_sup, interval_sup_deriv
+from recnum.bounds import dirichlet_kernel_abs, interval_sup_deriv, sup_table
 
 COARSE = GridParams(eps=0.01, eta=0.001)
 
@@ -136,13 +135,20 @@ def test_m2_3_sums_the_certificate_table():
 
 @pytest.mark.parametrize("a", [7, 8, 15])
 def test_mirrored_tables_match_direct_evaluation(a):
-    # residue a-1-c is read from residue c; evaluated directly, the two
-    # differ only by the rounding of their own brackets and grids
-    sup_g, sup_gp = _residue_sup_tables(a)
-    for c in range(a):
-        lo, hi = c / a, (c + 1) / a
-        assert sup_g[c] == pytest.approx(dirichlet_sup(a, lo, hi), rel=1e-13)
-        assert sup_gp[c] == pytest.approx(interval_sup_deriv(a, lo, hi), rel=1e-13)
+    # the |g'| table reads residue a-1-c from residue c; evaluated directly
+    # at the end nearer an integer, where each side residue peaks, |g'|
+    # differs from the table only by rounding
+    sup_gp = [interval_sup_deriv(a, c) for c in range(a)]
+    assert sup_gp == sup_gp[::-1]
+    for c in range(1, a - 1):
+        near = c / a if 2 * c < a else (c + 1) / a
+        direct = float(dirichlet_kernel_deriv_abs(np.array([near]), a)[0])
+        assert sup_gp[c] == pytest.approx(direct, rel=1e-13)
+
+
+def test_certificate_reads_the_residue_table_of_m():
+    # M_2(2)'s correction lines and M_2(3) use the |g| table that m_value reads
+    assert certify_M2_2_detail(7, COARSE).sup_g == tuple(sup_table(7, 7, 0.0))
 
 
 @pytest.mark.parametrize("a, grid, expected", [
@@ -156,9 +162,6 @@ def test_mirrored_tables_match_direct_evaluation(a):
 def test_main_nodes_closed_form_counts_the_grid(monkeypatch, a, grid, expected):
     # main_nodes is formed before the y-grid exists, for the cost guard
     monkeypatch.setattr(blockcert, "_main_terms", lambda *args: (0, 0.0, 0))
-    monkeypatch.setattr(
-        blockcert, "_residue_sup_tables", lambda a, threads: (np.ones(a), np.ones(a))
-    )
     nodes = certify_M2_2_detail(a, grid).main_nodes
     _, ys, n_gamma = _main_grid(a, grid)
     assert nodes == a * n_gamma * len(np.unique(ys)) <= MAIN_NODE_GUARD
@@ -257,8 +260,8 @@ def test_sampled_main_never_exceeds_certificate():
 
 def test_m2_3_scales_like_alpha_cubed():
     grid = COARSE
-    v15 = certify_M2_3(15, grid, _residue_sup_tables(15)[0])
-    v20 = certify_M2_3(20, grid, _residue_sup_tables(20)[0])
+    v15 = certify_M2_3(15, grid, sup_table(15, 15, 0.0))
+    v20 = certify_M2_3(20, grid, sup_table(20, 20, 0.0))
     assert v15 > 0 and v20 > v15
     # ~alpha^3/a terms of typical size ~log a: the ratio sits near
     # (alpha_20/alpha_15)^3 * (15/20), i.e. between 2x and 4x

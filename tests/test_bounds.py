@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from bound_helpers import m_of_j, m_table
+from bound_helpers import DERIV_INTEGER_TOL, dirichlet_kernel_deriv_abs, m_of_j, m_table
 from recnum import bounds
 from recnum.base import PreconditionError, make_context
 from recnum.blockcert import (
@@ -17,16 +17,14 @@ from recnum.blockcert import (
     reference_grid,
 )
 from recnum.bounds import (
+    J1_MAX,
     SHIFT_EPS_SLACK,
     _lobe_peak,
-    _local_second_derivative_bound,
     compute_mbound_report,
     dirichlet_kernel_abs,
-    dirichlet_kernel_deriv_abs,
     dirichlet_sup,
     interval_sup_deriv,
     kernel_derivative_cap,
-    kernel_second_derivative_cap,
     m_closed_form,
     m_shifted,
     m_value,
@@ -101,7 +99,7 @@ def _assert_kernels_within_written_bounds(xs, a):
     g, gp = _mp_kernels(xs, a)
     f = reduced_argument(xs)
     assert np.all(np.abs(dirichlet_kernel_abs(xs, a) - g) <= 23.2 * a * U)
-    far = f >= bounds.DERIV_INTEGER_TOL
+    far = f >= DERIV_INTEGER_TOL
     deriv_bound = np.where(
         far, 72 * a * U / np.where(far, f, 1.0) + 88 * a * a * U, math.pi**2 / 3 * a**3 * f
     )
@@ -145,10 +143,6 @@ def test_kernels_within_written_bounds_at_binding_cells(a, q_star, j_star):
 )
 def test_kernel_never_exceeds_its_supremum_next_to_an_integer(a, lo, hi):
     assert float(dirichlet_kernel_abs(np.linspace(lo, hi, 200001), a).max()) <= a
-
-
-def test_second_derivative_cap_positive():
-    assert kernel_second_derivative_cap(5) > kernel_derivative_cap(5)
 
 
 def test_sup_certificate_dominates_samples():
@@ -232,8 +226,8 @@ def test_sup_values_pinned():
     # certificates are bit-identical across refactors of the supremum routines
     assert dirichlet_sup(13, 2 / 13, 3 / 13).hex() == "0x1.c581bcbe685d4p+0"
     assert dirichlet_sup(15, 1 / 15, 2 / 15).hex() == "0x1.a766eb953429ap+1"
-    assert interval_sup_deriv(15, 1 / 15, 2 / 15).hex() == "0x1.c55118a3e549dp+7"
-    assert interval_sup_deriv(9, 0.31, 0.42).hex() == "0x1.077ee556d8a0bp+5"
+    assert interval_sup_deriv(15, 1).hex() == "0x1.c54e894c2f04dp+7"
+    assert interval_sup_deriv(9, 0).hex() == "0x1.c8dd817addf8bp+6"
 
 
 def test_sup_integer_interval_exact():
@@ -249,58 +243,79 @@ def test_sup_rejects_degenerate():
 def test_interval_sup_deriv_dominates_samples():
     a = 9
     rng = np.random.default_rng(17)
-    for lo, hi in [(0.0, 1 / a), (0.31, 0.42), (1 - 1 / a, 1.0)]:
-        bound = interval_sup_deriv(a, lo, hi)
-        ys = lo + (hi - lo) * rng.random(4000)
+    for c in range(a):
+        bound = interval_sup_deriv(a, c)
+        ys = (c + rng.random(4000)) / a
         assert bound >= float(dirichlet_kernel_deriv_abs(ys, a).max()) - 1e-9
         assert bound <= kernel_derivative_cap(a)
 
 
 def test_interval_sup_deriv_near_integer_below_cap():
-    # across the removable singularity the true sup is ~0.44 * pi * a^2
+    # next to the removable singularity the true sup is ~0.44 * pi * a^2
     a = 20
-    bound = interval_sup_deriv(a, -0.5 / a, 1.0 / a)
-    assert bound < 0.5 * kernel_derivative_cap(a)
+    for c in (0, a - 1):
+        assert interval_sup_deriv(a, c) < 0.5 * kernel_derivative_cap(a)
 
 
-@pytest.mark.parametrize("slack", [0.05, 0.2, 0.5])
-def test_sup_coarse_grid_keeps_lipschitz_term(slack, monkeypatch):
-    # On the half-shifted partition the peaks of |g'| (near the zeros b/a)
-    # lie inside the intervals, so a coarse |g'| grid misses them; only the
-    # (step/2) term with the per-interval |g''| bound covers them, and it
-    # stays below the grid's slack.
-    monkeypatch.setattr(bounds, "DERIV_SUP_SLACK", slack)
-    a = 13
-    for b in range(a - 1):
-        lo, hi = (b + 0.5) / a, (b + 1.5) / a
-        dense = float(dirichlet_kernel_deriv_abs(np.linspace(lo, hi, 200001), a).max())
-        bound = interval_sup_deriv(a, lo, hi)
-        assert dense <= bound <= dense + slack + 1e-6, (slack, b)
+def test_interval_sup_deriv_rejects_a_residue_out_of_range():
+    for c in (-1, 9):
+        with pytest.raises(PreconditionError):
+            interval_sup_deriv(9, c)
 
 
-def _second_derivative_abs(ys, a):
-    # |g''| from g'' = -pi^2 (a^2-1) g - 2 N'D'/D^2 + 2 N D'^2/D^3 at the
-    # reduced argument (|g''| is symmetric about every integer and 1/2)
-    f = reduced_argument(ys)
-    n, d = np.sin(np.pi * a * f), np.sin(np.pi * f)
-    dn, dd = np.pi * a * np.cos(np.pi * a * f), np.pi * np.cos(np.pi * f)
-    return np.abs(-np.pi**2 * (a * a - 1) * n / d - 2 * dn * dd / d**2 + 2 * n * dd**2 / d**3)
+def _mp_deriv_abs(x, a):
+    """|g'(x)| at the current mpmath precision, 0 at the integers."""
+    if x == mpmath.nint(x):
+        return mpmath.mpf(0)
+    pi = mpmath.pi
+    s, c = mpmath.sin(pi * x), mpmath.cos(pi * x)
+    return abs(pi * (a * mpmath.cos(pi * a * x) * s - c * mpmath.sin(pi * a * x)) / s**2)
 
 
-@pytest.mark.parametrize("a", [5, 15, 39])
-def test_local_second_derivative_bound(a):
-    # the residue intervals, and intervals next to an integer, short and long
-    intervals = [(c / a, (c + 1) / a) for c in range(1, a - 1)]
-    intervals += [(1e-3, 1 / a), (1e-3, 0.3), (0.6, 1 - 1e-4), (1 + 1e-4, 1 + 2 / a),
-                  (0.45, 0.55), (2 - 0.5 / a, 2 - 1e-4)]
-    cap = kernel_second_derivative_cap(a)
-    for lo, hi in intervals:
-        dense = float(_second_derivative_abs(np.linspace(lo, hi, 100001), a).max())
-        bound = _local_second_derivative_bound(a, lo, hi)
-        assert dense * (1.0 - 1e-9) <= bound <= cap, (lo, hi)
-    # an interval holding an integer keeps the cap, |g''| at the integer
-    assert _local_second_derivative_bound(a, -0.1, 0.2) == cap
-    assert float(_second_derivative_abs(np.array([1e-5]), a)[0]) == pytest.approx(cap, rel=1e-5)
+def _mp_j1(phi):
+    return (mpmath.sin(phi) - phi * mpmath.cos(phi)) / phi**2
+
+
+def _mp_j1_peak():
+    """The root of j1' next to 2.08, at the current mpmath precision."""
+    return mpmath.findroot(lambda p: mpmath.diff(_mp_j1, p), 2.08)
+
+
+@pytest.mark.parametrize("a", [2, 3, 5, 15, 29, 39, 59])
+def test_interval_sup_deriv_dominates_mpmath(a):
+    # Every residue at 200 bits: the bound is at least |g'| at both ends of
+    # the closed interval and at 100 interior points. On side residues it is
+    # within 1e-12 of the value at the end nearer an integer, where the
+    # supremum sits; on residue 0 (and a-1) it is at least its formula,
+    # pi (a^2-1) K/(1 - pi^2/(6a^2))^2 with K = max j1 found by mpmath.
+    with mpmath.workprec(200):
+        k = _mp_j1(_mp_j1_peak())
+        residue0 = mpmath.pi * (a * a - 1) * k / (1 - mpmath.pi**2 / (6 * a * a)) ** 2
+        for c in range(a):
+            bound = interval_sup_deriv(a, c)
+            xs = [mpmath.mpf(c + i / 101) / a for i in range(102)]
+            vals = [_mp_deriv_abs(x, a) for x in xs]
+            assert max(vals) <= bound, (a, c)
+            if 0 < c < a - 1:
+                near = vals[0] if 2 * c < a else vals[-1]
+                assert near <= bound <= near * (1 + mpmath.mpf(1e-12)), (a, c)
+            else:
+                assert residue0 <= bound <= residue0 * (1 + mpmath.mpf(1e-12)), (a, c)
+
+
+def test_j1_max_is_the_maximum_of_j1():
+    # j1(phi) = int_0^1 u sin(phi u) du, so j1'' = -int_0^1 u^3 sin(phi u) du
+    # < 0 on (0, pi]: the one root of j1' there is the maximum. J1_MAX is that
+    # maximum rounded up, and on a grid of step h, where |j1'| <= 1/3, the
+    # grid maximum lies within h/6 below it.
+    with mpmath.workprec(200):
+        peak = _mp_j1_peak()
+        k = _mp_j1(peak)
+        assert abs(peak - mpmath.mpf("2.0815759778181")) < 1e-12
+        assert k <= J1_MAX <= k + mpmath.mpf(2.0**-53)
+    h = math.pi / 4000
+    grid = max(_mp_j1(mpmath.mpf(i) * h) for i in range(1, 4001))
+    assert grid <= J1_MAX <= grid + h / 6
 
 
 def test_m_table_and_average():
@@ -401,3 +416,21 @@ def test_mbound_report_roundtrip():
     d = asdict(rep)
     assert d["m"] == pytest.approx(rep.m)
     assert d["closed_form"] == pytest.approx(m_closed_form(7))
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: theta_lower_bound(ctx, shift_r=2),
+    lambda ctx: compute_mbound_report(ctx, shift_r=2),
+], ids=["theta", "mbound"])
+def test_m_routes_build_each_table_once(monkeypatch, call):
+    # (59, 1) has a_j in {59, 1}, and m^(2) needs the shifts 0 and 1/2: four
+    # tables of 59 suprema, the shift-0 pair shared with m
+    calls = []
+
+    def counted(a_j, lo, hi):
+        calls.append((a_j, lo, hi))
+        return dirichlet_sup(a_j, lo, hi)
+
+    monkeypatch.setattr(bounds, "dirichlet_sup", counted)
+    call(make_context((59, 1)))
+    assert len(calls) == len(set(calls)) == 4 * 59

@@ -602,3 +602,11 @@ def test_array_y_past_int64_matches_scalar_and_residue_counts():
         params = ExpSumParams.make(y, beta)
         want = exp_sum_direct(ctx, 12, params)
         assert abs(exp_sum_recurrent(ctx, 12, params)[0] - want) <= 1e-12 * ctx.term(12)
+
+
+def test_direct_sum_refuses_a_tuple_y():
+    # the direct sum is taken at one y; a tuple (even of length 1) is refused
+    # before any summation
+    params = ExpSumParams.make([Fraction(1, 3)], 0)
+    with pytest.raises(PreconditionError, match="scalar y"):
+        exp_sum_direct(make_context((2, 1)), 5, params)
