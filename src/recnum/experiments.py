@@ -31,8 +31,8 @@ from .digits import digit_sums_range
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 _CHUNK = 1 << 20
-_SEGMENT = 1 << 18  # int32 entries per sieve_spf segment: 1 MB, about one L2 cache
-_ADD_AT_CHUNK = 1 << 18  # (e, m) pairs per np.add.at call in generalized_von_mangoldt
+_SEGMENT = 1 << 18  # integers per sieve segment: 1 MB of int32, about one L2 cache
+_ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per np.add.at call in _add_pairs
 DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
 
@@ -48,49 +48,62 @@ class SieveCache:
     spf: np.ndarray
 
 
-def sieve_spf(x: int) -> SieveCache:
-    """The smallest-prime-factor table of 0..x, segmented after Bays & Hudson
-    (BIT 17, 1977).
-
-    The primes up to isqrt(x) come from a small sieve first. The table is then
-    filled in segments of _SEGMENT entries, small enough to stay in cache:
-    each prime p <= isqrt(hi - 1) writes p at its multiples from p^2 on,
-    unconditionally and in descending p, so the smallest prime factor of a
-    composite is written last and wins. Entries left at 0 are primes and
-    get their own index. Every composite n has a prime factor p with
-    p^2 <= n, so it gets written.
-
-    int32 holds every factor up to the guard (10**8 < 2**31), at half the
-    memory of int64. The table is the only allocation that grows with x;
-    a segment's scratch is one mask and one index array of _SEGMENT entries
-    at most.
-    """
-    if x > SIEVE_GUARD:
-        raise CostGuardError(f"sieve limit {x} exceeds the memory guard {SIEVE_GUARD}")
-    if x < 2:
-        return SieveCache(x, np.zeros(max(x + 1, 2), dtype=np.int32))
-    root = math.isqrt(x)
-    is_prime = np.ones(root + 1, dtype=bool)
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n by the sieve of Eratosthenes: the sieving primes, with n
+    about isqrt(x)."""
+    is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
+    for p in range(2, math.isqrt(n) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    primes = np.flatnonzero(is_prime).tolist()
-    spf = np.zeros(x + 1, dtype=np.int32)
+    return np.flatnonzero(is_prime).tolist()
+
+
+def _spf_segments(x: int):
+    """The smallest-prime-factor table of 0..x, one segment at a time, after
+    Bays & Hudson (BIT 17, 1977): yields (lo, spf of [lo, hi), primes in
+    [lo, hi)) for the segments [lo, lo + _SEGMENT) in order.
+
+    The primes up to isqrt(x) come from a small sieve first. A segment has
+    _SEGMENT entries, small enough to stay in cache: each prime
+    p <= isqrt(hi - 1) writes p at its multiples from p^2 on, unconditionally
+    and in descending p, so the smallest prime factor of a composite is
+    written last and wins. Entries left at 0 are primes and get their own
+    index. Every composite n has a prime factor p with p^2 <= n, so it gets
+    written. 0 and 1 are neither, and keep spf 0.
+
+    int32 holds every factor up to the guard (10**8 < 2**31).
+    """
+    primes = _primes_upto(math.isqrt(x))
     for lo in range(0, x + 1, _SEGMENT):
         hi = min(lo + _SEGMENT, x + 1)
-        seg = spf[lo:hi]
+        seg = np.zeros(hi - lo, dtype=np.int32)
         for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
             seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        untouched = np.flatnonzero(seg == 0)
-        seg[untouched] = untouched + lo
-    spf[:2] = 0
+        fresh = np.flatnonzero(seg == 0)
+        if lo == 0:
+            fresh = fresh[2:]  # 0 and 1: no prime marks them
+        seg[fresh] = fresh + lo
+        yield lo, seg, fresh + lo
+
+
+def sieve_spf(x: int) -> SieveCache:
+    """The smallest-prime-factor table of 0..x, filled from _spf_segments.
+
+    The table grows with x, and the guard bounds it. The sieve experiments do
+    not build it: von_mangoldt_sum reads the primes off the segments."""
+    if x > SIEVE_GUARD:
+        raise CostGuardError(f"sieve limit {x} exceeds the memory guard {SIEVE_GUARD}")
+    spf = np.zeros(max(x + 1, 2), dtype=np.int32)
+    for lo, seg, _ in _spf_segments(x):
+        spf[lo : lo + seg.size] = seg
     return SieveCache(x, spf)
 
 
 def _digit_class_mask(ctx: BaseContext, lo: int, hi: int, r: int, s: int) -> np.ndarray:
     """Boolean mask over k in [lo, hi) for s_G(k) = r (mod s)."""
-    return digit_sums_range(ctx, hi, lo) % s == r % s
+    sums = digit_sums_range(ctx, hi, lo)
+    return np.remainder(sums, s, out=sums) == r % s
 
 
 @dataclass
@@ -151,23 +164,26 @@ def bv_discrepancy(
         raise PreconditionError(violation)
     q_max = max(1, math.ceil(x**exponent) - 1)
     z_samples = geometric_z_samples(x)
-    # all k < x in the digit class, sorted; per-z restriction by searchsorted
+    # all k < x in the digit class, ascending
     in_class = []
     for lo in range(0, x, _CHUNK):
         hi = min(lo + _CHUNK, x)
         mask = _digit_class_mask(ctx, lo, hi, r, s)
         in_class.append(np.arange(lo, hi, dtype=np.int64)[mask])
     ks = np.concatenate(in_class) if in_class else np.zeros(0, dtype=np.int64)
-    per_q = [0.0] * (q_max + 1)
-    for z in z_samples:
-        sub = ks[: int(np.searchsorted(ks, z))]
-        n_sub = len(sub)
-        for q in range(1, q_max + 1):
-            counts = np.bincount(sub % q, minlength=q)
-            dev = float(np.max(np.abs(counts - n_sub / q)))
-            if dev > per_q[q]:
-                per_q[q] = dev
-    total = float(sum(per_q[1:]))
+    below = np.searchsorted(ks, z_samples)  # #{k < z} for each sample z
+    per_q = []
+    key = np.empty_like(ks)
+    for q in range(1, q_max + 1):
+        # one bincount of (t, k mod q), where z_t is the first sample above k;
+        # the counts below each z are then cumulative sums over t
+        np.remainder(ks, q, out=key)
+        for t in range(1, len(z_samples)):
+            key[below[t - 1] : below[t]] += t * q
+        counts = np.bincount(key, minlength=len(z_samples) * q).reshape(-1, q)
+        dev = np.abs(np.cumsum(counts, axis=0) - (below / q)[:, None])
+        per_q.append(float(np.max(dev)))
+    total = float(sum(per_q))
     normalized = total * math.log(2 * x) ** DISCREPANCY_LOG_POWER / x
     return DiscrepancyReport(
         x=x,
@@ -177,7 +193,7 @@ def bv_discrepancy(
         exponent=exponent,
         A=DISCREPANCY_LOG_POWER,
         z_samples=z_samples,
-        per_q=per_q[1:],
+        per_q=per_q,
         total=total,
         normalized=normalized,
     )
@@ -187,90 +203,176 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     """#{k <= x : s_G(k) = r (mod s), k prime or a product of two primes}.
 
     Semiprimes include squares p^2 (the two prime factors need not differ).
-    A failed coprimality hypothesis warns, as in von_mangoldt_sum. The sieve
-    up to x is built after the arguments are checked.
+    A failed coprimality hypothesis warns, as in von_mangoldt_sum.
+
+    A segmented Omega sieve, after Bays & Hudson (BIT 17, 1977) and Oliveira e
+    Silva, Herzog & Pardi (Math. Comp. 83, 2014). In each window of _CHUNK
+    integers, every prime p <= isqrt(x) and every power p^e below the
+    window's end add 1 to omega and multiply prod by p at the multiples of
+    p^e. Then prod is the part of k made of primes <= isqrt(x), and omega is
+    its number of prime factors with multiplicity. k <= x has at most one
+    prime factor above isqrt(x), and it has one exactly when prod < k. prod
+    divides k <= x, so int32 holds it below the guard (10**8 < 2**31).
+
+    No array grows with x, so SIEVE_GUARD bounds the running time, not the
+    memory; it is checked before any work.
     """
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
+    if x > SIEVE_GUARD:
+        raise CostGuardError(f"x = {x} exceeds the guard {SIEVE_GUARD}")
     _warn_gcd_hypothesis(ctx, s)
+    # (p^e, p) for every prime p <= isqrt(x) and every power p^e <= x, by p^e
+    powers = []
+    for p in _primes_upto(math.isqrt(x)):
+        pe = p
+        while pe <= x:
+            powers.append((pe, p))
+            pe *= p
+    powers.sort()
     total = 0
-    spf = sieve_spf(x).spf
-    for lo in range(2, x + 1, _CHUNK):
+    for lo in range(0, x + 1, _CHUNK):
         hi = min(lo + _CHUNK, x + 1)
-        ks = np.arange(lo, hi, dtype=np.int64)
-        p = spf[lo:hi]
-        quotient = ks // p
-        prime = quotient == 1
-        semiprime = (quotient > 1) & (spf[quotient] == quotient)
-        mask = (prime | semiprime) & _digit_class_mask(ctx, lo, hi, r, s)
+        omega = np.zeros(hi - lo, dtype=np.int8)
+        prod = np.ones(hi - lo, dtype=np.int32)
+        for pe, p in powers:
+            if pe >= hi:
+                break
+            st = max(pe, -(-lo // pe) * pe) - lo
+            omega[st::pe] += 1
+            prod[st::pe] *= p
+        omega += prod < np.arange(lo, hi, dtype=np.int32)
+        mask = (omega >= 1) & (omega <= 2) & _digit_class_mask(ctx, lo, hi, r, s)
         total += int(np.count_nonzero(mask))
     return total
 
 
-def von_mangoldt_table(x: int, sieve: SieveCache) -> np.ndarray:
-    """Lambda(n) for n <= x: log p at prime powers p^k, else 0.
+def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prime powers e = p^k <= n, ascending, and Lambda(e) = log p.
 
-    log p comes from math.log: np.log differs from it by one ulp on some
-    primes, and every Lambda_l inherits these values."""
-    if sieve.limit < x:
-        raise PreconditionError("sieve limit is smaller than x")
-    lam = np.zeros(x + 1)
-    primes = np.flatnonzero(sieve.spf[: x + 1] == np.arange(x + 1, dtype=sieve.spf.dtype))
-    primes = primes[primes >= 2]
-    # math.log converts p to a double, exact below 2**53
-    lam[primes] = np.fromiter(map(math.log, primes), dtype=float, count=primes.size)
-    # p^k for k >= 2, over the primes that still have p^k <= x
-    primes = primes[: np.searchsorted(primes, math.isqrt(x), side="right")]
-    logs = lam[primes]
+    The primes come from _spf_segments. log p comes from math.log: np.log
+    differs from it by one ulp on some primes, and every Lambda_l inherits
+    these values."""
+    primes, logs = [], []
+    for _, _, ps in _spf_segments(n):
+        primes.append(ps)
+        # math.log converts p to a double, exact below 2**53
+        logs.append(np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size))
+    primes, logs = np.concatenate(primes), np.concatenate(logs)
+    es, lv = [primes], [logs]
+    # p^k for k >= 2, over the primes that still have p^k <= n
+    k = int(np.searchsorted(primes, math.isqrt(n), side="right"))
+    primes, logs = primes[:k], logs[:k]
     powers = primes * primes
     while powers.size:
-        keep = powers <= x
+        keep = powers <= n
         primes, logs, powers = primes[keep], logs[keep], powers[keep]
-        lam[powers] = logs
-        powers *= primes
-    return lam
+        es.append(powers)
+        lv.append(logs)
+        powers = powers * primes
+    es, lv = np.concatenate(es), np.concatenate(lv)
+    order = np.argsort(es, kind="stable")
+    return es[order], lv[order]
 
 
-def generalized_von_mangoldt(x: int, ell: int, sieve: SieveCache) -> np.ndarray:
-    """Lambda_l(n) = (mu * log^l)(n) for n <= x, via the recursion
+def _add_pairs(out, lo, es, lv, ms, cv, ptr) -> None:
+    """Add cv[j] lv[i] to out[es[i] ms[j] - lo] for every pair with
+    es[i] ms[j] in the window [lo, lo + out.size), in ascending i and then j,
+    by np.add.at in batches of _ADD_AT_CHUNK pairs.
+
+    ptr[i] is the first j whose product with es[i] is >= lo; it moves to the
+    window's end. The windows must come in order, and ms must hold every m
+    of the support up to (lo + out.size - 1) // 2, in ascending order."""
+    if not ms.size:
+        return
+    top = lo + out.size - 1
+    active = int(np.searchsorted(es, top // ms[0], side="right"))
+    end = np.searchsorted(ms, top // es[:active], side="right")
+    # pair p belongs to es[i] with bounds[i] <= p < bounds[i + 1], and its m
+    # is ms[p + shift[i]]
+    bounds = np.zeros(active + 1, dtype=np.int64)
+    np.subtract(end, ptr[:active], out=bounds[1:])
+    np.cumsum(bounds, out=bounds)
+    shift = ptr[:active] - bounds[:-1]
+    for b0 in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
+        b1 = min(b0 + _ADD_AT_CHUNK, int(bounds[-1]))
+        # es[i0:i1] are the prime powers whose runs meet pairs [b0, b1)
+        i0 = int(np.searchsorted(bounds, b0, side="right")) - 1
+        i1 = int(np.searchsorted(bounds, b1, side="left"))
+        run = np.minimum(bounds[i0 + 1 : i1 + 1], b1) - np.maximum(bounds[i0:i1], b0)
+        j = np.arange(b0, b1) + np.repeat(shift[i0:i1], run)
+        e, lam = np.repeat(es[i0:i1], run), np.repeat(lv[i0:i1], run)
+        np.add.at(out, e * ms[j] - lo, cv[j] * lam)
+    ptr[:active] = end
+
+
+def _lambda_windows(n: int, ell: int):
+    """Lambda_l(k) = (mu * log^l)(k) for 0 <= k <= n, one window at a time:
+    yields (lo, Lambda_l on [lo, hi)) for the windows [lo, lo + _CHUNK) in
+    order, in one buffer that the next window overwrites. The recursion is
     Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
-    Lambda_1 = Lambda.
+    Lambda_1 = Lambda from the sparse prime-power list (es, lv).
 
-    A step runs over two supports: the prime powers es (values lv) and the
-    ms with Lambda_{l-1}(m) != 0 (values cv). It sets log(m) cv at ms, then
-    adds cv[j] lv[i] at es[i] ms[j] for every pair with es[i] ms[j] <= x, in
-    ascending e, by np.add.at in chunks of _ADD_AT_CHUNK pairs. np.add.at is
-    unbuffered and adds in input order, so Lambda_l(n) gets log(n)
-    Lambda_{l-1}(n) first, then its terms in ascending e: one left-to-right
-    sum. A pair left out would add an exact 0.0, which changes nothing as
-    every Lambda_l is >= 0, so the bits are those of the dense recursion.
-    np.bincount would regroup the sums and change the bits. Before numpy
-    1.25, np.add.at is slower, not different."""
+    In a window, every level l >= 2 sets log(k) Lambda_{l-1}(k) at the support
+    of Lambda_{l-1}, then adds Lambda_{l-1}(m) Lambda(e) at k = e m in
+    ascending e (_add_pairs). np.add.at is unbuffered and adds in input
+    order, so Lambda_l(k) gets log(k) Lambda_{l-1}(k) first, then its terms
+    in ascending e: one left-to-right sum. A pair left out would add an exact
+    0.0, which changes nothing as every Lambda_l is >= 0, so the bits are
+    those of the dense recursion with one strided slice-add per e. np.bincount
+    would regroup the sums and change the bits. Before numpy 1.25, np.add.at
+    is slower, not different.
+
+    The m side needs the support of Lambda_{l-1} only up to n // 2, since
+    e >= 2, and a window only below its own end. So the levels run in
+    lockstep: each window computes Lambda_1, ..., Lambda_l in turn and
+    appends the support of each intermediate level before the next level
+    reads it. Memory is the prime powers, those supports (for l >= 3) and
+    one window; nothing has length n.
+    """
+    es, lv = _prime_powers(n)
+    empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
+    # (ms, cv): the support of Lambda_1, and of Lambda_2, ..., Lambda_{l-1}
+    # up to n // 2 as far as the windows have reached
+    supports = [(es, lv)] + [empty] * (ell - 2)
+    ptrs = [np.zeros(es.size, dtype=np.int64) for _ in range(ell - 1)]
+    buf = np.empty(min(_CHUNK, n + 1))
+    for lo in range(0, n + 1, _CHUNK):
+        hi = min(lo + _CHUNK, n + 1)
+        cur = buf[: hi - lo]
+        cur.fill(0.0)
+        a, b = np.searchsorted(es, (lo, hi))
+        k, vals = es[a:b] - lo, lv[a:b]  # the support of Lambda_1, and its values
+        cur[k] = vals
+        for level in range(1, ell):
+            # Lambda_{level+1} overwrites Lambda_level, which is 0 off k
+            cur[k] = np.log(k + lo) * vals
+            _add_pairs(cur, lo, es, lv, *supports[level - 1], ptrs[level - 1])
+            if level < ell - 1:
+                k = np.flatnonzero(cur)
+                vals = cur[k]
+                if lo <= n // 2:
+                    h = int(np.searchsorted(k, n // 2 - lo, side="right"))
+                    ms, cv = supports[level]
+                    ms, cv = np.concatenate([ms, k[:h] + lo]), np.concatenate([cv, vals[:h]])
+                    supports[level] = ms, cv
+        yield lo, cur
+
+
+def von_mangoldt_table(x: int) -> np.ndarray:
+    """Lambda(n) for n <= x: log p at prime powers p^k, else 0."""
+    return generalized_von_mangoldt(x, 1)
+
+
+def generalized_von_mangoldt(x: int, ell: int) -> np.ndarray:
+    """Lambda_l(n) = (mu * log^l)(n) for n <= x: the windows of
+    _lambda_windows, side by side."""
     if ell < 1:
         raise PreconditionError("need ell >= 1")
-    cur = von_mangoldt_table(x, sieve)
-    es = np.flatnonzero(cur)
-    lv = cur[es]
-    ms, cv = es, lv
-    for step in range(ell - 1):
-        if step:
-            ms = np.flatnonzero(cur)
-            cv = cur[ms]
-        cur = np.zeros(x + 1)
-        cur[ms] = np.log(ms) * cv
-        # pair p belongs to es[i] with bounds[i] <= p < bounds[i + 1]
-        bounds = np.zeros(es.size + 1, dtype=np.int64)
-        np.cumsum(np.searchsorted(ms, x // es, side="right"), out=bounds[1:])
-        for lo in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
-            hi = min(lo + _ADD_AT_CHUNK, int(bounds[-1]))
-            # es[i0:i1] are the prime powers whose runs meet pairs [lo, hi)
-            i0 = int(np.searchsorted(bounds, lo, side="right")) - 1
-            i1 = int(np.searchsorted(bounds, hi, side="left"))
-            run = np.minimum(bounds[i0 + 1 : i1 + 1], hi) - np.maximum(bounds[i0:i1], lo)
-            i = np.repeat(np.arange(i0, i1), run)
-            j = np.arange(lo, hi) - bounds[i]
-            np.add.at(cur, es[i] * ms[j], cv[j] * lv[i])
-    return cur
+    out = np.empty(x + 1)
+    for lo, w in _lambda_windows(x, ell):
+        out[lo : lo + w.size] = w
+    return out
 
 
 @dataclass
@@ -290,8 +392,9 @@ def von_mangoldt_sum(
     """sum_{k < x, s_G(k) = r (mod s)} Lambda_l(k) against (l/s) x (log x)^{l-1}.
 
     The coprimality hypothesis gcd(a_1 + ... + a_d - 1, s) = 1 is reported as
-    a GcdPreconditionWarning rather than an error. The sieve is built after
-    the arguments are checked.
+    a GcdPreconditionWarning rather than an error. Lambda_l streams in windows
+    of _CHUNK after the arguments are checked; each window's class sum is one
+    np.sum, so _CHUNK sets the bits of lhs.
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")
@@ -300,12 +403,10 @@ def von_mangoldt_sum(
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     _warn_gcd_hypothesis(ctx, s)
-    lam_ell = generalized_von_mangoldt(x - 1, ell, sieve_spf(x))
     lhs = 0.0
-    for lo in range(0, x, _CHUNK):
-        hi = min(lo + _CHUNK, x)
-        mask = _digit_class_mask(ctx, lo, hi, r, s)
-        lhs += float(np.sum(lam_ell[lo:hi][mask]))
+    for lo, lam in _lambda_windows(x - 1, ell):
+        mask = _digit_class_mask(ctx, lo, lo + lam.size, r, s)
+        lhs += float(np.sum(lam[mask]))
     main = (ell / s) * x * math.log(x) ** (ell - 1)
     return VonMangoldtReport(
         x=x, ell=ell, r=r, s=s, lhs=lhs, main_term=main, ratio=lhs / main

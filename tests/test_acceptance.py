@@ -28,7 +28,6 @@ from recnum.experiments import (
     almost_prime_count,
     bv_discrepancy,
     generalized_von_mangoldt,
-    sieve_spf,
     von_mangoldt_sum,
 )
 from recnum.expsum import ExpSumParams, exp_sum_direct, exp_sum_recurrent, gallagher_check
@@ -282,7 +281,7 @@ def test_criterion_11_empirical_corollaries():
         degenerate = von_mangoldt_sum(vm_ctx, 10**6, 2, 1, 2)
 
     x = 10**6
-    lam2 = generalized_von_mangoldt(x, 2, sieve_spf(x))
+    lam2 = generalized_von_mangoldt(x, 2)
     norm = float(lam2.sum()) / (2 * x * math.log(x))
     norm_ok = 0.85 <= norm <= 1.15
 

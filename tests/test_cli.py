@@ -246,13 +246,16 @@ def test_sieve_commands_reject_bad_inputs(capsys, cmd, x, s, theta, message):
      "x = 20000000 exceeds the guard 10000000"),
     (["vmsum", "--x", "10000000", "--ell", "1", "--s", "2"], "need ell >= 2"),
     (["almostprimes", "--x", "10000000", "--s", "0"], "need x >= 2 and s >= 1"),
-], ids=["vmsum-guard", "vmsum-ell-1", "almostprimes-s-0"])
+    (["almostprimes", "--x", "200000000", "--s", "2"],
+     "x = 200000000 exceeds the guard 100000000"),
+], ids=["vmsum-guard", "vmsum-ell-1", "almostprimes-s-0", "almostprimes-guard"])
 def test_sieve_commands_check_before_sieving(capsys, monkeypatch, argv, message):
-    # a refused input must not pay for the sieve (400 MB at the guard)
-    def no_sieve(x):
-        raise AssertionError(f"sieve_spf({x}) called before the input was checked")
+    # a refused input must not pay for the sieve: both commands start by
+    # sieving the primes up to isqrt(x)
+    def no_sieve(n):
+        raise AssertionError(f"_primes_upto({n}) called before the input was checked")
 
-    monkeypatch.setattr(experiments, "sieve_spf", no_sieve)
+    monkeypatch.setattr(experiments, "_primes_upto", no_sieve)
     assert main([*argv, "--coeffs", "1,1", "--r", "1"]) == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: {message}")
 

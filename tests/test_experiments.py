@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import asdict
 from functools import lru_cache
@@ -64,6 +65,8 @@ def test_sieve_spf_matches_reference(x):
 def test_sieve_guard():
     with pytest.raises(CostGuardError):
         sieve_spf(10**9)
+    with pytest.raises(CostGuardError, match="exceeds the guard 100000000"):
+        almost_prime_count(ZECK, experiments.SIEVE_GUARD + 1, 1, 2)
 
 
 def class_progression_count(ctx, z, r, s, h, q):
@@ -109,6 +112,25 @@ def test_bv_discrepancy_small():
     assert asdict(rep)["x"] == x
 
 
+def bv_per_q_reference(ctx, x, r, s, q_max):
+    """The per-q discrepancy with one bincount per sample z and modulus q."""
+    ks = np.flatnonzero(digit_sums_range(ctx, x) % s == r % s)
+    per_q = [0.0] * q_max
+    for z in geometric_z_samples(x):
+        sub = ks[: int(np.searchsorted(ks, z))]
+        for q in range(1, q_max + 1):
+            dev = float(np.max(np.abs(np.bincount(sub % q, minlength=q) - len(sub) / q)))
+            per_q[q - 1] = max(per_q[q - 1], dev)
+    return per_q
+
+
+@pytest.mark.parametrize("x", [1, 2, 3 * 10**5])
+def test_bv_discrepancy_matches_per_z_reference(x):
+    for r in (0, 1):
+        rep = bv_discrepancy(ZECK, x, r, 2, exponent=0.3)
+        assert rep.per_q == bv_per_q_reference(ZECK, x, r, 2, rep.q_max), r
+
+
 def test_bv_discrepancy_rejects_bad_gcd():
     # a = (2, 1): a_1 + a_2 - 1 = 2 shares a factor with s = 2
     ctx = make_context((2, 1))
@@ -137,6 +159,56 @@ def test_almost_prime_count_bruteforce():
         1 for k in range(2, x + 1) if is_p2(k) and sum_of_digits(ZECK, k) % 2 == 1
     )
     assert almost_prime_count(ZECK, x, 1, 2) == expected
+
+
+def almost_prime_count_reference(ctx, x, r, s):
+    """The count read off the smallest-prime-factor table: k is prime when
+    spf(k) = k, and a product of two primes when k / spf(k) is prime."""
+    spf = sieve_spf(x).spf
+    total = 0
+    for lo in range(2, x + 1, 1 << 20):
+        hi = min(lo + (1 << 20), x + 1)
+        ks = np.arange(lo, hi, dtype=np.int64)
+        quotient = ks // spf[lo:hi]
+        prime = quotient == 1
+        semiprime = (quotient > 1) & (spf[quotient] == quotient)
+        mask = (prime | semiprime) & (digit_sums_range(ctx, hi, lo) % s == r % s)
+        total += int(np.count_nonzero(mask))
+    return total
+
+
+# around one and several spf segments (2**18) and Omega-sieve windows (2**20)
+WINDOW_XS = sorted(
+    {x for w in (2**18, 2**20) for x in (w - 1, w, w + 1, 3 * w + 7)} | {2, 3, 4, 10**6}
+)
+
+
+@pytest.mark.filterwarnings("ignore::recnum.experiments.GcdPreconditionWarning")
+@pytest.mark.parametrize("x", WINDOW_XS)
+def test_almost_prime_count_matches_spf_reference(x):
+    for coeffs in [(1, 1), (2, 1), (1, 1, 1)]:
+        ctx = make_context(coeffs)
+        for r in (0, 1):
+            want = almost_prime_count_reference(ctx, x, r, 2)
+            assert almost_prime_count(ctx, x, r, 2) == want, (coeffs, r)
+
+
+def test_sieve_paths_allocate_no_table_of_length_x():
+    # the streamed paths stay below the table they replaced: a float64 Lambda_l
+    # (8x bytes) for von_mangoldt_sum, the int32 spf table (4x) for the count
+    x = 10**7
+    calls = [
+        (lambda: von_mangoldt_sum(ZECK, x, 2, 1, 2), 8 * x),
+        (lambda: almost_prime_count(ZECK, x, 1, 2), 4 * x),
+    ]
+    for call, limit in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 @lru_cache(maxsize=None)
@@ -170,6 +242,63 @@ def generalized_von_mangoldt_reference(x, ell, lam):
     return cur
 
 
+def generalized_von_mangoldt_dense(x, ell):
+    """Lambda_l on 0..x by the recursion over the whole range at once: Lambda
+    off the smallest-prime-factor table, then per level log(n) Lambda_{l-1}(n)
+    at the support and every pair e m <= x by np.add.at, in ascending e."""
+    spf = sieve_spf(x).spf[: x + 1]
+    cur = np.zeros(x + 1)
+    primes = np.flatnonzero(spf == np.arange(x + 1))
+    primes = primes[primes >= 2]
+    cur[primes] = [math.log(p) for p in primes.tolist()]
+    small = primes[primes <= math.isqrt(x)]
+    for p in small.tolist():
+        pk = p * p
+        while pk <= x:
+            cur[pk] = math.log(p)
+            pk *= p
+    es = np.flatnonzero(cur)
+    lv = cur[es]
+    for _ in range(ell - 1):
+        ms = np.flatnonzero(cur)
+        cv = cur[ms]
+        cur = np.zeros(x + 1)
+        cur[ms] = np.log(ms) * cv
+        runs = np.searchsorted(ms, x // es, side="right")
+        for i0 in range(0, es.size, 1024):
+            run = runs[i0 : i0 + 1024]
+            i = np.repeat(np.arange(i0, i0 + run.size), run)
+            j = np.arange(i.size) - np.repeat(np.cumsum(run) - run, run)
+            np.add.at(cur, es[i] * ms[j], cv[j] * lv[i])
+    return cur
+
+
+# one, two and three windows of experiments._CHUNK = 2**20
+@pytest.mark.parametrize("x", [2**20 - 1, 2**20 + 1, 2 * 2**20 + 3])
+def test_von_mangoldt_sum_matches_dense_reference(x):
+    # the class sum over windows of the dense Lambda_l, bit for bit
+    for ell in (2, 3, 4):
+        lam = generalized_von_mangoldt_dense(x - 1, ell)
+        for r in (0, 1):
+            want = 0.0
+            for lo in range(0, x, 1 << 20):
+                hi = min(lo + (1 << 20), x)
+                want += float(np.sum(lam[lo:hi][digit_sums_range(ZECK, hi, lo) % 2 == r]))
+            assert von_mangoldt_sum(ZECK, x, ell, r, 2).lhs.hex() == want.hex(), (ell, r)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000])
+def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
+    # many windows: every level's pairs and supports carry across window edges
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    x = 3000
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    for ell in range(1, 5):
+        got = generalized_von_mangoldt(x, ell)
+        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
+    assert np.array_equal(generalized_von_mangoldt_dense(x, 4), got)
+
+
 def lambda2_closed_form(x):
     """Lambda_2(n): (2k - 1) log^2 p at n = p^k, 2 log p log q at n = p^a q^b."""
     out = np.zeros(x + 1)
@@ -197,8 +326,8 @@ def sieve_3e5():
     return sieve_spf(3 * 10**5)
 
 
-def test_von_mangoldt_table(sieve_1e5):
-    lam = von_mangoldt_table(100, sieve_1e5)
+def test_von_mangoldt_table():
+    lam = von_mangoldt_table(100)
     assert lam[1] == 0 and lam[6] == 0
     assert lam[7] == pytest.approx(math.log(7))
     assert lam[8] == pytest.approx(math.log(2))
@@ -206,8 +335,8 @@ def test_von_mangoldt_table(sieve_1e5):
 
 
 @pytest.mark.parametrize("x", [0, 1, 2, 8, 9, 100, 3**10 - 1, 3**10, 2**17 - 1, 2**17])
-def test_von_mangoldt_table_bruteforce(sieve_3e5, x):
-    lam = von_mangoldt_table(x, sieve_3e5)
+def test_von_mangoldt_table_bruteforce(x):
+    lam = von_mangoldt_table(x)
     want = lambda_bruteforce(2**17)[: x + 1]
     assert lam.shape == want.shape and np.array_equal(lam, want)
 
@@ -216,7 +345,7 @@ def test_von_mangoldt_table_uses_math_log(sieve_3e5):
     # np.log(285343.0) is one ulp off math.log(285343), the smallest such prime;
     # every Lambda_l inherits the table, so it must hold math.log exactly
     x = 3 * 10**5
-    lam = von_mangoldt_table(x, sieve_3e5)
+    lam = von_mangoldt_table(x)
     spf = sieve_3e5.spf
     primes = [p for p in range(2, x + 1) if spf[p] == p]
     assert 285343 in primes
@@ -247,35 +376,34 @@ CHUNK_IDS = {7: "8-7", 1: "8-1", 2**18: "8-262144", 3: "50-3", 1000: "1024-1000"
 )
 def test_generalized_von_mangoldt_matches_slice_reference(monkeypatch, x, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
-    sieve = sieve_spf(max(x, 2))
     lam = lambda_bruteforce(2**17)[: x + 1]
     for ell in range(1, 5):
-        got = generalized_von_mangoldt(x, ell, sieve)
+        got = generalized_von_mangoldt(x, ell)
         assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
 
 
 @pytest.mark.parametrize("x", [2**16, 2**16 + 1, 2**17])
-def test_generalized_von_mangoldt_default_split(sieve_3e5, x):
-    # the default chunk, on a sieve longer than x
+def test_generalized_von_mangoldt_default_split(x):
+    # the default chunk
     lam = lambda_bruteforce(2**17)[: x + 1]
     for ell in range(1, 5):
-        got = generalized_von_mangoldt(x, ell, sieve_3e5)
+        got = generalized_von_mangoldt(x, ell)
         assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
 
 
 @pytest.mark.parametrize("chunk", CHUNKS, ids=CHUNK_IDS.get)
-def test_lambda2_closed_form(monkeypatch, sieve_1e5, chunk):
+def test_lambda2_closed_form(monkeypatch, chunk):
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", chunk)
     x = 5000
-    got = generalized_von_mangoldt(x, 2, sieve_1e5)
+    got = generalized_von_mangoldt(x, 2)
     assert np.allclose(got, lambda2_closed_form(x), rtol=1e-12, atol=0)
 
 
-def test_lambda2_identity(sieve_1e5):
+def test_lambda2_identity():
     # Lambda_2 = Lambda * Lambda + Lambda . log, checked directly
     x = 2000
-    lam = von_mangoldt_table(x, sieve_1e5)
-    lam2 = generalized_von_mangoldt(x, 2, sieve_1e5)
+    lam = von_mangoldt_table(x)
+    lam2 = generalized_von_mangoldt(x, 2)
     conv = np.zeros(x + 1)
     for d in range(1, x + 1):
         if lam[d]:
@@ -284,10 +412,10 @@ def test_lambda2_identity(sieve_1e5):
     assert np.allclose(lam2, conv + lam * logs, atol=1e-9)
 
 
-def test_lambda2_mertens_normalization(sieve_1e5):
+def test_lambda2_mertens_normalization():
     # sum_{n <= x} Lambda_2(n) ~ 2 x log x
     x = 10**5
-    lam2 = generalized_von_mangoldt(x, 2, sieve_1e5)
+    lam2 = generalized_von_mangoldt(x, 2)
     ratio = lam2.sum() / (2 * x * math.log(x))
     assert 0.8 < ratio < 1.2
 
