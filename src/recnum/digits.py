@@ -56,9 +56,13 @@ def sum_of_digits(ctx: BaseContext, nu: int) -> int:
 
 
 # Each context caches one prefix table of s_G over [0, G_m), G_m the largest
-# term <= TABLE_LIMIT (8 MB at most); it is dropped with its context.
+# term <= TABLE_LIMIT (8 MB at most), and one copy mod s per class modulus s
+# asked for (1 MB at most for s < 256); they are dropped with their context.
 TABLE_LIMIT = 1 << 20
 _TABLES: weakref.WeakKeyDictionary[BaseContext, np.ndarray] = (
+    weakref.WeakKeyDictionary()
+)
+_MOD_TABLES: weakref.WeakKeyDictionary[BaseContext, dict[int, np.ndarray]] = (
     weakref.WeakKeyDictionary()
 )
 
@@ -92,25 +96,57 @@ def _high_part(high: list[int], k: int) -> tuple[int, int]:
     return h, s_h
 
 
-def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int) -> None:
-    """out[i] = s_h + s_G(rem + i) for rem + len(out) <= G_{m+1}, where the
-    table holds s_G on [0, G_m): below G_{m+1} the greedy digit at G_m is
-    r // G_m and the rest is r mod G_m, so the values form rows of length G_m,
-    the table plus the row's digit. A partial first and last row are slices;
-    the full rows in between are one broadcast add."""
+def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int, op) -> None:
+    """out[i] = op(table[t], s_h + d) for rem + i = d G_m + t, t < G_m, and
+    rem + len(out) <= G_{m+1}, with op(part, c, out=...) a row operation such
+    as np.add. With the prefix table and np.add this is s_h + s_G(rem + i):
+    below G_{m+1} the greedy digit at G_m is d and the rest is t, so the
+    values form rows of length G_m, the table plus the row's digit. A partial
+    first and last row are slices; the full rows in between are one broadcast
+    op, with c a column of ints."""
     g = len(table)
     end = rem + len(out)
     first = -(-rem // g)  # the first row that starts at or after rem
     last = end // g  # the row that holds end, or starts at it
     if first > last:  # inside one row
         d = rem // g
-        np.add(table[rem - d * g : end - d * g], s_h + d, out=out)
+        op(table[rem - d * g : end - d * g], s_h + d, out=out)
         return
     head = first * g - rem
-    np.add(table[g - head :], s_h + first - 1, out=out[:head])
+    op(table[g - head :], s_h + first - 1, out=out[:head])
     body = out[head : head + (last - first) * g].reshape(last - first, g)
-    np.add(table, (s_h + np.arange(first, last))[:, None], out=body)
-    np.add(table[: end - last * g], s_h + last, out=out[head + (last - first) * g :])
+    op(table, (s_h + np.arange(first, last))[:, None], out=body)
+    op(table[: end - last * g], s_h + last, out=out[head + (last - first) * g :])
+
+
+def _walk(ctx: BaseContext, table: np.ndarray, out: np.ndarray, lo: int, op) -> None:
+    """Fill out over [lo, lo + len(out)) run by run, as digit_sums_range
+    describes: each run is one _fill_low call with the run's high digit sum.
+    table is the prefix table or a function of it, entry by entry."""
+    if lo < 0:
+        raise PreconditionError("window start must be non-negative")
+    n = lo + len(out)
+    if n <= max(lo, len(table)):
+        op(table[lo:n], 0, out=out)
+        return
+    top = ctx.term(len(ctx.terms_upto(TABLE_LIMIT)))  # G_M = G_{m+1}
+    high = [g for g in reversed(ctx.terms_upto(n - 1)) if g >= top]
+    k = lo
+    while k < n:
+        h, s_h = _high_part(high, k)
+        end = min(n, h + top)
+        if _high_part(high, end - 1)[0] != h:
+            # H(inside) == h != H(outside); the run ends at outside
+            inside, outside = k, end - 1
+            while outside - inside > 1:
+                mid = (inside + outside) // 2
+                if _high_part(high, mid)[0] == h:
+                    inside = mid
+                else:
+                    outside = mid
+            end = outside
+        _fill_low(table, out[k - lo : end - lo], k - h, s_h, op)
+        k = end
 
 
 def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
@@ -134,7 +170,7 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
     L <= G_M; L is smaller where the high digits restrict the ones below
     (Zeckendorf with a 1 at G_M leaves rem < G_{M-1}). Because H is monotone,
     the run ends at the first k with H(k) != H, found by bisection whenever the
-    window goes on past it.
+    window goes on past it (_walk).
 
     Runs at G_M rather than G_m keep them long on every base: G_M exceeds
     TABLE_LIMIT even where G_m is tiny (a_1 >= 2**20 leaves the table one
@@ -143,30 +179,35 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
     Each run adds into its slice of the output from views of the table, plus
     one digit per row of G_m integers; finding runs is scalar integer work.
     """
-    if lo < 0:
-        raise PreconditionError("window start must be non-negative")
-    table = _prefix_table(ctx)
-    if n <= max(lo, len(table)):
-        return table[lo:n].copy()
-    top = ctx.term(len(ctx.terms_upto(TABLE_LIMIT)))  # G_M = G_{m+1}
-    high = [g for g in reversed(ctx.terms_upto(n - 1)) if g >= top]
-    out = np.empty(n - lo, dtype=np.int64)
-    k = lo
-    while k < n:
-        h, s_h = _high_part(high, k)
-        end = min(n, h + top)
-        if _high_part(high, end - 1)[0] != h:
-            # H(inside) == h != H(outside); the run ends at outside
-            inside, outside = k, end - 1
-            while outside - inside > 1:
-                mid = (inside + outside) // 2
-                if _high_part(high, mid)[0] == h:
-                    inside = mid
-                else:
-                    outside = mid
-            end = outside
-        _fill_low(table, out[k - lo : end - lo], k - h, s_h)
-        k = end
+    out = np.empty(max(n - lo, 0), dtype=np.int64)
+    _walk(ctx, _prefix_table(ctx), out, lo, np.add)
+    return out
+
+
+def _mod_table(ctx: BaseContext, s: int) -> np.ndarray:
+    """The prefix table mod s, in the smallest unsigned dtype that holds s;
+    cached per context and modulus."""
+    tables = _MOD_TABLES.setdefault(ctx, {})
+    if s not in tables:
+        tables[s] = (_prefix_table(ctx) % s).astype(np.min_scalar_type(s))
+    return tables[s]
+
+
+def digit_class_range(ctx: BaseContext, n: int, lo: int, r: int, s: int) -> np.ndarray:
+    """The bool mask s_G(k) = r (mod s) over k in [lo, n).
+
+    The same run walk as digit_sums_range over the prefix table mod s: a row
+    with high digit sum c matches where the table entry equals (r - c) mod s,
+    so the digit sums are never formed."""
+    if s < 1:
+        raise PreconditionError(f"need s >= 1, got {s}")
+    table = _mod_table(ctx, s)
+
+    def match(part, c, out):
+        np.equal(part, np.remainder(r - c, s).astype(table.dtype), out=out)
+
+    out = np.empty(max(n - lo, 0), dtype=bool)
+    _walk(ctx, table, out, lo, match)
     return out
 
 

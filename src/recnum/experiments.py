@@ -17,7 +17,6 @@ compared with the main term (l/s) x (log x)^{l-1}.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,12 +25,13 @@ from math import gcd
 import numpy as np
 
 from .base import BaseContext, CostGuardError, PreconditionError
-from .digits import digit_sums_range
+from .digits import digit_class_range
 
 SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
+# bv_discrepancy's float32 column sums are integers <= x <= COUNT_GUARD: exact
+assert COUNT_GUARD < 2**24
 _CHUNK = 1 << 20
-_SEGMENT = 1 << 18  # integers per sieve segment: 1 MB of int32, about one L2 cache
 _ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per np.add.at call in _add_pairs
 DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
@@ -59,51 +59,50 @@ def _primes_upto(n: int) -> list[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
-def _spf_segments(x: int):
-    """The smallest-prime-factor table of 0..x, one segment at a time, after
-    Bays & Hudson (BIT 17, 1977): yields (lo, spf of [lo, hi), primes in
-    [lo, hi)) for the segments [lo, lo + _SEGMENT) in order.
+def _prime_segments(x: int):
+    """The primes <= x, one window at a time: yields (lo, hi, primes in
+    [lo, hi)) for the windows [lo, lo + 2 _CHUNK), cut at x + 1, in order.
 
-    The primes up to isqrt(x) come from a small sieve first. A segment has
-    _SEGMENT entries, small enough to stay in cache: each prime
-    p <= isqrt(hi - 1) writes p at its multiples from p^2 on, unconditionally
-    and in descending p, so the smallest prime factor of a composite is
-    written last and wins. Entries left at 0 are primes and get their own
-    index. Every composite n has a prime factor p with p^2 <= n, so it gets
-    written. 0 and 1 are neither, and keep spf 0.
-
-    int32 holds every factor up to the guard (10**8 < 2**31).
-    """
-    primes = _primes_upto(math.isqrt(x))
-    for lo in range(0, x + 1, _SEGMENT):
-        hi = min(lo + _SEGMENT, x + 1)
-        seg = np.zeros(hi - lo, dtype=np.int32)
-        for p in reversed(primes[: bisect.bisect_right(primes, math.isqrt(hi - 1))]):
-            seg[max(p * p, -(-lo // p) * p) - lo :: p] = p
-        fresh = np.flatnonzero(seg == 0)
+    A window holds _CHUNK odd numbers, lo + 1 + 2i, in a bool segment of
+    _CHUNK bytes, small enough to stay in cache. Each odd prime
+    p <= isqrt(hi - 1), from _primes_upto, clears its odd multiples from
+    max(p^2, lo) on; consecutive odd multiples are 2p apart, p entries. Every
+    odd composite n has an odd prime factor p with p^2 <= n, so it is
+    cleared. 1 is cleared by hand, and 2 is the one even prime."""
+    odd = _primes_upto(math.isqrt(x))[1:]
+    for lo in range(0, x + 1, 2 * _CHUNK):
+        hi = min(lo + 2 * _CHUNK, x + 1)
+        seg = np.ones((hi - lo) // 2, dtype=bool)
+        for p in odd:
+            if p * p >= hi:
+                break
+            # the first odd multiple of p at or above lo (lo is even)
+            seg[(max(p * p, (-(-lo // p) | 1) * p) - lo) // 2 :: p] = False
         if lo == 0:
-            fresh = fresh[2:]  # 0 and 1: no prime marks them
-        seg[fresh] = fresh + lo
-        yield lo, seg, fresh + lo
+            seg[:1] = False  # 1
+        primes = lo + 1 + 2 * np.flatnonzero(seg)
+        if lo == 0 and x >= 2:
+            primes = np.concatenate([[2], primes])
+        yield lo, hi, primes
 
 
 def sieve_spf(x: int) -> SieveCache:
-    """The smallest-prime-factor table of 0..x, filled from _spf_segments.
+    """The smallest-prime-factor table of 0..x: each prime p <= isqrt(x), in
+    descending order, writes p at its multiples from p^2 on, so the smallest
+    prime factor of a composite is written last; the primes from
+    _prime_segments then get their own index. 0 and 1 keep spf 0. int32 holds
+    every factor up to the guard (10**8 < 2**31).
 
     The table grows with x, and the guard bounds it. The sieve experiments do
-    not build it: von_mangoldt_sum reads the primes off the segments."""
+    not build it; it serves as a reference for their counts."""
     if x > SIEVE_GUARD:
         raise CostGuardError(f"sieve limit {x} exceeds the memory guard {SIEVE_GUARD}")
     spf = np.zeros(max(x + 1, 2), dtype=np.int32)
-    for lo, seg, _ in _spf_segments(x):
-        spf[lo : lo + seg.size] = seg
+    primes = np.concatenate([ps for _, _, ps in _prime_segments(x)])
+    for p in reversed(primes[: np.searchsorted(primes, math.isqrt(x), side="right")].tolist()):
+        spf[p * p :: p] = p
+    spf[primes] = primes
     return SieveCache(x, spf)
-
-
-def _digit_class_mask(ctx: BaseContext, lo: int, hi: int, r: int, s: int) -> np.ndarray:
-    """Boolean mask over k in [lo, hi) for s_G(k) = r (mod s)."""
-    sums = digit_sums_range(ctx, hi, lo)
-    return np.remainder(sums, s, out=sums) == r % s
 
 
 @dataclass
@@ -164,25 +163,28 @@ def bv_discrepancy(
         raise PreconditionError(violation)
     q_max = max(1, math.ceil(x**exponent) - 1)
     z_samples = geometric_z_samples(x)
-    # all k < x in the digit class, ascending
-    in_class = []
-    for lo in range(0, x, _CHUNK):
-        hi = min(lo + _CHUNK, x)
-        mask = _digit_class_mask(ctx, lo, hi, r, s)
-        in_class.append(np.arange(lo, hi, dtype=np.int64)[mask])
-    ks = np.concatenate(in_class) if in_class else np.zeros(0, dtype=np.int64)
-    below = np.searchsorted(ks, z_samples)  # #{k < z} for each sample z
+    # the class indicator, and #{k < z} in the class for each sample z
+    mask = digit_class_range(ctx, x, 0, r, s)
+    below = np.cumsum([np.count_nonzero(mask[a:b]) for a, b in zip([0, *z_samples], z_samples)])
+    ind = mask.astype(np.float32)
+    ones = np.ones(x // 2 + 1, dtype=np.float32)  # the longest z segment, in rows
     per_q = []
-    key = np.empty_like(ks)
     for q in range(1, q_max + 1):
-        # one bincount of (t, k mod q), where z_t is the first sample above k;
-        # the counts below each z are then cumulative sums over t
-        np.remainder(ks, q, out=key)
-        for t in range(1, len(z_samples)):
-            key[below[t - 1] : below[t]] += t * q
-        counts = np.bincount(key, minlength=len(z_samples) * q).reshape(-1, q)
-        dev = np.abs(np.cumsum(counts, axis=0) - (below / q)[:, None])
-        per_q.append(float(np.max(dev)))
+        # column h of the (x // q, q) matrix holds the k = h (mod q); the
+        # counts below z are the column sums of the rows below z // q, by
+        # float32 matrix-vector products (exact, see COUNT_GUARD), plus the
+        # partial row up to z
+        rows = ind[: x // q * q].reshape(-1, q)
+        cum = np.zeros(q)
+        dev, row = 0.0, 0
+        for z, b in zip(z_samples, below):
+            if z // q > row:
+                cum += ones[: z // q - row] @ rows[row : z // q]
+                row = z // q
+            counts = cum.copy()
+            counts[: z - row * q] += ind[row * q : z]
+            dev = max(dev, float(np.max(np.abs(counts - b / q))))
+        per_q.append(dev)
     total = float(sum(per_q))
     normalized = total * math.log(2 * x) ** DISCREPANCY_LOG_POWER / x
     return DiscrepancyReport(
@@ -205,60 +207,47 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     Semiprimes include squares p^2 (the two prime factors need not differ).
     A failed coprimality hypothesis warns, as in von_mangoldt_sum.
 
-    A segmented Omega sieve, after Bays & Hudson (BIT 17, 1977) and Oliveira e
-    Silva, Herzog & Pardi (Math. Comp. 83, 2014). In each window of _CHUNK
-    integers, every prime p <= isqrt(x) and every power p^e below the
-    window's end add 1 to omega and multiply prod by p at the multiples of
-    p^e. Then prod is the part of k made of primes <= isqrt(x), and omega is
-    its number of prime factors with multiplicity. k <= x has at most one
-    prime factor above isqrt(x), and it has one exactly when prod < k. prod
-    divides k <= x, so int32 holds it below the guard (10**8 < 2**31).
+    The windows of _prime_segments, in order. Each marks its primes and the
+    products p q in it with p <= q prime; p q <= x needs p <= isqrt(x), and
+    p = q gives the squares. Every q <= (hi - 1) // 2 lies in a window
+    already sieved, so the list of primes <= x // 2 found so far holds all of
+    them. It grows like pi(x / 2) as int32 (x <= 10**8 < 2**31): about
+    1.4 MB at x = 10**7 and 12 MB at the guard; the products are int64. The
+    count is the marks inside the digit class.
 
-    No array grows with x, so SIEVE_GUARD bounds the running time, not the
-    memory; it is checked before any work.
+    SIEVE_GUARD bounds the running time and that list; it is checked before
+    any work.
     """
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     if x > SIEVE_GUARD:
         raise CostGuardError(f"x = {x} exceeds the guard {SIEVE_GUARD}")
     _warn_gcd_hypothesis(ctx, s)
-    # (p^e, p) for every prime p <= isqrt(x) and every power p^e <= x, by p^e
-    powers = []
-    for p in _primes_upto(math.isqrt(x)):
-        pe = p
-        while pe <= x:
-            powers.append((pe, p))
-            pe *= p
-    powers.sort()
+    qs = np.zeros(0, dtype=np.int32)  # the primes <= x // 2 so far
     total = 0
-    for lo in range(0, x + 1, _CHUNK):
-        hi = min(lo + _CHUNK, x + 1)
-        omega = np.zeros(hi - lo, dtype=np.int8)
-        prod = np.ones(hi - lo, dtype=np.int32)
-        for pe, p in powers:
-            if pe >= hi:
-                break
-            st = max(pe, -(-lo // pe) * pe) - lo
-            omega[st::pe] += 1
-            prod[st::pe] *= p
-        omega += prod < np.arange(lo, hi, dtype=np.int32)
-        mask = (omega >= 1) & (omega <= 2) & _digit_class_mask(ctx, lo, hi, r, s)
-        total += int(np.count_nonzero(mask))
+    for lo, hi, primes in _prime_segments(x):
+        qs = np.concatenate([qs, primes[primes <= x // 2].astype(np.int32)])
+        marks = np.zeros(hi - lo, dtype=bool)
+        marks[primes - lo] = True
+        # int32 keys: with int64 keys, searchsorted would copy qs to int64
+        top = qs.searchsorted(np.int32(math.isqrt(hi - 1)), side="right")
+        for p in qs[:top].tolist():
+            keys = np.array([max(p, -(-lo // p)), (hi - 1) // p + 1], dtype=np.int32)
+            a, b = qs.searchsorted(keys)  # the q >= p with p q in [lo, hi)
+            marks[qs[a:b].astype(np.int64) * p - lo] = True
+        total += int(np.count_nonzero(marks & digit_class_range(ctx, hi, lo, r, s)))
     return total
 
 
 def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The prime powers e = p^k <= n, ascending, and Lambda(e) = log p.
 
-    The primes come from _spf_segments. log p comes from math.log: np.log
+    The primes come from _prime_segments. log p comes from math.log: np.log
     differs from it by one ulp on some primes, and every Lambda_l inherits
     these values."""
-    primes, logs = [], []
-    for _, _, ps in _spf_segments(n):
-        primes.append(ps)
-        # math.log converts p to a double, exact below 2**53
-        logs.append(np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size))
-    primes, logs = np.concatenate(primes), np.concatenate(logs)
+    primes = np.concatenate([ps for _, _, ps in _prime_segments(n)])
+    # math.log converts p to a double, exact below 2**53
+    logs = np.fromiter(map(math.log, primes.tolist()), dtype=float, count=primes.size)
     es, lv = [primes], [logs]
     # p^k for k >= 2, over the primes that still have p^k <= n
     k = int(np.searchsorted(primes, math.isqrt(n), side="right"))
@@ -405,7 +394,7 @@ def von_mangoldt_sum(
     _warn_gcd_hypothesis(ctx, s)
     lhs = 0.0
     for lo, lam in _lambda_windows(x - 1, ell):
-        mask = _digit_class_mask(ctx, lo, lo + lam.size, r, s)
+        mask = digit_class_range(ctx, lo + lam.size, lo, r, s)
         lhs += float(np.sum(lam[mask]))
     main = (ell / s) * x * math.log(x) ** (ell - 1)
     return VonMangoldtReport(

@@ -145,6 +145,20 @@ def test_kernel_never_exceeds_its_supremum_next_to_an_integer(a, lo, hi):
     assert float(dirichlet_kernel_abs(np.linspace(lo, hi, 200001), a).max()) <= a
 
 
+def test_kernel_one_ulp_above_a_within_written_bound():
+    # f' is about 1.04e-10, above KERNEL_INTEGER_TOL, so the quotient is
+    # evaluated; it reads 29.000000000000004, one ulp above a and about
+    # 1.24 a u above the true value, inside the written 23.2 a u
+    a, x = 29, -1.9999999998958549
+    got = float(dirichlet_kernel_abs(np.array([x]), a)[0])
+    assert got == 29.000000000000004 and got > a
+    with mpmath.workprec(200):
+        y = mpmath.mpf(x)
+        want = abs(mpmath.sin(mpmath.pi * a * y) / mpmath.sin(mpmath.pi * y))
+        assert want < a
+        assert abs(mpmath.mpf(got) - want) <= 23.2 * a * U
+
+
 def test_sup_certificate_dominates_samples():
     rng = np.random.default_rng(5)
     a = 13

@@ -11,6 +11,7 @@ from recnum.digits import (
     TABLE_LIMIT,
     Expansion,
     _prefix_table,
+    digit_class_range,
     digit_sums_range,
     expand,
     is_parry_admissible,
@@ -216,3 +217,52 @@ def test_digit_sums_range_with_one_entry_table(monkeypatch, lo, hi):
     assert np.array_equal(got, digit_sums_range_reference(ctx, hi, lo))
     sample = range(lo, hi, 997)
     assert got[:: 997].tolist() == [sum_of_digits(ctx, k) for k in sample]
+
+
+# s = 1, 2, 3, 7, 128 and 300: tables mod s in uint8 and uint16, and the
+# classes r below 0, at 0, at s - 1 and past s
+CLASS_MODULI = [1, 2, 3, 7, 128, 300]
+
+
+def _assert_class_range_matches_sums(ctx, n, lo):
+    sums = digit_sums_range(ctx, n, lo)
+    for s in CLASS_MODULI:
+        for r in (-1, 0, s - 1, s + 1):
+            got = digit_class_range(ctx, n, lo, r, s)
+            assert got.dtype == bool and np.array_equal(got, sums % s == r % s), (s, r)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 1), (59, 1)])
+def test_digit_class_range_matches_digit_sums(coeffs):
+    ctx = make_context(coeffs)
+    m = len(ctx.terms_upto(TABLE_LIMIT))
+    # empty windows, windows inside the prefix table, windows across the run
+    # ends at G_m, G_{m+1} and G_{m+2}, and windows near 10**7
+    windows = [(0, 0), (5, 5), (9, 3), (0, 1), (0, 1000), (0, 3 * TABLE_LIMIT)]
+    windows += [(ctx.term(j) - 300, ctx.term(j) + 300) for j in (m - 1, m, m + 1)]
+    windows += [(10**7 - 2**20, 10**7), (10**7, 10**7 + 2**20), (10**7 + 7, 10**7 + 7)]
+    for lo, n in windows:
+        _assert_class_range_matches_sums(ctx, n, lo)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2**20), (2**21 - 5, 2**21 + 2**20)],
+                         ids=["from-0", "across-G1"])
+def test_digit_class_range_with_one_entry_table(monkeypatch, lo, hi):
+    # the base of test_digit_sums_range_with_one_entry_table: a table of one
+    # entry, so every value comes from the high digits
+    ctx = make_context((2**21, 1))
+    assert len(_prefix_table(ctx)) == 1
+    calls = []
+    real = digits._high_part
+    monkeypatch.setattr(digits, "_high_part", lambda high, k: calls.append(k) or real(high, k))
+    _assert_class_range_matches_sums(ctx, hi, lo)
+    # one walk per call, as in digit_sums_range
+    assert len(calls) <= (1 + 4 * len(CLASS_MODULI)) * 3 * (2 + 22)
+
+
+def test_digit_class_range_rejects_bad_input():
+    ctx = make_context((1, 1))
+    with pytest.raises(PreconditionError):
+        digit_class_range(ctx, 10, -1, 0, 2)
+    with pytest.raises(PreconditionError):
+        digit_class_range(ctx, 10, 0, 0, 0)

@@ -54,7 +54,7 @@ def sieve_spf_reference(x):
     return spf
 
 
-# around one and several segments of experiments._SEGMENT = 2**18 entries
+# around 2**18 and several times it, and the edge cases 0..4
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6])
 def test_sieve_spf_matches_reference(x):
     sieve = sieve_spf(x)
@@ -177,7 +177,8 @@ def almost_prime_count_reference(ctx, x, r, s):
     return total
 
 
-# around one and several spf segments (2**18) and Omega-sieve windows (2**20)
+# around 2**18 and around one and several prime windows (2 _CHUNK = 2**21
+# integers; 2**20 is half of one)
 WINDOW_XS = sorted(
     {x for w in (2**18, 2**20) for x in (w - 1, w, w + 1, 3 * w + 7)} | {2, 3, 4, 10**6}
 )
@@ -195,11 +196,15 @@ def test_almost_prime_count_matches_spf_reference(x):
 
 def test_sieve_paths_allocate_no_table_of_length_x():
     # the streamed paths stay below the table they replaced: a float64 Lambda_l
-    # (8x bytes) for von_mangoldt_sum, the int32 spf table (4x) for the count
+    # (8x bytes) for von_mangoldt_sum, the int32 spf table (4x) for the count.
+    # bv_discrepancy holds a float32 class indicator (4x) and a ones vector
+    # (2x); it must stay below the int64 class members and their keys of the
+    # bincount version, whose traced peak read 127,381,880 bytes here
     x = 10**7
     calls = [
         (lambda: von_mangoldt_sum(ZECK, x, 2, 1, 2), 8 * x),
         (lambda: almost_prime_count(ZECK, x, 1, 2), 4 * x),
+        (lambda: bv_discrepancy(ZECK, x, 1, 2, exponent=0.3), 127_381_880),
     ]
     for call, limit in calls:
         tracemalloc.start()
@@ -209,6 +214,37 @@ def test_sieve_paths_allocate_no_table_of_length_x():
         finally:
             tracemalloc.stop()
         assert peak < limit
+
+
+# x around the windows of 2 * 64 integers, and squares of primes
+SEGMENT_EDGE_XS = [0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 121, 127**2, 131**2, 251**2]
+
+
+@pytest.mark.parametrize("x", SEGMENT_EDGE_XS)
+def test_prime_segments_match_small_sieve(monkeypatch, x):
+    monkeypatch.setattr(experiments, "_CHUNK", 64)
+    segments = list(experiments._prime_segments(x))
+    assert [lo for lo, _, _ in segments] == list(range(0, x + 1, 128))
+    for lo, hi, primes in segments:
+        assert hi == min(lo + 128, x + 1) and np.all((lo <= primes) & (primes < hi))
+    got = np.concatenate([primes for _, _, primes in segments])
+    assert got.tolist() == experiments._primes_upto(x)
+
+
+@pytest.mark.filterwarnings("ignore::recnum.experiments.GcdPreconditionWarning")
+@pytest.mark.parametrize("x", [x for x in SEGMENT_EDGE_XS if x >= 2] + [3000])
+def test_sieve_paths_across_many_segments(monkeypatch, x):
+    # 64 odd numbers per window: the products p q and the list of q carry
+    # across many window edges
+    monkeypatch.setattr(experiments, "_CHUNK", 64)
+    for coeffs in [(1, 1), (2, 1)]:
+        ctx = make_context(coeffs)
+        for r in (0, 1):
+            assert almost_prime_count(ctx, x, r, 2) == almost_prime_count_reference(
+                ctx, x, r, 2), (coeffs, r)
+    for r in (0, 1):
+        rep = bv_discrepancy(ZECK, x, r, 2, exponent=0.3)
+        assert rep.per_q == bv_per_q_reference(ZECK, x, r, 2, rep.q_max), r
 
 
 @lru_cache(maxsize=None)
