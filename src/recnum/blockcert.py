@@ -50,11 +50,12 @@ binding q. It is found by bound and prune (`_main_terms`), after the
 correction sums: a bound pass over chunks of the gamma-grid, on the thread
 pool, gives every pair (q, gamma0) an upper bound from the column maxima of
 the two kernel factors, sum_b max|g(y + q/a)| max|g(alpha^{-1} y + gamma0)|,
-inflated to cover rounding. An exact walk then evaluates the pairs in
-descending order of that bound plus the q's correction sum, until the bound
-falls strictly below the best exact total. Only the pairs that can still
-bind are evaluated (34 of 36,279 on row 29), and the binding q and its
-main term are bit for bit those of the full grid, for any thread count.
+inflated to cover rounding. The top pair by that bound plus the q's
+correction sum is evaluated exactly, and an exact pass on the pool then
+evaluates every pair whose bound plus correction sum reaches that pair's
+total. Only the pairs that can still bind are evaluated (34 of 36,279 on
+row 29), and the binding q and its main term are bit for bit those of the
+full grid, for any thread count.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def _main_terms(
     prune: returns (q*, main, exact_pairs), where q* is the first argmax over
     q of fl(main[q] + corrs[q]) with main[q] = max_{gamma0} S(q, gamma0),
     S(q, gamma0) = sum_b max_{y0} |h(y0, gamma0, q)| on the column grid of
-    `_build_y_grid`, and exact_pairs counts the (q, gamma0) pairs whose S was
-    evaluated.
+    `_build_y_grid`, and exact_pairs counts the (q, gamma0) pairs of the
+    exact pass.
 
     Bound pass. On the pool, over chunks of the gamma-grid, the column
     maxima I[gamma, b] = max_y |g(alpha^-1 y + gamma)| are taken, and with
@@ -215,17 +216,16 @@ def _main_terms(
     range. np.einsum without `optimize` runs its own loops, not BLAS, so no
     BLAS threads compete with the pool.
 
-    Exact walk. The score fl(U (1 + 4 B u) + corrs[q]) is at least
+    Exact pass. The score fl(U (1 + 4 B u) + corrs[q]) is at least
     fl(S + corrs[q]) by monotone rounding. The top-scoring pair is evaluated
-    first, and only the pairs scoring at least its total are sorted; they
-    are taken in descending score, in batches that double up to a chunk's
-    rows. S is evaluated as the full grid evaluates it: a column max, then a
-    row sum. A batch keeps only the pairs scoring at least the best
-    fl(S + corrs[q]) so far, and the walk stops at the first score strictly
-    below it. Every pair whose exact score reaches the final best is
-    evaluated, ties included, so q* is the first argmax and main[q*] is
-    exact: the result is bit for bit that of evaluating every pair, for any
-    thread count and chunk size.
+    first; the final best total is at least its total, so every pair whose
+    total can reach the final best, ties included, is among the pairs
+    scoring at least the top pair's total. That fixed set is evaluated on
+    the pool in batches of a chunk's rows, and the per-q maxima are folded
+    after the map. S is evaluated as the full grid evaluates it: a column
+    max, then a row sum. So q* is the first argmax and main[q*] is exact:
+    the result is bit for bit that of evaluating every pair, for any thread
+    count and chunk size.
     """
     n_cols = ys.shape[1]
     g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
@@ -240,35 +240,23 @@ def _main_terms(
         i_max = np.max(inner(np.arange(lo, min(lo + chunk, n_gamma))), axis=1)
         return np.einsum("gb,qb->qg", i_max, o_max)
 
+    def exact(pairs: np.ndarray) -> np.ndarray:
+        """S of each pair, given by its flat index q * n_gamma + gamma0."""
+        qs, js = np.divmod(pairs, n_gamma)
+        return np.sum(np.max(g_outer[qs] * inner(js), axis=1), axis=1)
+
     scores = np.concatenate(_pool_map(bound, range(0, n_gamma, chunk), threads), axis=1)
     scores *= 1.0 + 4.0 * n_cols * _U
     scores += corrs[:, None]
     flat = scores.ravel()
-    sums = np.full(a, -math.inf)  # per q, the largest S evaluated
-
-    def exact(pairs: np.ndarray) -> float:
-        """Fold the S of `pairs` into sums; return their best total."""
-        qs, js = np.divmod(pairs, n_gamma)
-        s = np.sum(np.max(g_outer[qs] * inner(js), axis=1), axis=1)
-        np.maximum.at(sums, qs, s)
-        return float(np.max(s + corrs[qs]))
-
     top = int(np.argmax(flat))
-    best = exact(np.array([top]))
-    # only the pairs scoring at least the top pair's total can bind
-    order = np.flatnonzero(flat >= best)
-    order = order[order != top]
-    order = order[np.argsort(flat[order])[::-1]]
-    ranked = flat[order]
-    done, size = 0, 1
-    while done < len(order) and ranked[done] >= best:
-        # batches double up to a chunk's rows
-        batch = order[done : done + size][ranked[done : done + size] >= best]
-        best = max(best, exact(batch))
-        done += len(batch)
-        size = min(2 * size, chunk)
+    top_total = float(exact(np.array([top]))[0] + corrs[top // n_gamma])
+    pairs = np.flatnonzero(flat >= top_total)
+    batches = [pairs[lo : lo + chunk] for lo in range(0, len(pairs), chunk)]
+    sums = np.full(a, -math.inf)  # per q, the largest S evaluated
+    np.maximum.at(sums, pairs // n_gamma, np.concatenate(_pool_map(exact, batches, threads)))
     q_star = int(np.argmax(sums + corrs))
-    return q_star, float(sums[q_star]), done + 1
+    return q_star, float(sums[q_star]), len(pairs)
 
 
 @dataclass
@@ -281,6 +269,7 @@ class M22Certificate:
     delta_prime: float
     main_nodes: int
     exact_pairs: int  # (q, gamma0) pairs of the main term evaluated exactly
+    q_star: int  # the binding shift q of the main term and correction lines
     sup_g: tuple[float, ...]  # per-residue sup|g| behind the correction lines
 
     @property
@@ -337,11 +326,12 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         delta_prime=(b_max + 1) * grid.delta,  # (floor(alpha^2) + 2) delta
         main_nodes=main_nodes,
         exact_pairs=exact_pairs,
+        q_star=q_star,
         sup_g=tuple(sup_g.tolist()),
     )
 
 
-def certify_M2_3(a: int, grid: GridParams, sup_g: Sequence[float]) -> float:
+def certify_M2_3(a: int, sup_g: Sequence[float]) -> float:
     """Certified upper bound for M_2(3): shifted sums of sup_g, the
     per-residue sup|g| table of `M22Certificate`."""
     if a < 2 or len(sup_g) != a:
@@ -349,7 +339,7 @@ def certify_M2_3(a: int, grid: GridParams, sup_g: Sequence[float]) -> float:
     ctx = quadratic_context(a)
     n_terms = floor_alpha_cube(a, ctx.alpha) + 2
     sums = _shifted_residue_sums(np.asarray(sup_g, dtype=float), n_terms)
-    return float(np.max(sums)) + n_terms * grid.delta
+    return float(np.max(sums)) + n_terms * GridParams.delta
 
 
 def combine_M2(m2_2: float, m2_3: float) -> float:
@@ -361,7 +351,7 @@ def certify_block_bound(a: int, grid: GridParams, threads: int = 1) -> BlockBoun
     t0 = time.perf_counter()
     detail = certify_M2_2_detail(a, grid, threads=threads)
     m2_2 = detail.total
-    m2_3 = certify_M2_3(a, grid, detail.sup_g)
+    m2_3 = certify_M2_3(a, detail.sup_g)
     m2 = combine_M2(m2_2, m2_3)
     alpha = quadratic_context(a).alpha
     kappa = math.log(m2) / math.log(alpha)

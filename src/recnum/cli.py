@@ -193,6 +193,7 @@ def cmd_blockbound(args) -> int:
             "pass": rep.ok,
             "main_nodes": rep.main_nodes,
             "exact_pairs": rep.detail.exact_pairs,
+            "q_star": rep.detail.q_star,
         },
     )
     return EXIT_OK if rep.ok else EXIT_CERT_FAIL

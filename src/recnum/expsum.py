@@ -152,11 +152,14 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     Every term is e(num/mod) with an integer num in [0, mod), mod = q * sden,
     reduced exactly as in _turns. While mod <= min(G_n, _WINDOW),
     _counted_sum adds counts of residues and rounds only the final sum. A
-    larger mod evaluates e(num/mod) per term: in int64 while the products
-    fit, else over Python ints; each window is summed pairwise by np.sum,
-    and the window sums are added in order. In int64, num and mod are
-    converted to double before the division, exact while mod <= 2^53. Each
-    window allocates its digit sums and a few index, phase or term arrays,
+    larger mod evaluates each term over the least common denominator
+    lcd = lcm(q, sden), as e(num/lcd) with num = ((h k mod q) lcd/q +
+    (r s mod sden) lcd/sden) mod lcd, the same rational: in int64 while the
+    products fit and lcd <= 2^53, else over Python ints; each window is summed
+    pairwise by np.sum, and the window sums are added in order. In int64,
+    num and lcd are converted to double before the division, exactly while
+    lcd <= 2^53, so each phase is rounded once on both paths. Each window
+    allocates its digit sums and a few index, phase or term arrays,
     of length _WINDOW at most."""
     if isinstance(params.y, tuple):
         raise PreconditionError("exp_sum_direct takes a scalar y, not a tuple")
@@ -168,16 +171,18 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     mod = q * sden
     if mod <= min(g_n, _WINDOW):
         return _counted_sum(ctx, g_n, params.y, params.beta)
-    # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 q sden
-    # only below 2**63; larger fractions run the same expression over Python ints
-    dtype = np.int64 if max(q, sden) * g_n < 2**63 and 2 * mod < 2**63 else object
+    # int64 holds h k < q G_n, r s < sden G_n (s_G(k) <= k) and num < 2 lcd
+    # only below 2**63, and num / lcd rounds once only for lcd <= 2**53; other
+    # fractions run the same expression over Python ints
+    lcd = math.lcm(q, sden)
+    dtype = np.int64 if max(q, sden) * g_n < 2**63 and lcd <= 2**53 else object
     total = 0j
     for lo in range(0, g_n, _WINDOW):
         hi = min(lo + _WINDOW, g_n)
         s = digit_sums_range(ctx, hi, lo).astype(dtype, copy=False)
         ks = np.arange(lo, hi, dtype=dtype)
-        num = ((h * ks % q) * sden + (r * s % sden) * q) % mod
-        terms = _e(num / mod)
+        num = ((h * ks % q) * (lcd // q) + (r * s % sden) * (lcd // sden)) % lcd
+        terms = _e(num / lcd)
         total += complex(np.sum(terms))
     return total
 
@@ -186,9 +191,8 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
     """(A_{n,j}, dA_{n,j}/dy) at every y of params; |A_{n,j}| <= a_j. The
     derivative is 2 pi i sum_l (pre_g + l G_{n-j}) e(...) over the same terms.
 
-    For j = 1 the l = 0 term is e(0) = 1 with weight 0 in the derivative, so
-    the sums start there instead of evaluating it. Each other term is
-    e(y offset + beta (pre_a + l)), its phase reduced exactly by _turns."""
+    Each term is e(y offset + beta (pre_a + l)), its phase reduced exactly
+    by _turns."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -197,10 +201,9 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
     size = len(params._hq[0])
-    skip = int(j == 1)  # the e(0) terms, each adding 1 to A and 0 to dA
-    total = np.full(size, skip, dtype=complex)
+    total = np.zeros(size, dtype=complex)
     d_total = np.zeros(size, dtype=complex)
-    for ell in range(skip, a[j - 1]):
+    for ell in range(a[j - 1]):
         offset = pre_g + ell * ctx.term(n - j)
         term = _e(_turns(params, offset, pre_a + ell))
         total += term
@@ -230,17 +233,9 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
             d_acc += kk * term
         sums.append(acc)
         d_sums.append(2j * np.pi * d_acc)
-    # with a_1 = 1, coefficient_A gives A_{k,1} = 1 and dA_{k,1} = 0 exactly,
-    # and j = 1 comes first: 0 + 1*S and 0 + (0*S + 1*dS) round to the bits
-    # of 0 + S and 0 + dS, signed zeros included, so the products are skipped
-    unit_first = ctx.coeffs[0] == 1
     for k in range(ctx.d, n + 1):
         s_k = d_s_k = 0
         for j in ctx.index_set:
-            if j == 1 and unit_first:
-                s_k += sums[-1]
-                d_s_k += d_sums[-1]
-                continue
             a_kj, d_a_kj = coefficient_A(ctx, k, j, params)
             s_k += a_kj * sums[-j]
             d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]

@@ -27,7 +27,7 @@ from recnum.blockcert import (
     quadratic_context,
     reference_grid,
 )
-from recnum.bounds import dirichlet_kernel_abs, interval_sup_deriv, sup_table
+from recnum.bounds import _U, dirichlet_kernel_abs, interval_sup_deriv, sup_table
 
 COARSE = GridParams(eps=0.01, eta=0.001)
 
@@ -125,12 +125,12 @@ def test_threaded_equals_serial():
 def test_m2_3_sums_the_certificate_table():
     rep = certify_block_bound(7, COARSE)
     assert len(rep.detail.sup_g) == 7
-    assert rep.M2_3 == certify_M2_3(7, COARSE, rep.detail.sup_g)
+    assert rep.M2_3 == certify_M2_3(7, rep.detail.sup_g)
     # a flat table of ones: every shift sums floor(alpha^3) + 2 of them
     n_terms = floor_alpha_cube(7, quadratic_context(7).alpha) + 2
-    assert certify_M2_3(7, COARSE, [1.0] * 7) == pytest.approx(n_terms * (1 + COARSE.delta))
+    assert certify_M2_3(7, [1.0] * 7) == pytest.approx(n_terms * (1 + COARSE.delta))
     with pytest.raises(PreconditionError):
-        certify_M2_3(7, COARSE, rep.detail.sup_g[:-1])
+        certify_M2_3(7, rep.detail.sup_g[:-1])
 
 
 @pytest.mark.parametrize("a", [7, 8, 15])
@@ -241,6 +241,53 @@ def test_main_terms_evaluate_every_tied_pair(per_q_reference):
         assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
 
 
+def _pair_scores(a, grid, corrs):
+    """The bound pass's flat scores in _main_terms' arithmetic (same chunks,
+    same einsum), with the kernel factors for exact evaluation."""
+    alpha_inv, ys, n_gamma = _main_grid(a, grid)
+    outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
+    inner = dirichlet_kernel_abs(alpha_inv * ys + (np.arange(n_gamma) * grid.eta)[:, None, None], a)
+    i_max, o_max = np.max(inner, axis=1), np.max(outer, axis=1)
+    chunk = max(1, _CHUNK_FLOATS // ys.size)
+    scores = np.concatenate(
+        [np.einsum("gb,qb->qg", i_max[lo : lo + chunk], o_max) for lo in range(0, n_gamma, chunk)],
+        axis=1,
+    )
+    scores *= 1.0 + 4.0 * ys.shape[1] * _U
+    scores += corrs[:, None]
+    return scores.ravel(), outer, inner
+
+
+@pytest.mark.parametrize("binding", [None, 0])
+def test_exact_pairs_count_the_pairs_reaching_the_top_total(per_q_reference, binding):
+    # the exact pass evaluates exactly the pairs whose score reaches the top
+    # pair's total, with no corrections and with q = 0 made to bind
+    alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
+    mains = per_q_reference
+    corrs = np.zeros(15) if binding is None else _binding_corrs(mains, binding)
+    flat, outer, inner = _pair_scores(15, COARSE, corrs)
+    q_top, j_top = divmod(int(np.argmax(flat)), n_gamma)
+    s_top = np.sum(np.max(outer[[q_top]] * inner[[j_top]], axis=1), axis=1)[0]
+    reaching = np.count_nonzero(flat >= s_top + corrs[q_top])
+    q0 = int(np.argmax(mains)) if binding is None else binding
+    for threads in (1, 2):
+        q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, threads)
+        assert (q, main.hex(), pairs) == (q0, mains[q0].hex(), reaching)
+
+
+def test_certificate_keeps_the_binding_q(monkeypatch):
+    # q_star is _main_terms' first return, a shift in 0..a-1
+    returned = []
+
+    def recording(*args):
+        returned.append(_main_terms(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(blockcert, "_main_terms", recording)
+    detail = certify_M2_2_detail(15, COARSE, threads=2)
+    assert detail.q_star == returned[0][0] and 0 <= detail.q_star < 15
+
+
 def test_main_terms_prune_most_pairs_on_a_reference_row():
     # row 29 on its reference grid: 29 * 1251 pairs, of which under 1 % are
     # evaluated exactly
@@ -259,9 +306,8 @@ def test_sampled_main_never_exceeds_certificate():
 
 
 def test_m2_3_scales_like_alpha_cubed():
-    grid = COARSE
-    v15 = certify_M2_3(15, grid, sup_table(15, 15, 0.0))
-    v20 = certify_M2_3(20, grid, sup_table(20, 20, 0.0))
+    v15 = certify_M2_3(15, sup_table(15, 15, 0.0))
+    v20 = certify_M2_3(20, sup_table(20, 20, 0.0))
     assert v15 > 0 and v20 > v15
     # ~alpha^3/a terms of typical size ~log a: the ratio sits near
     # (alpha_20/alpha_15)^3 * (15/20), i.e. between 2x and 4x

@@ -120,6 +120,8 @@ def test_blockbound_exit_matches_pass(capsys):
     assert payload["kappa"] > 0 and payload["M2"] > payload["M2_2"]
     # the main term evaluates a share of its 15 * 1001 (q, gamma0) pairs
     assert 1 <= payload["exact_pairs"] < 15 * 1001 < payload["main_nodes"]
+    # the binding shift of the certificate, one of the 15 residues
+    assert payload["q_star"] in range(15)
     # a lone grid step is an error, not a silent fall-back to the reference grid
     for lone in (["--eps", "0.002"], ["--eta", "0.0005"]):
         assert main(["blockbound", "--a", "22", *lone]) == EXIT_ERROR

@@ -185,6 +185,24 @@ def test_direct_exact_path_bits(n, y, beta, want, before):
         assert abs(got - ref) <= abs(old - ref)
 
 
+@pytest.mark.parametrize("y, beta, lcd", [
+    (Fraction(987654321, 2**52 - 1), Fraction(5, 16), 16 * (2**52 - 1) // 3),
+    (Fraction(987654323, 2**52 - 1), Fraction(1, 3), 2**52 - 1),
+], ids=["lcd-past-2^53", "lcd-below-2^53"])
+def test_direct_per_term_phases_round_once_past_2_53(y, beta, lcd):
+    # q sden lies between 2^53 and 2^62: the products fit int64, but the
+    # numerators over q sden need not fit in a double's 53 bits. The common
+    # denominator lcd of the phases is past 2^53 in the first case and below
+    # it in the second, where 3 divides q
+    ctx = make_context((2, 1))
+    assert 2**53 < y.denominator * beta.denominator < 2**62
+    assert math.lcm(y.denominator, beta.denominator) == lcd
+    phases = [float((y * k + beta * sum_of_digits(ctx, k)) % 1) for k in range(ctx.term(6))]
+    want = complex(np.sum(expsum._e(phases)))
+    got = exp_sum_direct(ctx, 6, ExpSumParams.make(y, beta))
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def midpoint_norms_reference(ctx, n, beta, bits=180):
     """The midpoint-rule 1-norms of S_n and dS_n/dy on the nodes of one_norm,
     to about 2^-bits: Horner's rule in fixed-point integers (scale 2^bits)
