@@ -127,7 +127,7 @@ def cmd_expsum(args) -> int:
     if args.method == "direct":
         value = expsum.exp_sum_direct(ctx, args.n, params)
     else:
-        value, _ = expsum.exp_sum_recurrent(ctx, args.n, params)
+        value = expsum.exp_sum_recurrent(ctx, args.n, params)
     _emit(
         args,
         {

@@ -84,18 +84,6 @@ def _prefix_table(ctx: BaseContext) -> np.ndarray:
     return table
 
 
-def _high_part(high: list[int], k: int) -> tuple[int, int]:
-    """(H, s_H): the value and the digit sum of k's greedy digits at the terms
-    in high, given in descending order; floor division from the top term
-    down is exactly the greedy rule."""
-    h = s_h = 0
-    for g in high:
-        d, k = divmod(k, g)
-        h += d * g
-        s_h += d
-    return h, s_h
-
-
 def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int, op) -> None:
     """out[i] = op(table[t], s_h + d) for rem + i = d G_m + t, t < G_m, and
     rem + len(out) <= G_{m+1}, with op(part, c, out=...) a row operation such
@@ -120,64 +108,58 @@ def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int, op) -> Non
 
 
 def _walk(ctx: BaseContext, table: np.ndarray, out: np.ndarray, lo: int, op) -> None:
-    """Fill out over [lo, lo + len(out)) run by run, as digit_sums_range
-    describes: each run is one _fill_low call with the run's high digit sum.
-    table is the prefix table or a function of it, entry by entry."""
+    """Fill out over [lo, lo + len(out)) piece by piece, as digit_sums_range
+    describes. table is the prefix table or a function of it, entry by
+    entry."""
     if lo < 0:
         raise PreconditionError("window start must be non-negative")
     n = lo + len(out)
     if n <= max(lo, len(table)):
         op(table[lo:n], 0, out=out)
         return
-    top = ctx.term(len(ctx.terms_upto(TABLE_LIMIT)))  # G_M = G_{m+1}
-    high = [g for g in reversed(ctx.terms_upto(n - 1)) if g >= top]
-    k = lo
-    while k < n:
-        h, s_h = _high_part(high, k)
-        end = min(n, h + top)
-        if _high_part(high, end - 1)[0] != h:
-            # H(inside) == h != H(outside); the run ends at outside
-            inside, outside = k, end - 1
-            while outside - inside > 1:
-                mid = (inside + outside) // 2
-                if _high_part(high, mid)[0] == h:
-                    inside = mid
-                else:
-                    outside = mid
-            end = outside
-        _fill_low(table, out[k - lo : end - lo], k - h, s_h, op)
-        k = end
+    terms = ctx.terms_upto(n - 1)
+    low = len(ctx.terms_upto(TABLE_LIMIT))  # m + 1: G_m is the table's length
+
+    def descend(top: int, out: np.ndarray, lo: int, c: int) -> None:
+        # out over [lo, lo + len(out)), below G_top, with c added: strip the
+        # digit at each G_j, j >= m + 1, in this loop while the window lies
+        # in one block, else once per block the window meets
+        n = lo + len(out)
+        for j in range(top - 1, low - 1, -1):
+            g = terms[j]
+            d, d_last = lo // g, (n - 1) // g
+            if d < d_last:
+                for e in range(d, d_last + 1):
+                    a, b = max(lo, e * g), min(n, (e + 1) * g)
+                    descend(j, out[a - lo : b - lo], a - e * g, c + e)
+                return
+            lo, n, c = lo - d * g, n - d * g, c + d
+        _fill_low(table, out, lo, c, op)
+
+    descend(len(terms), out, lo, 0)
 
 
 def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
-    """s_G(k) for all k in [lo, n) as an int64 array, built run by run.
+    """s_G(k) for all k in [lo, n) as an int64 array, by the block identity.
 
-    Let G_m be the largest term <= TABLE_LIMIT, so the context's prefix table
-    holds s_G on [0, G_m), and let G_M = G_{m+1} > TABLE_LIMIT be the next
-    term. Split k = H(k) + rem(k), where H(k) is the value of k's greedy
-    digits at the terms >= G_M. The greedy expansion of rem(k) is the rest of
-    k's, so rem(k) < G_M and s_G(k) = s_H(k) + s_G(rem(k)), with s_H(k) the
-    sum of those high digits; _fill_low reads s_G below G_M off the table.
+    Block identity: for k < G_{j+1} the greedy digit at G_j is d = k // G_j
+    and the rest of the expansion is that of k - d G_j < G_j, so on the
+    block [d G_j, (d + 1) G_j) s_G(k) = d + s_G(k - d G_j). Let G_m be the
+    largest term <= TABLE_LIMIT, so the context's prefix table holds s_G on
+    [0, G_m). From the window's top term down to G_{m+1}, a window inside
+    one block moves down by d G_j and adds d to its digit sums; a window
+    across blocks splits into one piece per block, and each piece goes on
+    the same way. Below G_{m+1}, _fill_low reads the rest off the table.
 
-    Runs. Greedy expansions are ordered like the integers: if k < k' first
-    differ, read from the top, at term G_j, the residual k' leaves for G_j is
-    larger, so its digit there is too. If j >= M, then
-    H(k') - H(k) >= G_j - (k's high digits below G_j) > 0, since the greedy
-    residual below G_j is < G_j; if j < M, H(k') = H(k). So H is
-    non-decreasing and the k with H(k) = H form one run [H, H + L). Within it
-    rem = k - H rises by 1 per step, so the run's digit sums are s_H plus
-    s_G over consecutive values, that is table rows. rem < G_M gives
-    L <= G_M; L is smaller where the high digits restrict the ones below
-    (Zeckendorf with a 1 at G_M leaves rem < G_{M-1}). Because H is monotone,
-    the run ends at the first k with H(k) != H, found by bisection whenever the
-    window goes on past it (_walk).
-
-    Runs at G_M rather than G_m keep them long on every base: G_M exceeds
-    TABLE_LIMIT even where G_m is tiny (a_1 >= 2**20 leaves the table one
-    entry long, and runs at G_m would hold one integer each).
-
-    Each run adds into its slice of the output from views of the table, plus
-    one digit per row of G_m integers; finding runs is scalar integer work.
+    Scalar work. A piece inside one block costs two integer divisions per
+    level. Pieces are the window's distinct strings of digits at the terms
+    >= G_{m+1}, and a new one starts only at a k whose digits below G_{m+1}
+    are all 0 (such k are at least G_m apart in Zeckendorf), so a window
+    meets few of them. Pieces end at G_{m+1} rather than G_m to stay long on
+    every base: G_{m+1} exceeds TABLE_LIMIT even where G_m is tiny (a_1 >=
+    2**20 leaves the table one entry long, and pieces at G_m would hold one
+    integer each). Each piece adds into its slice of the output from views
+    of the table, plus one digit per row of G_m integers.
     """
     out = np.empty(max(n - lo, 0), dtype=np.int64)
     _walk(ctx, _prefix_table(ctx), out, lo, np.add)
@@ -196,7 +178,7 @@ def _mod_table(ctx: BaseContext, s: int) -> np.ndarray:
 def digit_class_range(ctx: BaseContext, n: int, lo: int, r: int, s: int) -> np.ndarray:
     """The bool mask s_G(k) = r (mod s) over k in [lo, n).
 
-    The same run walk as digit_sums_range over the prefix table mod s: a row
+    The same walk as digit_sums_range over the prefix table mod s: a row
     with high digit sum c matches where the table entry equals (r - c) mod s,
     so the digit sums are never formed."""
     if s < 1:

@@ -12,15 +12,15 @@ together with the coefficient sums
 
 which satisfy S_n = sum_{j : a_j != 0} A_{n,j} S_{n-j} for n >= d. The modulus
 |A_{k,j}| equals the Dirichlet-kernel ratio |sin(pi a_j x)/sin(pi x)| at
-x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`). Differentiated in y, the
-recurrence gives dS_n = sum_j (dA_{n,j} S_{n-j} + A_{n,j} dS_{n-j}), d = d/dy.
+x = beta + y G_{k-j} (`bounds.dirichlet_kernel_abs`).
 
 1-norms of S_n and of dS_n/dy over y in [0,1) are estimated by the midpoint
 rule with node density tied to G_n, since the integrand oscillates on the
 scale 1/G_n. The midpoints are equally spaced, so S_n and dS_n/dy at all of
 them come from fast Fourier transforms of the terms e(beta s_G(k)) over
-k < G_n; the recurrence serves single frequencies and sets of them such as
-the Farey points.
+k < G_n, the library's only source of dS_n/dy; the recurrence carries S_n
+alone and serves single frequencies and sets of them such as the Farey
+points.
 
 The frequencies are exact: y and beta are ints or Fractions, never floats, so
 every phase y k + beta s is reduced mod 1 in integers and rounded to double
@@ -187,9 +187,9 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     return total
 
 
-def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tuple:
-    """(A_{n,j}, dA_{n,j}/dy) at every y of params; |A_{n,j}| <= a_j. The
-    derivative is 2 pi i sum_l (pre_g + l G_{n-j}) e(...) over the same terms.
+def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> complex | np.ndarray:
+    """A_{n,j} at every y of params (a complex for a scalar y, an array for a
+    tuple of y); |A_{n,j}| <= a_j.
 
     Each term is e(y offset + beta (pre_a + l)), its phase reduced exactly
     by _turns."""
@@ -200,50 +200,29 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> tup
     a = ctx.coeffs
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
-    size = len(params._hq[0])
-    total = np.zeros(size, dtype=complex)
-    d_total = np.zeros(size, dtype=complex)
+    total = np.zeros(len(params._hq[0]), dtype=complex)
     for ell in range(a[j - 1]):
-        offset = pre_g + ell * ctx.term(n - j)
-        term = _e(_turns(params, offset, pre_a + ell))
-        total += term
-        d_total += float(offset) * term
-    d_total *= 2j * np.pi
-    if isinstance(params.y, tuple):
-        return total, d_total
-    return complex(total[0]), complex(d_total[0])
+        total += _e(_turns(params, pre_g + ell * ctx.term(n - j), pre_a + ell))
+    return total if isinstance(params.y, tuple) else complex(total[0])
 
 
-def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> tuple:
-    """(S_n, dS_n/dy) via the order-d coefficient recurrence, at every y of
-    params (complex values for a scalar y, arrays for a tuple of y). Only the
-    last d values of each are kept."""
+def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> complex | np.ndarray:
+    """S_n via the order-d coefficient recurrence, at every y of params (a
+    complex for a scalar y, an array for a tuple of y). Only the last d
+    values are kept."""
     if n < 0:
         raise PreconditionError("term index must be non-negative")
     size = len(params._hq[0])
     sums: deque = deque(maxlen=ctx.d)
-    d_sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
         s = digit_sums_range(ctx, ctx.term(k))
         acc = np.zeros(size, dtype=complex)
-        d_acc = np.zeros(size, dtype=complex)
         for kk, s_kk in enumerate(s.tolist()):
-            term = _e(_turns(params, kk, s_kk))
-            acc += term
-            d_acc += kk * term
+            acc += _e(_turns(params, kk, s_kk))
         sums.append(acc)
-        d_sums.append(2j * np.pi * d_acc)
     for k in range(ctx.d, n + 1):
-        s_k = d_s_k = 0
-        for j in ctx.index_set:
-            a_kj, d_a_kj = coefficient_A(ctx, k, j, params)
-            s_k += a_kj * sums[-j]
-            d_s_k += d_a_kj * sums[-j] + a_kj * d_sums[-j]
-        sums.append(s_k)
-        d_sums.append(d_s_k)
-    if isinstance(params.y, tuple):
-        return sums[-1], d_sums[-1]
-    return complex(sums[-1][0]), complex(d_sums[-1][0])
+        sums.append(sum(coefficient_A(ctx, k, j, params) * sums[-j] for j in ctx.index_set))
+    return sums[-1] if isinstance(params.y, tuple) else complex(sums[-1][0])
 
 
 @dataclass
@@ -346,7 +325,7 @@ def gallagher_check(ctx: BaseContext, n: int, beta: Fraction | int, q_max: int) 
     dnrm = float(np.mean(np.abs(_transform(_derivative_terms(terms)))))
     del terms
     pts = farey_points(q_max)
-    s_n, _ = exp_sum_recurrent(ctx, n, ExpSumParams.make(pts, beta))
+    s_n = exp_sum_recurrent(ctx, n, ExpSumParams.make(pts, beta))
     lhs = float(np.sum(np.abs(s_n)))
     delta = 1.0 / (q_max * q_max)
     rhs = nrm / delta + 0.5 * dnrm

@@ -148,7 +148,7 @@ def test_criterion_06_expsum_oracle_equivalence():
         ctx = make_context(coeffs)
         for _ in range(20):
             params = ExpSumParams.make(dyadic(rng), dyadic(rng))
-            table = [exp_sum_recurrent(ctx, n, params)[0] for n in range(13)]
+            table = [exp_sum_recurrent(ctx, n, params) for n in range(13)]
             bounded &= all(
                 abs(v) <= ctx.term(n) * (1 + 1e-12)
                 for n, v in enumerate(table)

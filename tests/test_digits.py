@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recnum.digits as digits
-from recnum.base import PreconditionError, make_context
+from recnum.base import IntegerWidthError, PreconditionError, make_context
 from recnum.digits import (
     TABLE_LIMIT,
     Expansion,
@@ -171,9 +171,9 @@ def test_digit_sums_range_matches_reference_far_out():
 def _early_run_ends(draw):
     """A window around H + c G_j, j < M, where H is a greedy high part (digits
     at the terms >= G_M only, G_M = G_{m+1} the first term past the prefix
-    table) with a nonzero digit at G_M. A run of equal high part can end
-    there, before H + G_M: in Zeckendorf, a 1 at G_M leaves the lower digits
-    below G_{M-1}."""
+    table) with a nonzero digit at G_M. The walk's piece with high part H
+    can end there, before H + G_M: in Zeckendorf, a 1 at G_M leaves the
+    lower digits below G_{M-1}."""
     coeffs = draw(st.sampled_from(BASES + [(100, 1)]))
     ctx = make_context(coeffs)
     m = len(ctx.terms_upto(TABLE_LIMIT))  # M = m + 1 in the notation above
@@ -196,27 +196,58 @@ def test_digit_sums_range_runs_that_end_early(window):
     assert sums.tolist() == [sum_of_digits(ctx, k) for k in range(lo, hi)]
 
 
-@pytest.mark.parametrize("lo, hi", [
-    (0, 2**20),
-    (2**21 - 5, 2**21 + 2**20),  # across G_1 = 2**21 + 1
-    (3 * 2**42, 3 * 2**42 + 2**20),  # near G_2 = 2**21 G_1 + 1
+def _pieces(ctx, lo, hi):
+    """The number of distinct greedy digit strings at the terms >= G_{m+1}
+    over [lo, hi), G_m the prefix table's length: one per block at those
+    terms that the window meets, each one _fill_low call of the walk."""
+    ks = np.arange(lo, hi, dtype=np.int64)
+    rem = ks.copy()
+    for g in reversed(ctx.terms_upto(hi - 1)[len(ctx.terms_upto(TABLE_LIMIT)):]):
+        rem %= g
+    return 1 + int(np.count_nonzero(np.diff(ks - rem)))
+
+
+def _count_fill_low(monkeypatch):
+    calls = []
+    real = digits._fill_low
+    monkeypatch.setattr(digits, "_fill_low", lambda *a: calls.append(a[2]) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("lo, hi, pieces", [
+    (0, 2**20, 1),
+    (2**21 - 5, 2**21 + 2**20, 2),  # across G_1 = 2**21 + 1
+    (3 * 2**42, 3 * 2**42 + 2**20, 1),  # near G_2 = 2**21 G_1 + 1
 ], ids=["from-0", "across-G1", "far-out"])
-def test_digit_sums_range_with_one_entry_table(monkeypatch, lo, hi):
-    # a_1 >= 2**20 puts G_1 past TABLE_LIMIT: the prefix table is [0], and
-    # runs at G_1 hold up to G_1 integers each, so a 2**20 window meets at
-    # most three runs, each found from its start, its last integer and a
-    # bisection over fewer than G_1 < 2**22 integers (runs at G_0 would take
-    # one or two high-part evaluations per integer)
+def test_digit_sums_range_with_one_entry_table(monkeypatch, lo, hi, pieces):
+    # a_1 >= 2**20 puts G_1 past TABLE_LIMIT: the prefix table is [0], and the
+    # walk stops at G_1, whose blocks hold G_1 integers each, so a 2**20
+    # window makes one _fill_low call per block it meets (pieces at G_0
+    # would hold one integer each)
     ctx = make_context((2**21, 1))
     assert len(_prefix_table(ctx)) == 1
-    calls = []
-    real = digits._high_part
-    monkeypatch.setattr(digits, "_high_part", lambda high, k: calls.append(k) or real(high, k))
+    calls = _count_fill_low(monkeypatch)
     got = digit_sums_range(ctx, hi, lo)
-    assert len(calls) <= 3 * (2 + 22)
+    assert len(calls) <= pieces == _pieces(ctx, lo, hi)
     assert np.array_equal(got, digit_sums_range_reference(ctx, hi, lo))
     sample = range(lo, hi, 997)
     assert got[:: 997].tolist() == [sum_of_digits(ctx, k) for k in sample]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 1)])
+def test_digit_sums_range_near_128_bits(coeffs):
+    # about 80 to 150 levels of the walk above the prefix table, up to the
+    # last term the 128-bit width allows: a window inside one block at every
+    # level, one across the term before it, and one that ends at it
+    ctx = make_context(coeffs)
+    terms = ctx.terms_upto(2**20)
+    with pytest.raises(IntegerWidthError):
+        while True:
+            terms.append(ctx.term(len(terms)))
+    g_prev, g = terms[-2:]
+    for lo, hi in [(g // 2 + 12345, g // 2 + 12845), (g_prev - 250, g_prev + 250), (g - 500, g)]:
+        got = digit_sums_range(ctx, hi, lo)
+        assert got.tolist() == [sum_of_digits(ctx, k) for k in range(lo, hi)], (lo, hi)
 
 
 # s = 1, 2, 3, 7, 128 and 300: tables mod s in uint8 and uint16, and the
@@ -236,7 +267,7 @@ def _assert_class_range_matches_sums(ctx, n, lo):
 def test_digit_class_range_matches_digit_sums(coeffs):
     ctx = make_context(coeffs)
     m = len(ctx.terms_upto(TABLE_LIMIT))
-    # empty windows, windows inside the prefix table, windows across the run
+    # empty windows, windows inside the prefix table, windows across the block
     # ends at G_m, G_{m+1} and G_{m+2}, and windows near 10**7
     windows = [(0, 0), (5, 5), (9, 3), (0, 1), (0, 1000), (0, 3 * TABLE_LIMIT)]
     windows += [(ctx.term(j) - 300, ctx.term(j) + 300) for j in (m - 1, m, m + 1)]
@@ -245,19 +276,18 @@ def test_digit_class_range_matches_digit_sums(coeffs):
         _assert_class_range_matches_sums(ctx, n, lo)
 
 
-@pytest.mark.parametrize("lo, hi", [(0, 2**20), (2**21 - 5, 2**21 + 2**20)],
+@pytest.mark.parametrize("lo, hi, pieces", [(0, 2**20, 1), (2**21 - 5, 2**21 + 2**20, 2)],
                          ids=["from-0", "across-G1"])
-def test_digit_class_range_with_one_entry_table(monkeypatch, lo, hi):
+def test_digit_class_range_with_one_entry_table(monkeypatch, lo, hi, pieces):
     # the base of test_digit_sums_range_with_one_entry_table: a table of one
     # entry, so every value comes from the high digits
     ctx = make_context((2**21, 1))
     assert len(_prefix_table(ctx)) == 1
-    calls = []
-    real = digits._high_part
-    monkeypatch.setattr(digits, "_high_part", lambda high, k: calls.append(k) or real(high, k))
+    calls = _count_fill_low(monkeypatch)
     _assert_class_range_matches_sums(ctx, hi, lo)
     # one walk per call, as in digit_sums_range
-    assert len(calls) <= (1 + 4 * len(CLASS_MODULI)) * 3 * (2 + 22)
+    assert len(calls) <= (1 + 4 * len(CLASS_MODULI)) * pieces
+    assert pieces == _pieces(ctx, lo, hi)
 
 
 def test_digit_class_range_rejects_bad_input():
