@@ -14,6 +14,7 @@ and G_n ~ c * alpha^n for some constant c > 0.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass
 
@@ -192,11 +193,13 @@ class BaseContext:
             t.append(val)
 
     def terms_upto(self, limit: int) -> list[int]:
-        """All cached terms G_0..G_m with G_m <= limit < G_{m+1}."""
-        n = 0
-        while self.term(n) <= limit:
-            n += 1
-        return self._terms[:n]
+        """All cached terms G_0..G_m with G_m <= limit < G_{m+1}: the cache
+        grows until it holds a term above the limit, and since the terms
+        increase, m + 1 is the bisection count of those <= limit."""
+        terms = self._terms
+        while terms[-1] <= limit:
+            self.term(len(terms))
+        return terms[: bisect.bisect_right(terms, limit)]
 
 
 def make_context(coeffs, initials=None) -> BaseContext:

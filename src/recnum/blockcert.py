@@ -40,20 +40,26 @@ exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 Interval suprema are shift-periodic with period a in b + q, so a row needs
 one table of a per-residue suprema for |g| and one for |g'|. Each residue
 interval is one lobe of g, so `dirichlet_sup` brackets its peak by
-bisection (`sup_table`, the table `m_value` reads); `interval_sup_deriv`
-gives sup |g'| per residue in closed form. M_2(3) sums the |g| table that
-M_2(2)'s correction lines used.
+bisection (`sup_table`, the table `m_value` reads); `lobe_table` keeps
+that table with the brackets for the main term's bound pass.
+`interval_sup_deriv` gives sup |g'| per residue in closed form. M_2(3) sums
+the |g| table that M_2(2)'s correction lines used.
 
 The main term lives on a shared y-grid with one column per interval b, so
 the max over y0 is a column max, and the certificate reads it only at the
 binding q. It is found by bound and prune (`_main_terms`), after the
-correction sums: a bound pass over chunks of the gamma-grid, on the thread
-pool, gives every pair (q, gamma0) an upper bound from the column maxima of
-the two kernel factors, sum_b max|g(y + q/a)| max|g(alpha^{-1} y + gamma0)|,
-inflated to cover rounding. The top pair by that bound plus the q's
-correction sum is evaluated exactly, and an exact pass on the pool then
+correction sums. A bound pass over chunks of the gamma-grid, on the thread
+pool, gives every pair (q, gamma0) the upper bound
+sum_b max|g(y + q/a)| I(gamma0, b), inflated to cover rounding, where
+I(gamma0, b) bounds the inner factor |g(alpha^{-1} y + gamma0)| over column
+b from the kernel at the column's two edges (`bounds.interval_sup_abs`):
+the computed arguments never decrease along a column, since rounding is
+monotone, and |g| is log-concave on every lobe, so over the column it peaks
+at an edge unless a lobe maximizer or an integer lies inside, where the
+lobe's certified sup or a takes over. The top pair by that bound plus the
+q's correction sum is evaluated exactly, and an exact pass on the pool then
 evaluates every pair whose bound plus correction sum reaches that pair's
-total. Only the pairs that can still bind are evaluated (34 of 36,279 on
+total. Only the pairs that can still bind are evaluated (36 of 36,279 on
 row 29), and the binding q and its main term are bit for bit those of the
 full grid, for any thread count.
 """
@@ -72,10 +78,12 @@ import numpy as np
 from .base import BaseContext, CostGuardError, PreconditionError, make_context
 from .bounds import (
     _U,
+    LobeTable,
     dirichlet_kernel_abs,
+    interval_sup_abs,
     interval_sup_deriv,
     kernel_derivative_cap,
-    sup_table,
+    lobe_table,
 )
 
 KAPPA_TARGET = 2.9772122
@@ -183,6 +191,25 @@ def _gamma_grid_size(eta: float) -> int:
 _CHUNK_FLOATS = 1 << 17
 
 
+def _inner_bounds(ys_inner: np.ndarray, gammas: np.ndarray, lobes: LobeTable) -> np.ndarray:
+    """I[gamma0, b] >= every inner kernel value of column b at gamma0,
+    dirichlet_kernel_abs(x, a) at x = fl(ys_inner[y, b] + gamma0), where
+    ys_inner = fl(alpha^-1 ys) on the column grid and a = len(lobes.sup).
+
+    Rounding is monotone, so x never decreases along the lattice: column b's
+    arguments lie in [x_b, x_{b+1}], with x_b at the column's first point and
+    x_{b+1} at the next column's first point (the last point, for the last
+    column), both computed as the column's own arguments are. The kernel is
+    taken at these n_b + 1 edges only, and `interval_sup_abs` bounds every
+    kernel value on [x_b, x_{b+1}] from the two edge values and the lobe
+    table, by log-concavity of |g| on each lobe and a rounding allowance.
+    """
+    edges = np.append(ys_inner[0], ys_inner[-1, -1])
+    xs = edges + gammas[:, None]
+    ks = dirichlet_kernel_abs(xs, len(lobes.sup))
+    return interval_sup_abs(xs[:, :-1], xs[:, 1:], ks[:, :-1], ks[:, 1:], lobes)
+
+
 def _main_terms(
     a: int,
     alpha_inv: float,
@@ -190,6 +217,7 @@ def _main_terms(
     eta: float,
     n_gamma: int,
     corrs: np.ndarray,
+    lobes: LobeTable,
     threads: int = 1,
 ) -> tuple[int, float, int]:
     """The binding shift of the certificate and its main term, by bound and
@@ -197,16 +225,19 @@ def _main_terms(
     q of fl(main[q] + corrs[q]) with main[q] = max_{gamma0} S(q, gamma0),
     S(q, gamma0) = sum_b max_{y0} |h(y0, gamma0, q)| on the column grid of
     `_build_y_grid`, and exact_pairs counts the (q, gamma0) pairs of the
-    exact pass.
+    exact pass. `lobes` is the `lobe_table` of a.
 
-    Bound pass. On the pool, over chunks of the gamma-grid, the column
-    maxima I[gamma, b] = max_y |g(alpha^-1 y + gamma)| are taken, and with
-    O[q, b] = max_y |g(y + q/a)| every pair gets U = sum_b O[q, b] I[gamma, b].
+    Bound pass. On the pool, over chunks of the gamma-grid, every pair gets
+    U = sum_b O[q, b] I[gamma0, b], with O[q, b] = max_y |g(y + q/a)| and
+    I[gamma0, b] from `_inner_bounds`, which reads the kernel at the
+    n_b + 1 column edges only and bounds every inner kernel value i of
+    column b: 0 <= i <= I[gamma0, b].
+
     U bounds S, whatever order either sum is taken in. S sums, over the B
-    columns, c_b = max_y fl(o i) with 0 <= o <= O[q, b] and 0 <= i <= I[gamma, b]
-    taken from the same float kernel values. Rounding is monotone, so
-    c_b <= fl(p_b) <= (1 + u) p_b with p_b = O[q, b] I[gamma, b] exact, and
-    with gamma_k = k u / (1 - k u) the sum of the c_b comes out at most
+    columns, c_b = max_y fl(o i) with 0 <= o <= O[q, b] and
+    0 <= i <= I[gamma0, b]. Rounding is monotone, so c_b <= fl(p_b) <=
+    (1 + u) p_b with p_b = O[q, b] I[gamma0, b] exact, and with
+    gamma_k = k u / (1 - k u) the sum of the c_b comes out at most
     (1 + u)(1 + gamma_{B-1}) sum_b p_b. U takes at most B roundings of
     nonnegative partial sums, whether its products are rounded first or
     fused into the sum, so it is at least (1 - gamma_B) sum_b p_b. The ratio
@@ -231,21 +262,27 @@ def _main_terms(
     g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
     o_max = np.max(g_outer, axis=1)
     ys_inner = alpha_inv * ys
-    chunk = max(1, _CHUNK_FLOATS // ys.size)
+    chunk = max(1, _CHUNK_FLOATS // ys.size)  # gamma rows per exact batch
+    # gamma rows per bound chunk: its kernel and interval bound hold about
+    # eight arrays of the chunk's n_b + 1 edges at once, as much as one
+    # exact batch
+    rows = max(1, _CHUNK_FLOATS // (8 * (n_cols + 1)))
 
     def inner(js: np.ndarray) -> np.ndarray:
         return dirichlet_kernel_abs(ys_inner + (js * eta)[:, None, None], a)
 
     def bound(lo: int) -> np.ndarray:
-        i_max = np.max(inner(np.arange(lo, min(lo + chunk, n_gamma))), axis=1)
-        return np.einsum("gb,qb->qg", i_max, o_max)
+        gammas = np.arange(lo, min(lo + rows, n_gamma)) * eta
+        return np.einsum("gb,qb->qg", _inner_bounds(ys_inner, gammas, lobes), o_max)
 
     def exact(pairs: np.ndarray) -> np.ndarray:
         """S of each pair, given by its flat index q * n_gamma + gamma0."""
         qs, js = np.divmod(pairs, n_gamma)
-        return np.sum(np.max(g_outer[qs] * inner(js), axis=1), axis=1)
+        prods = inner(js)
+        prods *= g_outer[qs]
+        return np.sum(np.max(prods, axis=1), axis=1)
 
-    scores = np.concatenate(_pool_map(bound, range(0, n_gamma, chunk), threads), axis=1)
+    scores = np.concatenate(_pool_map(bound, range(0, n_gamma, rows), threads), axis=1)
     scores *= 1.0 + 4.0 * n_cols * _U
     scores += corrs[:, None]
     flat = scores.ravel()
@@ -304,7 +341,8 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
         )
     # the max over q binds the main term and the correction sums jointly:
     # both sides of the sum depend on the same shift q
-    sup_g = np.array(sup_table(a, a, 0.0))
+    lobes = lobe_table(a)
+    sup_g = lobes.sup
     sup_gp = np.array([interval_sup_deriv(a, c) for c in range(a)])
     cap = kernel_derivative_cap(a)
     gp_sums = _shifted_residue_sums(sup_gp, n_terms)
@@ -315,7 +353,7 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
     )
     ys = _build_y_grid(a, b_max, grid.eps)
     q_star, main, exact_pairs = _main_terms(
-        a, alpha_inv, ys, grid.eta, n_gamma, corrs, threads
+        a, alpha_inv, ys, grid.eta, n_gamma, corrs, lobes, threads
     )
     return M22Certificate(
         main=main,

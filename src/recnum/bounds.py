@@ -20,8 +20,10 @@ bracketed by bisection on the sign of (log|g|)', and the bound is the
 largest value at the brackets and the interval ends plus a Lipschitz term
 for the bracket width and a rounding allowance (`dirichlet_sup`). Intervals
 whose closure meets an integer short-circuit to the exact supremum a_j.
-sup |g'| over a residue interval [c/a, (c+1)/a] has a closed form
-(`interval_sup_deriv`).
+`interval_sup_abs` bounds the float kernel over whole arrays of intervals
+by the same lobe argument, from their end values and `lobe_table`'s
+per-lobe suprema and maximizer brackets. sup |g'| over a residue interval
+[c/a, (c+1)/a] has a closed form (`interval_sup_deriv`).
 """
 
 from __future__ import annotations
@@ -139,6 +141,12 @@ def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
             r = mid
 
 
+def _peak_slack(l: float, r: float) -> float:
+    """delta = 8 u (1 + max(|l|, |r|)): how far outside a `_lobe_peak`
+    bracket [l, r] on a side lobe the maximizer may lie (`dirichlet_sup`)."""
+    return 8.0 * _U * (1.0 + max(abs(l), abs(r)))
+
+
 def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
     """Certified upper bound for sup over (lo, hi) of |sin(pi a_j y)/sin(pi y)|.
 
@@ -177,8 +185,7 @@ def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
     for p, q in zip(ends, ends[1:]):
         l, r = _lobe_peak(a_j, p, q)
         points += [l, r]
-        delta = 8.0 * _U * (1.0 + max(abs(l), abs(r)))
-        gap = max(gap, (0.5 * (r - l) + delta) * _local_lipschitz(a_j, l, r))
+        gap = max(gap, (0.5 * (r - l) + _peak_slack(l, r)) * _local_lipschitz(a_j, l, r))
     peak = float(np.max(dirichlet_kernel_abs(points, a_j)))
     return min(peak + gap + 32.0 * a_j * _U, float(a_j))
 
@@ -240,6 +247,85 @@ def interval_sup_deriv(a: int, c: int) -> float:
 def sup_table(a: int, a_j: int, shift: float) -> list[float]:
     """dirichlet_sup(a_j, .) over the a intervals ((b + shift)/a, (b + shift + 1)/a)."""
     return [dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a) for b in range(a)]
+
+
+@dataclass(frozen=True)
+class LobeTable:
+    """|g| for a_j = a, lobe by lobe. sup[c] is the certified supremum on the
+    lobe (c/a, (c+1)/a), sup_table(a, a, 0.0)[c]. The side lobes
+    c = 1..a-2 peak inside: [left[c-1], right[c-1]] holds the maximizer,
+    `_lobe_peak`'s bracket widened by `dirichlet_sup`'s delta and rounded
+    outward, so the brackets are disjoint and ascending. The main-lobe halves
+    c = 0 and a-1 peak at the integers."""
+
+    sup: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+
+
+def lobe_table(a: int) -> LobeTable:
+    brackets = [_lobe_peak(a, c / a, (c + 1) / a) for c in range(1, a - 1)]
+    left = [math.nextafter(l - _peak_slack(l, r), -math.inf) for l, r in brackets]
+    right = [math.nextafter(r + _peak_slack(l, r), math.inf) for l, r in brackets]
+    return LobeTable(np.array(sup_table(a, a, 0.0)), np.array(left), np.array(right))
+
+
+def interval_sup_abs(
+    lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, lobes: LobeTable
+) -> np.ndarray:
+    """Upper bound for `dirichlet_kernel_abs`(x, a) at every float x in
+    [lo, hi], elementwise over arrays of interval ends 0 <= lo <= hi, given
+    the kernel's values g_lo and g_hi at the ends; a = len(lobes.sup).
+
+    Let v be the larger end value. If [lo, hi] holds an integer, v = a.
+    Otherwise reduce by n = floor(lo) to [t_lo, t_hi] in (0, 1): if that
+    meets the maximizer bracket of one side lobe c, v = max(v, sup[c]); if
+    it meets two or more, v = a. The result is fl(v + 48 a u).
+
+    Proof. A kernel value at x is at most |g(x)| + 23.2 a u
+    (`dirichlet_kernel_abs`), so it suffices that S = sup |g| over [lo, hi]
+    is at most v + 23.2 a u.
+
+    - An integer in [lo, hi]: S <= a, since |g| <= a everywhere.
+    - Otherwise n < lo <= hi < n + 1. t = x - n is exact (Sterbenz for
+      n >= 1), and |g| is 1-periodic, so S is the sup over [t_lo, t_hi].
+      The zeros k/a cut that into pieces, one per lobe. |g| is log-concave
+      on each lobe (`_lobe_peak`), so on a piece it is largest at an end,
+      where it is |g| at lo or hi, or 0 at a zero, unless the lobe's
+      maximizer lies in the piece; then it is at most sup[c]. The main-lobe
+      halves peak at the integers, outside [lo, hi]. A side-lobe maximizer
+      lies in its bracket, so if it lies in [t_lo, t_hi] the two meet. The
+      brackets are disjoint and ascending, so those that meet [t_lo, t_hi]
+      are the ones from the first with right >= t_lo to the last with
+      left <= t_hi, two `searchsorted` counts apart. With none, S is the
+      larger end value of |g|; with one, S <= max(that, sup[c]); with more,
+      v = a >= S.
+    - The end values of |g| are within 23.2 a u of g_lo and g_hi, so
+      S <= v + 23.2 a u in every case.
+
+    Rounding of the last sum: v <= a + 23.2 a u, so fl(v + 48 a u) >=
+    v + 48 a u - u (v + 48 a u) > v + 46.9 a u, above the v + 46.4 a u that
+    the two kernel errors need.
+    """
+    a = len(lobes.sup)
+    if np.any(lo < 0.0):
+        raise PreconditionError("interval_sup_abs needs lo >= 0")
+    n = np.floor(lo)
+    wide = np.floor(hi) > n  # an integer in (lo, hi]
+    t = np.subtract(lo, n)
+    wide |= t == 0.0  # lo is an integer
+    first = np.searchsorted(lobes.right, t)  # brackets entirely below t_lo
+    met = np.searchsorted(lobes.left, np.subtract(hi, n, out=n), side="right")
+    met -= first
+    wide |= met > 1
+    # sup of the first bracket met; one past the last side lobe reads 0
+    peak = np.take(np.append(lobes.sup[1 : a - 1], 0.0), first, out=t)
+    peak[met == 0] = 0.0
+    v = np.maximum(g_lo, g_hi)
+    np.maximum(v, peak, out=v)
+    v[wide] = a
+    v += 48.0 * a * _U
+    return v
 
 
 def _distinct_coeffs(ctx: BaseContext) -> list[int]:

@@ -210,23 +210,31 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     The windows of _prime_segments, in order. Each marks its primes and the
     products p q in it with p <= q prime; p q <= x needs p <= isqrt(x), and
     p = q gives the squares. Every q <= (hi - 1) // 2 lies in a window
-    already sieved, so the list of primes <= x // 2 found so far holds all of
-    them. It grows like pi(x / 2) as int32 (x <= 10**8 < 2**31): about
-    1.4 MB at x = 10**7 and 12 MB at the guard; the products are int64. The
-    count is the marks inside the digit class.
+    already sieved, so the primes <= x // 2 found so far hold all of them.
+    They fill one int32 buffer (x <= 10**8 < 2**31) in place, sized by
+    Rosser and Schoenfeld's pi(y) < 1.25506 y / ln y for y > 1 at
+    y = x // 2, plus 1 for the rounding of that float expression: 1.7 MB at
+    x = 10**7 and 14 MB at the guard, of which the pages past pi(x / 2)
+    are never written. The products are int64. The count is the marks
+    inside the digit class.
 
-    SIEVE_GUARD bounds the running time and that list; it is checked before
-    any work.
+    SIEVE_GUARD bounds the running time and that buffer; it is checked
+    before any work.
     """
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     if x > SIEVE_GUARD:
         raise CostGuardError(f"x = {x} exceeds the guard {SIEVE_GUARD}")
     _warn_gcd_hypothesis(ctx, s)
-    qs = np.zeros(0, dtype=np.int32)  # the primes <= x // 2 so far
+    half = x // 2
+    buf = np.empty(int(1.25506 * half / math.log(half)) + 1 if half > 1 else 0, np.int32)
+    n_qs = 0
     total = 0
     for lo, hi, primes in _prime_segments(x):
-        qs = np.concatenate([qs, primes[primes <= x // 2].astype(np.int32)])
+        new = primes[primes <= half]
+        buf[n_qs : n_qs + new.size] = new
+        n_qs += new.size
+        qs = buf[:n_qs]  # the primes <= x // 2 so far
         marks = np.zeros(hi - lo, dtype=bool)
         marks[primes - lo] = True
         # int32 keys: with int64 keys, searchsorted would copy qs to int64

@@ -80,6 +80,35 @@ def test_terms_upto():
     assert terms == [1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
 
 
+def _terms_upto_linear(ctx, limit):
+    # the definition: G_0..G_m with G_m <= limit < G_{m+1}, by a scan
+    n = 0
+    while ctx.term(n) <= limit:
+        n += 1
+    return [ctx.term(k) for k in range(n)]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2,), (3, 2, 1), (100, 1)])
+def test_terms_upto_matches_the_linear_scan(coeffs):
+    # limits at, just below and just above each term, below G_1 and 0, on a
+    # fresh cache and on a warm one, in rising and in falling order
+    terms = _terms_upto_linear(make_context(coeffs), 10**15)
+    limits = [0, terms[0] - 1, terms[1] - 1]
+    limits += [g + d for g in terms for d in (-1, 0, 1)]
+    for order in (limits, limits[::-1]):
+        warm = make_context(coeffs)
+        for limit in order:
+            want = _terms_upto_linear(make_context(coeffs), limit)
+            assert make_context(coeffs).terms_upto(limit) == want, limit
+            assert warm.terms_upto(limit) == want, limit
+
+
+def test_terms_upto_keeps_the_width_guard():
+    # a limit past the 128-bit width needs a term that does not fit
+    with pytest.raises(IntegerWidthError):
+        make_context((100, 1)).terms_upto(1 << 130)
+
+
 def test_integer_width_guard():
     ctx = make_context((100, 1))
     with pytest.raises(IntegerWidthError):

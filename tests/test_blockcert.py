@@ -16,6 +16,7 @@ from recnum.blockcert import (
     _GRID_SNAP,
     _build_y_grid,
     _gamma_grid_size,
+    _inner_bounds,
     _main_terms,
     certify_M2_2_detail,
     certify_M2_3,
@@ -27,7 +28,7 @@ from recnum.blockcert import (
     quadratic_context,
     reference_grid,
 )
-from recnum.bounds import _U, dirichlet_kernel_abs, interval_sup_deriv, sup_table
+from recnum.bounds import _U, dirichlet_kernel_abs, interval_sup_deriv, lobe_table, sup_table
 
 COARSE = GridParams(eps=0.01, eta=0.001)
 
@@ -84,11 +85,14 @@ def _main_grid(a, grid):
 
 def test_coarse_grid_has_several_gamma_chunks():
     # a = 15 on COARSE: 1520 points in 228 columns of height 7, so the
-    # 1001-point gamma-grid splits into 13 chunks, the last one short
+    # 1001-point gamma-grid splits into 13 exact batches and, over the 229
+    # column edges, 15 bound chunks, the last one short each time
     _, ys, n_gamma = _main_grid(15, COARSE)
     chunk = _CHUNK_FLOATS // ys.size
+    rows = _CHUNK_FLOATS // (8 * (ys.shape[1] + 1))
     assert (len(np.unique(ys)), ys.shape, n_gamma) == (1520, (7, 228), 1001)
     assert n_gamma // chunk > 3 and n_gamma % chunk
+    assert n_gamma // rows > 3 and n_gamma % rows
 
 
 def test_y_grid_columns_partition_the_lattice():
@@ -224,7 +228,9 @@ def test_main_terms_match_per_q_reference(per_q_reference, rows_per_chunk, monke
     cases += [(q0, _binding_corrs(mains, q0)) for q0 in range(15)]
     for threads in (1, 2):
         for q0, corrs in cases:
-            q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, threads)
+            q, main, pairs = _main_terms(
+                15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, lobe_table(15), threads
+            )
             assert (q, main.hex()) == (q0, mains[q0].hex())
             assert 1 <= pairs < 15 * n_gamma
 
@@ -237,20 +243,25 @@ def test_main_terms_evaluate_every_tied_pair(per_q_reference):
     ties = np.zeros(15)
     ties[[3, 9]] = 2.0**70
     for threads in (1, 2):
-        q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, ties, threads)
+        q, main, pairs = _main_terms(
+            15, alpha_inv, ys, COARSE.eta, n_gamma, ties, lobe_table(15), threads
+        )
         assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
 
 
 def _pair_scores(a, grid, corrs):
     """The bound pass's flat scores in _main_terms' arithmetic (same chunks,
-    same einsum), with the kernel factors for exact evaluation."""
+    same edge bounds, same einsum), with the kernel factors for exact
+    evaluation."""
     alpha_inv, ys, n_gamma = _main_grid(a, grid)
     outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
-    inner = dirichlet_kernel_abs(alpha_inv * ys + (np.arange(n_gamma) * grid.eta)[:, None, None], a)
-    i_max, o_max = np.max(inner, axis=1), np.max(outer, axis=1)
-    chunk = max(1, _CHUNK_FLOATS // ys.size)
+    gammas = np.arange(n_gamma) * grid.eta
+    inner = dirichlet_kernel_abs(alpha_inv * ys + gammas[:, None, None], a)
+    i_max = _inner_bounds(alpha_inv * ys, gammas, lobe_table(a))
+    o_max = np.max(outer, axis=1)
+    rows = max(1, _CHUNK_FLOATS // (8 * (ys.shape[1] + 1)))
     scores = np.concatenate(
-        [np.einsum("gb,qb->qg", i_max[lo : lo + chunk], o_max) for lo in range(0, n_gamma, chunk)],
+        [np.einsum("gb,qb->qg", i_max[lo : lo + rows], o_max) for lo in range(0, n_gamma, rows)],
         axis=1,
     )
     scores *= 1.0 + 4.0 * ys.shape[1] * _U
@@ -271,8 +282,35 @@ def test_exact_pairs_count_the_pairs_reaching_the_top_total(per_q_reference, bin
     reaching = np.count_nonzero(flat >= s_top + corrs[q_top])
     q0 = int(np.argmax(mains)) if binding is None else binding
     for threads in (1, 2):
-        q, main, pairs = _main_terms(15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, threads)
+        q, main, pairs = _main_terms(
+            15, alpha_inv, ys, COARSE.eta, n_gamma, corrs, lobe_table(15), threads
+        )
         assert (q, main.hex(), pairs) == (q0, mains[q0].hex(), reaching)
+
+
+@pytest.mark.parametrize("a, grid", [
+    # the tiny rows, where a column holds 14 to 20 y points, the release
+    # row's coarse grid and a reference row
+    (5, COARSE),
+    (6, COARSE),
+    (7, COARSE),
+    (15, COARSE),
+    (29, reference_grid(29)),
+])
+def test_inner_bounds_dominate_the_column_maxima(a, grid):
+    # at every (gamma0, b) of the whole gamma-grid, the edge bound is at
+    # least the largest float inner kernel value of column b, taken over
+    # every y point of the column as the exact pass takes it
+    alpha_inv, ys, n_gamma = _main_grid(a, grid)
+    ys_inner = alpha_inv * ys
+    lobes = lobe_table(a)
+    rows = max(1, _CHUNK_FLOATS // ys.size)
+    for lo in range(0, n_gamma, rows):
+        gammas = np.arange(lo, min(lo + rows, n_gamma)) * grid.eta
+        col_max = np.max(dirichlet_kernel_abs(ys_inner + gammas[:, None, None], a), axis=1)
+        bound = _inner_bounds(ys_inner, gammas, lobes)
+        assert bound.shape == col_max.shape
+        assert np.all(bound >= col_max), (a, lo)
 
 
 def test_certificate_keeps_the_binding_q(monkeypatch):

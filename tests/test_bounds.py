@@ -23,8 +23,10 @@ from recnum.bounds import (
     compute_mbound_report,
     dirichlet_kernel_abs,
     dirichlet_sup,
+    interval_sup_abs,
     interval_sup_deriv,
     kernel_derivative_cap,
+    lobe_table,
     m_closed_form,
     m_shifted,
     m_value,
@@ -234,6 +236,51 @@ def test_sup_rounding_allowance_against_mpmath(a):
         true = float(_mp_sup(a, lo, hi))
         bound = dirichlet_sup(a, lo, hi)
         assert true <= bound <= true * (1.0 + 1e-10), (lo, hi)
+
+
+def _interval_bounds(a, los, his):
+    los, his = np.asarray(los, dtype=float), np.asarray(his, dtype=float)
+    g_lo, g_hi = dirichlet_kernel_abs(los, a), dirichlet_kernel_abs(his, a)
+    return interval_sup_abs(los, his, g_lo, g_hi, lobe_table(a))
+
+
+@pytest.mark.parametrize("a", [2, 3, 7, 15, 29])
+def test_interval_sup_abs_covers_the_true_sup(a):
+    # against the 200-bit sup of |g|: intervals around each side-lobe peak
+    # (the lobe's table entry), beside it (an end value), across each zero,
+    # around an integer, over two lobes, and shifted by 1 and 2; every
+    # bound stays within the allowance of a. Intervals from or up to an
+    # integer, where |g| is the limit a, must give at least a.
+    intervals = []
+    for c in range(1, a - 1):
+        intervals += [((c + 0.3) / a, (c + 0.7) / a), ((c + 0.05) / a, (c + 0.35) / a),
+                      ((c + 0.65) / a, (c + 0.95) / a)]
+    intervals += [((c - 0.2) / a, (c + 0.2) / a) for c in range(1, a)]
+    intervals += [(1 - 0.1 / a, 1 + 0.1 / a), (0.5 / a, 2.7 / a), (0.2 / a, 0.9 / a)]
+    intervals += [(lo + k, hi + k) for lo, hi in intervals[: 3 * (a - 2)] for k in (1, 2)]
+    los, his = zip(*intervals)
+    bounds_ = _interval_bounds(a, los, his)
+    assert np.all(bounds_ <= a + 48 * a * U)
+    for (lo, hi), bound in zip(intervals, bounds_.tolist()):
+        assert float(_mp_sup(a, lo, hi)) <= bound, (lo, hi)
+    assert np.all(_interval_bounds(a, [0.0, 1.0, 2 - 0.3 / a], [0.3 / a, 1.2, 2.0]) >= a)
+
+
+@pytest.mark.parametrize("a", [2, 3, 7, 15, 29, 100])
+def test_interval_sup_abs_covers_dense_float_kernel(a):
+    # 300 random intervals in [0, 3), widths from 1e-6 to 1.5/a: the bound
+    # is at least every float kernel value at 1001 points of the interval
+    rng = np.random.default_rng(a)
+    los = rng.uniform(0.0, 3.0, 300)
+    his = los + np.exp(rng.uniform(math.log(1e-6), math.log(1.5 / a), 300))
+    points = np.clip(np.linspace(los, his, 1001, axis=1), los[:, None], his[:, None])
+    dense = np.max(dirichlet_kernel_abs(points, a), axis=1)
+    assert np.all(_interval_bounds(a, los, his) >= dense)
+
+
+def test_interval_sup_abs_needs_nonnegative_ends():
+    with pytest.raises(PreconditionError):
+        _interval_bounds(7, [-0.1], [0.1])
 
 
 def test_sup_values_pinned():
