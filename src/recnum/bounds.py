@@ -296,10 +296,11 @@ def interval_sup_abs(
       halves peak at the integers, outside [lo, hi]. A side-lobe maximizer
       lies in its bracket, so if it lies in [t_lo, t_hi] the two meet. The
       brackets are disjoint and ascending, so those that meet [t_lo, t_hi]
-      are the ones from the first with right >= t_lo to the last with
-      left <= t_hi, two `searchsorted` counts apart. With none, S is the
-      larger end value of |g|; with one, S <= max(that, sup[c]); with more,
-      v = a >= S.
+      run from the first with right >= t_lo, `first` (one `searchsorted`),
+      while left <= t_hi: first is met iff left[first] <= t_hi, and two or
+      more are met iff left[first + 1] <= t_hi as well (left is padded with
+      two +inf, which no t_hi reaches). With none, S is the larger end value
+      of |g|; with one, S <= max(that, sup[c]); with more, v = a >= S.
     - The end values of |g| are within 23.2 a u of g_lo and g_hi, so
       S <= v + 23.2 a u in every case.
 
@@ -315,12 +316,12 @@ def interval_sup_abs(
     t = np.subtract(lo, n)
     wide |= t == 0.0  # lo is an integer
     first = np.searchsorted(lobes.right, t)  # brackets entirely below t_lo
-    met = np.searchsorted(lobes.left, np.subtract(hi, n, out=n), side="right")
-    met -= first
-    wide |= met > 1
+    t_hi = np.subtract(hi, n, out=n)
+    left = np.append(lobes.left, [np.inf, np.inf])
+    wide |= np.take(left, first + 1) <= t_hi
     # sup of the first bracket met; one past the last side lobe reads 0
     peak = np.take(np.append(lobes.sup[1 : a - 1], 0.0), first, out=t)
-    peak[met == 0] = 0.0
+    peak[np.take(left, first) > t_hi] = 0.0
     v = np.maximum(g_lo, g_hi)
     np.maximum(v, peak, out=v)
     v[wide] = a

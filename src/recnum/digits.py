@@ -56,8 +56,9 @@ def sum_of_digits(ctx: BaseContext, nu: int) -> int:
 
 
 # Each context caches one prefix table of s_G over [0, G_m), G_m the largest
-# term <= TABLE_LIMIT (8 MB at most), and one copy mod s per class modulus s
-# asked for (1 MB at most for s < 256); they are dropped with their context.
+# term <= TABLE_LIMIT (8 MB at most), if digit sums are asked for, and one
+# table mod s per class modulus s asked for (1 MB at most for s < 256), built
+# without the prefix table; they are dropped with their context.
 TABLE_LIMIT = 1 << 20
 _TABLES: weakref.WeakKeyDictionary[BaseContext, np.ndarray] = (
     weakref.WeakKeyDictionary()
@@ -67,20 +68,26 @@ _MOD_TABLES: weakref.WeakKeyDictionary[BaseContext, dict[int, np.ndarray]] = (
 )
 
 
+def _block_table(ctx: BaseContext, dtype, op) -> np.ndarray:
+    """A table over [0, G_m) built block by block by `_fill_low`: for
+    G_j <= k < G_{j+1} the greedy top digit is d = k // G_j and the rest is
+    t = k - d G_j < G_j, so entry k is op(entry t, d), read from the blocks
+    below. With np.add this is s_G(k) = d + s_G(t)."""
+    terms = ctx.terms_upto(TABLE_LIMIT)
+    table = np.zeros(terms[-1], dtype=dtype)
+    for g, g_next in zip(terms, terms[1:]):
+        _fill_low(table[:g], table[g:g_next], g, 0, op)
+    return table
+
+
 def _prefix_table(ctx: BaseContext) -> np.ndarray:
-    """s_G(k) for k in [0, G_m), built block by block: for G_j <= k < G_{j+1}
-    the greedy top digit is k // G_j, so s(k) = k // G_j + s(k mod G_j).
+    """s_G(k) for k in [0, G_m), by the block identity (`_block_table`).
 
     Two threads racing here build equal tables, and either store may win.
     """
     table = _TABLES.get(ctx)
     if table is None:
-        terms = ctx.terms_upto(TABLE_LIMIT)
-        table = np.zeros(terms[-1], dtype=np.int64)
-        for g, g_next in zip(terms, terms[1:]):
-            ks = np.arange(g, g_next, dtype=np.int64)
-            table[g:g_next] = ks // g + table[ks % g]
-        _TABLES[ctx] = table
+        table = _TABLES[ctx] = _block_table(ctx, np.int64, np.add)
     return table
 
 
@@ -168,10 +175,24 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
 
 def _mod_table(ctx: BaseContext, s: int) -> np.ndarray:
     """The prefix table mod s, in the smallest unsigned dtype that holds s;
-    cached per context and modulus."""
+    cached per context and modulus.
+
+    Built by the block identity mod s, (d + s_G(t)) mod s = ((d mod s) +
+    (s_G(t) mod s)) mod s, so the int64 prefix table is never formed. The sum
+    of two residues is at most 2s - 2, so the build dtype is the smallest
+    that holds 2s - 1, above that sum and s. The row's digit is reduced mod s
+    and cast to that dtype first: a Python int added to a narrow array takes
+    the array's dtype and wraps."""
     tables = _MOD_TABLES.setdefault(ctx, {})
     if s not in tables:
-        tables[s] = (_prefix_table(ctx) % s).astype(np.min_scalar_type(s))
+        wide = np.min_scalar_type(2 * s - 1)
+
+        def add_mod(part, c, out):
+            np.add(part, np.remainder(c, s).astype(wide), out=out)
+            np.remainder(out, s, out=out)
+
+        table = _block_table(ctx, wide, add_mod)
+        tables[s] = table.astype(np.min_scalar_type(s), copy=False)
     return tables[s]
 
 

@@ -32,7 +32,7 @@ COUNT_GUARD = 10**7
 # bv_discrepancy's float32 column sums are integers <= x <= COUNT_GUARD: exact
 assert COUNT_GUARD < 2**24
 _CHUNK = 1 << 20
-_ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per np.add.at call in _add_pairs
+_ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per batch of _pair_batches
 DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
 
@@ -247,29 +247,62 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     return total
 
 
-def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The prime powers e = p^k <= n, ascending, and Lambda(e) = log p.
+def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prime powers e = p^j <= n, ascending, and Lambda(e) = log p; then
+    the positions in that list of the p^j with j >= 2, ascending, and their
+    exponents j.
 
-    The primes come from _prime_segments. log p comes from math.log: np.log
-    differs from it by one ulp on some primes, and every Lambda_l inherits
-    these values."""
-    primes = np.concatenate([ps for _, _, ps in _prime_segments(n)])
-    # math.log converts p to a double, exact below 2**53
-    logs = np.fromiter(map(math.log, primes.tolist()), dtype=float, count=primes.size)
-    es, lv = [primes], [logs]
-    # p^k for k >= 2, over the primes that still have p^k <= n
-    k = int(np.searchsorted(primes, math.isqrt(n), side="right"))
-    primes, logs = primes[:k], logs[:k]
-    powers = primes * primes
-    while powers.size:
-        keep = powers <= n
-        primes, logs, powers = primes[keep], logs[keep], powers[keep]
-        es.append(powers)
-        lv.append(logs)
-        powers = powers * primes
-    es, lv = np.concatenate(es), np.concatenate(lv)
-    order = np.argsort(es, kind="stable")
-    return es[order], lv[order]
+    The primes come from _prime_segments, and the few higher powers (555
+    below 10**7) are merged into each segment's primes at their searchsorted
+    positions, so the two lists are allocated once and never sorted. Until
+    the merge is done the segments hold the primes a second time, 24 bytes
+    per prime in all. log p comes from math.log: np.log differs from it by
+    one ulp on some primes (44 of the 664,579 below 10**7), and every
+    Lambda_l inherits these values."""
+    higher = []
+    for p in _primes_upto(math.isqrt(n)):
+        pj, j = p * p, 2
+        while pj <= n:
+            higher.append((pj, j, math.log(p)))
+            pj, j = pj * p, j + 1
+    higher.sort()
+    hp = np.array([pj for pj, _, _ in higher], dtype=np.int64)
+    hl = np.array([log for _, _, log in higher])
+    segments = list(_prime_segments(n))
+    size = sum(ps.size for _, _, ps in segments) + hp.size
+    es, lv = np.empty(size, dtype=np.int64), np.empty(size)
+    at = np.empty(hp.size, dtype=np.int64)
+    start = 0
+    for i, (lo, hi, ps) in enumerate(segments):
+        segments[i] = None  # each segment is freed once merged
+        a, b = hp.searchsorted((lo, hi))
+        ins = ps.searchsorted(hp[a:b])
+        stop = start + ps.size + b - a
+        es[start:stop] = np.insert(ps, ins, hp[a:b])
+        # math.log converts p to a double, exact below 2**53
+        logs = np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size)
+        lv[start:stop] = np.insert(logs, ins, hl[a:b])
+        at[a:b] = start + ins + np.arange(b - a)
+        start = stop
+    return es, lv, at, np.array([j for _, j, _ in higher], dtype=np.int64)
+
+
+def _pair_batches(first, count):
+    """The pairs (i, j), first[i] <= j < first[i] + count[i], in ascending i
+    and then j, _ADD_AT_CHUNK at a time: yields (i0, i1, run, j), where the
+    batch's pairs belong to the i in [i0, i1), run[i - i0] to each, and j
+    holds their second indices."""
+    bounds = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=bounds[1:])
+    shift = first - bounds[:-1]
+    total = int(bounds[-1])
+    for b0 in range(0, total, _ADD_AT_CHUNK):
+        b1 = min(b0 + _ADD_AT_CHUNK, total)
+        # the i whose runs meet pairs [b0, b1)
+        i0 = int(np.searchsorted(bounds, b0, side="right")) - 1
+        i1 = int(np.searchsorted(bounds, b1, side="left"))
+        run = np.minimum(bounds[i0 + 1 : i1 + 1], b1) - np.maximum(bounds[i0:i1], b0)
+        yield i0, i1, run, np.arange(b0, b1) + np.repeat(shift[i0:i1], run)
 
 
 def _add_pairs(out, lo, es, lv, ms, cv, ptr) -> None:
@@ -285,22 +318,30 @@ def _add_pairs(out, lo, es, lv, ms, cv, ptr) -> None:
     top = lo + out.size - 1
     active = int(np.searchsorted(es, top // ms[0], side="right"))
     end = np.searchsorted(ms, top // es[:active], side="right")
-    # pair p belongs to es[i] with bounds[i] <= p < bounds[i + 1], and its m
-    # is ms[p + shift[i]]
-    bounds = np.zeros(active + 1, dtype=np.int64)
-    np.subtract(end, ptr[:active], out=bounds[1:])
-    np.cumsum(bounds, out=bounds)
-    shift = ptr[:active] - bounds[:-1]
-    for b0 in range(0, int(bounds[-1]), _ADD_AT_CHUNK):
-        b1 = min(b0 + _ADD_AT_CHUNK, int(bounds[-1]))
-        # es[i0:i1] are the prime powers whose runs meet pairs [b0, b1)
-        i0 = int(np.searchsorted(bounds, b0, side="right")) - 1
-        i1 = int(np.searchsorted(bounds, b1, side="left"))
-        run = np.minimum(bounds[i0 + 1 : i1 + 1], b1) - np.maximum(bounds[i0:i1], b0)
-        j = np.arange(b0, b1) + np.repeat(shift[i0:i1], run)
+    for i0, i1, run, j in _pair_batches(ptr[:active], end - ptr[:active]):
         e, lam = np.repeat(es[i0:i1], run), np.repeat(lv[i0:i1], run)
         np.add.at(out, e * ms[j] - lo, cv[j] * lam)
     ptr[:active] = end
+
+
+def _set_unordered_pairs(out, lo, es, lv) -> None:
+    """Set out[e m - lo] = x + x, x = Lambda(m) Lambda(e), for every pair of
+    prime powers e < m with e m in the window [lo, lo + out.size), in batches
+    of _ADD_AT_CHUNK pairs. e^2 < e m <= top, so e <= isqrt(top), and the m
+    of each e are one slice of es.
+
+    Pairs of powers of one prime land on a prime power and leave a wrong
+    value there; the caller overwrites those."""
+    top = lo + out.size - 1
+    t = int(np.searchsorted(es, math.isqrt(top), side="right"))
+    e = es[:t]
+    first = np.searchsorted(es, np.maximum(e + 1, -(-lo // e)))
+    count = np.searchsorted(es, top // e, side="right") - first
+    np.maximum(count, 0, out=count)
+    for i0, i1, run, j in _pair_batches(first, count):
+        x = lv[j] * np.repeat(lv[i0:i1], run)
+        x += x
+        out[np.repeat(es[i0:i1], run) * es[j] - lo] = x
 
 
 def _lambda_windows(n: int, ell: int):
@@ -310,29 +351,52 @@ def _lambda_windows(n: int, ell: int):
     Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
     Lambda_1 = Lambda from the sparse prime-power list (es, lv).
 
-    In a window, every level l >= 2 sets log(k) Lambda_{l-1}(k) at the support
-    of Lambda_{l-1}, then adds Lambda_{l-1}(m) Lambda(e) at k = e m in
-    ascending e (_add_pairs). np.add.at is unbuffered and adds in input
-    order, so Lambda_l(k) gets log(k) Lambda_{l-1}(k) first, then its terms
-    in ascending e: one left-to-right sum. A pair left out would add an exact
-    0.0, which changes nothing as every Lambda_l is >= 0, so the bits are
-    those of the dense recursion with one strided slice-add per e. np.bincount
-    would regroup the sums and change the bits. Before numpy 1.25, np.add.at
-    is slower, not different.
+    The bits are those of the dense recursion that sets log(k) Lambda_{l-1}(k)
+    at the support of Lambda_{l-1}, then adds Lambda_{l-1}(m) Lambda(e) at
+    k = e m with one strided slice-add per prime power e, in ascending e: at
+    each k, one left-to-right sum. A pair left out would add an exact 0.0,
+    which changes nothing as every Lambda_l is >= 0. np.bincount would
+    regroup the sums and change the bits.
+
+    Level 1 (Lambda_2 from Lambda_1, at every l >= 2) by its closed form.
+    Lambda * Lambda is nonzero only at k = p^a q^b and k = p^j:
+    - k = p^a q^b, p != q: the prime-power pairs with product k are
+      (p^a, q^b) and (q^b, p^a), so the dense sum is 0 + x + x with
+      x = fl(log p log q) both times (multiplication commutes), and
+      0 + x + x = x + x exactly. `_set_unordered_pairs` writes x + x at each
+      unordered pair e < m; k names its pair, so no index repeats.
+    - k = p^j, j >= 2: the pairs (p^c, p^(j-c)), c = 1..j-1, each add
+      sq = fl(log p log p), in sequence onto fl(log(k) log p). The unordered
+      pairs of powers of p also write there, so each such k is set again
+      afterwards from the saved fl(log(k) log p) plus j - 1 additions of sq.
+    - Other k, primes included, get no pair and keep fl(log(k) Lambda(k)).
+
+    Levels l >= 2 (_add_pairs) add Lambda_l(m) Lambda(e) at k = e m in
+    ascending e by np.add.at, which is unbuffered and adds in input order,
+    so Lambda_{l+1}(k) gets log(k) Lambda_l(k) first, then its terms in
+    ascending e. Before numpy 1.25, np.add.at is slower, not different.
 
     The m side needs the support of Lambda_{l-1} only up to n // 2, since
     e >= 2, and a window only below its own end. So the levels run in
     lockstep: each window computes Lambda_1, ..., Lambda_l in turn and
-    appends the support of each intermediate level before the next level
-    reads it. Memory is the prime powers, those supports (for l >= 3) and
-    one window; nothing has length n.
+    appends the support of each level >= 2 below l before the next level
+    reads it.
+
+    Memory, nothing of length n. The live set at l = 2:
+    - es and lv, 16 bytes per prime power <= n;
+    - one window of _CHUNK float64, and the window's prime powers k with
+      their log(k) Lambda(k), 16 bytes each;
+    - one batch of _ADD_AT_CHUNK pairs, at most five int64 or float64
+      temporaries (40 bytes) per pair.
+    For l >= 3 add the supports of Lambda_2, ..., Lambda_{l-1} up to n // 2
+    (16 bytes per entry) and one int64 pointer per prime power for each.
     """
-    es, lv = _prime_powers(n)
+    es, lv, at, js = _prime_powers(n)
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
-    # (ms, cv): the support of Lambda_1, and of Lambda_2, ..., Lambda_{l-1}
-    # up to n // 2 as far as the windows have reached
-    supports = [(es, lv)] + [empty] * (ell - 2)
-    ptrs = [np.zeros(es.size, dtype=np.int64) for _ in range(ell - 1)]
+    # (ms, cv): the support of Lambda_2, ..., Lambda_{l-1} up to n // 2 as
+    # far as the windows have reached
+    supports = [empty] * (ell - 2)
+    ptrs = [np.zeros(es.size, dtype=np.int64) for _ in range(ell - 2)]
     buf = np.empty(min(_CHUNK, n + 1))
     for lo in range(0, n + 1, _CHUNK):
         hi = min(lo + _CHUNK, n + 1)
@@ -343,16 +407,27 @@ def _lambda_windows(n: int, ell: int):
         cur[k] = vals
         for level in range(1, ell):
             # Lambda_{level+1} overwrites Lambda_level, which is 0 off k
-            cur[k] = np.log(k + lo) * vals
-            _add_pairs(cur, lo, es, lv, *supports[level - 1], ptrs[level - 1])
+            base = np.log(k + lo) * vals
+            cur[k] = base
+            if level == 1:
+                _set_unordered_pairs(cur, lo, es, lv)
+                c, d = np.searchsorted(at, (a, b))
+                pj = at[c:d] - a  # the window's p^j, j >= 2, as indices into k
+                v, sq = base[pj], vals[pj] * vals[pj]
+                for t in range(2, int(js[c:d].max(initial=1)) + 1):
+                    more = js[c:d] >= t
+                    v[more] += sq[more]
+                cur[k[pj]] = v
+            else:
+                _add_pairs(cur, lo, es, lv, *supports[level - 2], ptrs[level - 2])
             if level < ell - 1:
                 k = np.flatnonzero(cur)
                 vals = cur[k]
                 if lo <= n // 2:
                     h = int(np.searchsorted(k, n // 2 - lo, side="right"))
-                    ms, cv = supports[level]
+                    ms, cv = supports[level - 1]
                     ms, cv = np.concatenate([ms, k[:h] + lo]), np.concatenate([cv, vals[:h]])
-                    supports[level] = ms, cv
+                    supports[level - 1] = ms, cv
         yield lo, cur
 
 
@@ -392,6 +467,11 @@ def von_mangoldt_sum(
     a GcdPreconditionWarning rather than an error. Lambda_l streams in windows
     of _CHUNK after the arguments are checked; each window's class sum is one
     np.sum, so _CHUNK sets the bits of lhs.
+
+    Memory: the live set of _lambda_windows, plus the window's class mask
+    (_CHUNK bytes) and, while the next window is not yet built, the class
+    members' values copied for the sum (at most 8 _CHUNK bytes), plus the
+    context's class table mod s (`digits._mod_table`, built once).
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")

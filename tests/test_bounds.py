@@ -278,6 +278,40 @@ def test_interval_sup_abs_covers_dense_float_kernel(a):
     assert np.all(_interval_bounds(a, los, his) >= dense)
 
 
+def _interval_sup_abs_two_counts(lo, hi, g_lo, g_hi, lobes):
+    """interval_sup_abs with the brackets that meet [t_lo, t_hi] counted as
+    two searchsorted counts apart: the right ends below t_lo and the left
+    ends at or below t_hi."""
+    a = len(lobes.sup)
+    n = np.floor(lo)
+    t_lo, t_hi = lo - n, hi - n
+    first = np.searchsorted(lobes.right, t_lo)
+    met = np.searchsorted(lobes.left, t_hi, side="right") - first
+    peak = np.append(lobes.sup[1 : a - 1], 0.0)[first]
+    peak[met == 0] = 0.0
+    v = np.maximum(np.maximum(g_lo, g_hi), peak)
+    v[(np.floor(hi) > n) | (t_lo == 0.0) | (met > 1)] = a
+    return v + 48.0 * a * U, met
+
+
+@pytest.mark.parametrize("a", [2, 3, 7, 15, 29, 100])
+def test_interval_sup_abs_one_search_matches_two_counts(a):
+    # intervals between any two of: the bracket ends themselves, random
+    # points of (0, 1), and 0; at n = 0, where t = x is exact, and shifted
+    # by 1 and 2. They meet 0, 1, 2, 3 and more brackets, as far as a - 2
+    # brackets allow.
+    lobes = lobe_table(a)
+    rng = np.random.default_rng(a)
+    ends = np.concatenate([lobes.left, lobes.right, rng.uniform(0.0, 1.0, 60), [0.0]])
+    i, j = np.triu_indices(ends.size)
+    lo, hi = np.minimum(ends[i], ends[j]), np.maximum(ends[i], ends[j])
+    lo, hi = np.concatenate([lo, lo + 1, lo + 2]), np.concatenate([hi, hi + 1, hi + 2])
+    g_lo, g_hi = dirichlet_kernel_abs(lo, a), dirichlet_kernel_abs(hi, a)
+    want, met = _interval_sup_abs_two_counts(lo, hi, g_lo, g_hi, lobes)
+    assert set(met.tolist()) >= set(range(min(a - 2, 3) + 1))
+    assert np.array_equal(interval_sup_abs(lo, hi, g_lo, g_hi, lobes), want)
+
+
 def test_interval_sup_abs_needs_nonnegative_ends():
     with pytest.raises(PreconditionError):
         _interval_bounds(7, [-0.1], [0.1])

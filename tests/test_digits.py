@@ -10,6 +10,7 @@ from recnum.base import IntegerWidthError, PreconditionError, make_context
 from recnum.digits import (
     TABLE_LIMIT,
     Expansion,
+    _mod_table,
     _prefix_table,
     digit_class_range,
     digit_sums_range,
@@ -288,6 +289,47 @@ def test_digit_class_range_with_one_entry_table(monkeypatch, lo, hi, pieces):
     # one walk per call, as in digit_sums_range
     assert len(calls) <= (1 + 4 * len(CLASS_MODULI)) * pieces
     assert pieces == _pieces(ctx, lo, hi)
+
+
+# (2**21, 1) has a one-entry table; (1000, 1) has row digits up to 1000 and
+# digit sums up to 1999, past every narrow dtype's range
+TABLE_BASES = [(1, 1), (2, 1), (1, 1, 1), (59, 1), (3, 0, 2), (1, 0, 1), (2**21, 1), (1000, 1)]
+
+
+@pytest.mark.parametrize("coeffs", TABLE_BASES)
+def test_prefix_table_by_blocks(coeffs):
+    # against the per-entry formula s(k) = k // G_j + s(k mod G_j) over the
+    # whole table, and against sum_of_digits at its start and every 997th k
+    ctx = make_context(coeffs)
+    table = _prefix_table(ctx)
+    terms = ctx.terms_upto(TABLE_LIMIT)
+    want = np.zeros(terms[-1], dtype=np.int64)
+    for g, g_next in zip(terms, terms[1:]):
+        ks = np.arange(g, g_next, dtype=np.int64)
+        want[g:g_next] = ks // g + want[ks % g]
+    assert table.dtype == np.int64 and np.array_equal(table, want)
+    ks = list(range(min(2000, len(table)))) + list(range(2000, len(table), 997))
+    assert table[ks].tolist() == [sum_of_digits(ctx, k) for k in ks]
+
+
+@pytest.mark.parametrize("coeffs", TABLE_BASES)
+def test_mod_table_is_prefix_table_mod_s(coeffs):
+    # built by the block identity mod s without the prefix table, in uint8
+    # up to s = 255 and uint16 from 256 on (the build holds 2s - 2 in uint16
+    # from s = 129)
+    ctx = make_context(coeffs)
+    tables = {s: _mod_table(ctx, s) for s in (1, 2, 3, 127, 128, 255, 256, 1000)}
+    assert ctx not in digits._TABLES
+    for s, table in tables.items():
+        assert table.dtype == np.min_scalar_type(s)
+        assert np.array_equal(table, _prefix_table(ctx) % s), s
+
+
+def test_digit_class_range_never_builds_the_prefix_table():
+    ctx = make_context((1, 1))
+    digit_class_range(ctx, 10**7 + 2**20, 10**7, 1, 2)
+    digit_class_range(ctx, 1000, 0, 1, 2)
+    assert ctx not in digits._TABLES and 2 in digits._MOD_TABLES[ctx]
 
 
 def test_digit_class_range_rejects_bad_input():

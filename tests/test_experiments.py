@@ -9,7 +9,7 @@ import pytest
 
 import recnum.experiments as experiments
 from recnum.base import CostGuardError, PreconditionError, make_context
-from recnum.digits import digit_sums_range
+from recnum.digits import TABLE_LIMIT, digit_sums_range
 from recnum.experiments import (
     GcdPreconditionWarning,
     almost_prime_count,
@@ -333,6 +333,84 @@ def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
         got = generalized_von_mangoldt(x, ell)
         assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
     assert np.array_equal(generalized_von_mangoldt_dense(x, 4), got)
+
+
+def test_prime_powers_merged_in_order(monkeypatch):
+    # windows of 2, 4 and 128 integers put zero, one or two numbers in a
+    # segment; the higher powers are merged into the primes in place
+    lam = lambda_bruteforce(2**17)
+    for chunk in (1, 2, 64):
+        monkeypatch.setattr(experiments, "_CHUNK", chunk)
+        for x in [0, 1, 2, 3, 4, 8, 9, 27, 1000, 2**10, 3**6 + 1]:
+            es, lv, at, js = experiments._prime_powers(x)
+            assert es.tolist() == np.flatnonzero(lam[: x + 1]).tolist(), (chunk, x)
+            assert np.array_equal(lv, lam[es]), (chunk, x)
+            higher = [(p**j, j) for p in range(2, x + 1) for j in range(2, x.bit_length() + 1)
+                      if lam[p] == math.log(p) and p**j <= x]
+            assert list(zip(es[at].tolist(), js.tolist())) == sorted(higher), (chunk, x)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
+def test_set_unordered_pairs_writes_each_pair(chunk):
+    # x + x at e m for every pair of prime powers e < m, by a double loop;
+    # pairs of powers of one prime all give the same value at their product
+    x = 1000
+    es, lv, _, _ = experiments._prime_powers(x)
+    want = np.zeros(x + 1)
+    for i, e in enumerate(es.tolist()):
+        for j in range(i + 1, es.size):
+            if e * es[j] > x:
+                break
+            want[e * es[j]] = lv[j] * lv[i] + lv[j] * lv[i]
+    got = np.zeros(x + 1)
+    for lo in range(0, x + 1, chunk):
+        experiments._set_unordered_pairs(got[lo : lo + chunk], lo, es, lv)
+    assert np.array_equal(got, want)
+
+
+# windows of 1, 2, 7 and 64 integers, with x next to 2^10 and 3^6, put
+# prime powers p^j on window edges; batches of 1, 3 and 7 pairs split the
+# pair runs of level 1 (the closed form of Lambda_2) and of the levels above
+@lru_cache(maxsize=None)
+def lambda_references(x, ell):
+    """generalized_von_mangoldt_reference and generalized_von_mangoldt_dense,
+    at the default window sizes."""
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    return generalized_von_mangoldt_reference(x, ell, lam), generalized_von_mangoldt_dense(x, ell)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+@pytest.mark.parametrize("pair_chunk", [1, 3, 7])
+def test_lambda_windows_match_references(monkeypatch, chunk, pair_chunk):
+    cases = [(x, ell, *lambda_references(x, ell))
+             for x in [2**10 - 1, 2**10, 3**6, 3**6 + 1] for ell in (2, 3, 4)]
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", pair_chunk)
+    for x, ell, reference, dense in cases:
+        got = generalized_von_mangoldt(x, ell)
+        assert np.array_equal(got, reference) and np.array_equal(got, dense), (x, ell)
+
+
+def test_von_mangoldt_sum_memory_matches_its_live_set():
+    # the live set of the docstrings of _lambda_windows and von_mangoldt_sum:
+    # es and lv; the window's prime powers and their log(k) Lambda(k); one
+    # window and its class mask; then either one batch of pairs (40 bytes
+    # each) or the class members' values (at most one window); and the class
+    # table mod 2 of a fresh context, one byte per entry
+    ctx = make_context((1, 1))
+    x = 3 * 2**20 + 5
+    chunk, pair_chunk = experiments._CHUNK, experiments._ADD_AT_CHUNK
+    es = experiments._prime_powers(x - 1)[0]
+    per_window = max(np.count_nonzero((lo <= es) & (es < lo + chunk)) for lo in range(0, x, chunk))
+    table = ctx.terms_upto(TABLE_LIMIT)[-1]
+    bound = 16 * es.size + 16 * per_window + 9 * chunk + max(40 * pair_chunk, 8 * chunk) + table
+    tracemalloc.start()
+    try:
+        von_mangoldt_sum(ctx, x, 2, 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def lambda2_closed_form(x):
