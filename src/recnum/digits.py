@@ -9,6 +9,7 @@ gets the empty expansion.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -55,40 +56,75 @@ def sum_of_digits(ctx: BaseContext, nu: int) -> int:
     return sum(expand(ctx, nu).digits)
 
 
-# Each context caches one prefix table of s_G over [0, G_m), G_m the largest
-# term <= TABLE_LIMIT (8 MB at most), if digit sums are asked for, and one
-# table mod s per class modulus s asked for (1 MB at most for s < 256), built
-# without the prefix table; they are dropped with their context.
+# Each context caches one prefix table of s_G, if digit sums are asked for,
+# and one table mod s, for the last modulus s asked for, built without the
+# prefix table. Each covers [0, G) for the smallest term G >= n that a call
+# needs, grown as calls need more and capped at G_m, the largest term <=
+# TABLE_LIMIT: 8 MB at most for the prefix table, and for the table mod s
+# 1 MB at most for s < 256 and 4 MB for the residues of the exact direct sum,
+# s <= 2^20. A table is stored as (key, table), key None or s, and is dropped
+# with its context.
 TABLE_LIMIT = 1 << 20
-_TABLES: weakref.WeakKeyDictionary[BaseContext, np.ndarray] = (
+_TABLES: weakref.WeakKeyDictionary[BaseContext, tuple[None, np.ndarray]] = (
     weakref.WeakKeyDictionary()
 )
-_MOD_TABLES: weakref.WeakKeyDictionary[BaseContext, dict[int, np.ndarray]] = (
+_MOD_TABLES: weakref.WeakKeyDictionary[BaseContext, tuple[int, np.ndarray]] = (
     weakref.WeakKeyDictionary()
 )
+_TABLES_LOCK = threading.Lock()
 
 
-def _block_table(ctx: BaseContext, dtype, op) -> np.ndarray:
-    """A table over [0, G_m) built block by block by `_fill_low`: for
-    G_j <= k < G_{j+1} the greedy top digit is d = k // G_j and the rest is
-    t = k - d G_j < G_j, so entry k is op(entry t, d), read from the blocks
-    below. With np.add this is s_G(k) = d + s_G(t)."""
-    terms = ctx.terms_upto(TABLE_LIMIT)
+def _block_table(ctx: BaseContext, dtype, op, end: int | None = None,
+                 head: np.ndarray | None = None) -> np.ndarray:
+    """A table over [0, G), G the largest term <= end (TABLE_LIMIT if end is
+    None), built block by block by `_fill_low`: for G_j <= k < G_{j+1} the
+    greedy top digit is d = k // G_j and the rest is t = k - d G_j < G_j, so
+    entry k is op(entry t, d), read from the blocks below. With np.add this
+    is s_G(k) = d + s_G(t). A head, the same table over [0, G_a) for a term
+    G_a, is copied in, and only the blocks from G_a on are built."""
+    terms = ctx.terms_upto(TABLE_LIMIT if end is None else end)
     table = np.zeros(terms[-1], dtype=dtype)
+    done = 1  # entry 0 is 0
+    if head is not None:
+        done = len(head)
+        table[:done] = head
     for g, g_next in zip(terms, terms[1:]):
-        _fill_low(table[:g], table[g:g_next], g, 0, op)
+        if g >= done:
+            _fill_low(table[:g], table[g:g_next], g, 0, op)
     return table
 
 
-def _prefix_table(ctx: BaseContext) -> np.ndarray:
-    """s_G(k) for k in [0, G_m), by the block identity (`_block_table`).
+def _grown_table(cache: weakref.WeakKeyDictionary, key, ctx: BaseContext, n: int | None,
+                 dtype, build_dtype, op) -> np.ndarray:
+    """The context's table for key in cache, of `_block_table` (built in
+    build_dtype with op, kept in dtype), over [0, G), G the smallest term
+    >= min(n, G_m); with no n, over [0, G_m).
 
-    Two threads racing here build equal tables, and either store may win.
-    """
-    table = _TABLES.get(ctx)
-    if table is None:
-        table = _TABLES[ctx] = _block_table(ctx, np.int64, np.add)
+    A cached table for the same key only grows: a shorter one is extended
+    block by block from its last term. A thread that loses a race to store
+    keeps the longer table of its key, so that table never shrinks. A table
+    for another key is replaced."""
+    stored = cache.get(ctx)
+    table = stored[1] if stored is not None and stored[0] == key else None
+    g_m = ctx.terms_upto(TABLE_LIMIT)[-1]
+    need = g_m if n is None else min(n, g_m)
+    if table is not None and len(table) >= need:
+        return table
+    end = ctx.term(len(ctx.terms_upto(need - 1)))  # the smallest term >= need
+    table = _block_table(ctx, build_dtype, op, end, table).astype(dtype, copy=False)
+    with _TABLES_LOCK:
+        stored = cache.get(ctx)
+        if stored is not None and stored[0] == key and len(stored[1]) >= len(table):
+            return stored[1]
+        cache[ctx] = (key, table)
     return table
+
+
+def _prefix_table(ctx: BaseContext, n: int | None = None) -> np.ndarray:
+    """s_G(k) for k in [0, G) by the block identity, G the smallest term
+    >= min(n, G_m); with no n, the whole table over [0, G_m)
+    (`_grown_table`)."""
+    return _grown_table(_TABLES, None, ctx, n, np.int64, np.int64, np.add)
 
 
 def _fill_low(table: np.ndarray, out: np.ndarray, rem: int, s_h: int, op) -> None:
@@ -146,17 +182,23 @@ def _walk(ctx: BaseContext, table: np.ndarray, out: np.ndarray, lo: int, op) -> 
     descend(len(terms), out, lo, 0)
 
 
-def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
-    """s_G(k) for all k in [lo, n) as an int64 array, by the block identity.
+def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0, mod: int | None = None) -> np.ndarray:
+    """s_G(k) for all k in [lo, n) as an int64 array, by the block identity;
+    with mod, s_G(k) mod `mod` as an int32 array (1 <= mod <= 2^30), and the
+    digit sums are never formed.
 
     Block identity: for k < G_{j+1} the greedy digit at G_j is d = k // G_j
     and the rest of the expansion is that of k - d G_j < G_j, so on the
     block [d G_j, (d + 1) G_j) s_G(k) = d + s_G(k - d G_j). Let G_m be the
-    largest term <= TABLE_LIMIT, so the context's prefix table holds s_G on
-    [0, G_m). From the window's top term down to G_{m+1}, a window inside
-    one block moves down by d G_j and adds d to its digit sums; a window
-    across blocks splits into one piece per block, and each piece goes on
-    the same way. Below G_{m+1}, _fill_low reads the rest off the table.
+    largest term <= TABLE_LIMIT. A window below G_m is read off the
+    context's prefix table, grown to the smallest term >= n
+    (`_prefix_table`); past G_m the table holds s_G on [0, G_m). From the
+    window's top term down to G_{m+1}, a window inside one block moves down
+    by d G_j and adds d to its digit sums; a window across blocks splits
+    into one piece per block, and each piece goes on the same way. Below
+    G_{m+1}, _fill_low reads the rest off the table. With mod, the table is
+    the prefix table mod `mod` (`_mod_table`), and a row with high digit sum
+    c adds c mod `mod` to its entries and reduces the sums (`_add_mod`).
 
     Scalar work. A piece inside one block costs two integer divisions per
     level. Pieces are the window's distinct strings of digits at the terms
@@ -168,32 +210,42 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0) -> np.ndarray:
     integer each). Each piece adds into its slice of the output from views
     of the table, plus one digit per row of G_m integers.
     """
-    out = np.empty(max(n - lo, 0), dtype=np.int64)
-    _walk(ctx, _prefix_table(ctx), out, lo, np.add)
+    if mod is None:
+        out = np.empty(max(n - lo, 0), dtype=np.int64)
+        _walk(ctx, _prefix_table(ctx, n), out, lo, np.add)
+        return out
+    if not 1 <= mod <= 1 << 30:
+        raise PreconditionError(f"need 1 <= mod <= 2^30, got {mod}")
+    out = np.empty(max(n - lo, 0), dtype=np.int32)  # holds 2 mod - 2
+    _walk(ctx, _mod_table(ctx, mod, n), out, lo, _add_mod(mod))
     return out
 
 
-def _mod_table(ctx: BaseContext, s: int) -> np.ndarray:
-    """The prefix table mod s, in the smallest unsigned dtype that holds s;
-    cached per context and modulus.
+def _add_mod(s: int):
+    """The row operation out = (part + (c mod s)) mod s of the tables mod s,
+    for part and out in a dtype that holds 2s - 2, the largest sum of two
+    residues. The row's digit c is reduced mod s and cast to the smallest
+    dtype that holds 2s - 1 first: a Python int added to a narrow array takes
+    the array's dtype and wraps, and that cast makes the sum wide enough."""
+    wide = np.min_scalar_type(2 * s - 1)
+
+    def add_mod(part, c, out):
+        np.add(part, np.remainder(c, s).astype(wide), out=out)
+        np.remainder(out, s, out=out)
+
+    return add_mod
+
+
+def _mod_table(ctx: BaseContext, s: int, n: int | None = None) -> np.ndarray:
+    """The prefix table mod s, in the smallest unsigned dtype that holds s,
+    over [0, G) as in _prefix_table; the context caches it for the last s
+    asked for.
 
     Built by the block identity mod s, (d + s_G(t)) mod s = ((d mod s) +
-    (s_G(t) mod s)) mod s, so the int64 prefix table is never formed. The sum
-    of two residues is at most 2s - 2, so the build dtype is the smallest
-    that holds 2s - 1, above that sum and s. The row's digit is reduced mod s
-    and cast to that dtype first: a Python int added to a narrow array takes
-    the array's dtype and wraps."""
-    tables = _MOD_TABLES.setdefault(ctx, {})
-    if s not in tables:
-        wide = np.min_scalar_type(2 * s - 1)
-
-        def add_mod(part, c, out):
-            np.add(part, np.remainder(c, s).astype(wide), out=out)
-            np.remainder(out, s, out=out)
-
-        table = _block_table(ctx, wide, add_mod)
-        tables[s] = table.astype(np.min_scalar_type(s), copy=False)
-    return tables[s]
+    (s_G(t) mod s)) mod s (`_add_mod`), in the smallest dtype that holds
+    2s - 1, so the int64 prefix table is never formed."""
+    return _grown_table(_MOD_TABLES, s, ctx, n, np.min_scalar_type(s),
+                        np.min_scalar_type(2 * s - 1), _add_mod(s))
 
 
 def digit_class_range(ctx: BaseContext, n: int, lo: int, r: int, s: int) -> np.ndarray:
@@ -204,7 +256,7 @@ def digit_class_range(ctx: BaseContext, n: int, lo: int, r: int, s: int) -> np.n
     so the digit sums are never formed."""
     if s < 1:
         raise PreconditionError(f"need s >= 1, got {s}")
-    table = _mod_table(ctx, s)
+    table = _mod_table(ctx, s, n)
 
     def match(part, c, out):
         np.equal(part, np.remainder(r - c, s).astype(table.dtype), out=out)

@@ -45,14 +45,16 @@ from .digits import digit_sums_range
 DIRECT_SUM_GUARD = 10**7
 # Worst admissible 1-norm: G_n prime just below the guard, so every transform
 # in _transform takes Bluestein's route. `recnum onenorm --coeffs 99990,1
-# --n 1` (G_1 = 99991, 1,599,856 nodes) takes 0.60-0.64 s and peaks at 143 MB
-# RSS, against 30 MB for the interpreter with numpy and recnum, in a fresh
-# interpreter on a 2-vCPU x86-64 machine (numpy 2.4): the 16 x G_n terms and
-# the node arrays are 25.6 MB each. (1, 1) at n = 23 (1,200,400 nodes) takes
-# 0.46 s and 121 MB.
+# --n 1 --beta 0.2` (G_1 = 99991, 1,599,856 nodes) takes 0.3-0.5 s and
+# peaks at 109 MB RSS, against 30 MB for the interpreter with numpy and
+# recnum, in a fresh interpreter on a shared 2-vCPU x86-64 machine (numpy
+# 2.4): the 16 x G_n terms and their transform are 25.6 MB each, and the
+# node moduli 12.8 MB (one_norm). (1, 1) at n = 23 (1,200,400 nodes) takes
+# 0.35-0.45 s and 88 MB.
 ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 _WINDOW = 1 << 20  # integers per window of the direct sum
+_COUNT_WINDOW = 1 << 16  # least integers per window of its counted path
 
 
 @dataclass(frozen=True)
@@ -88,8 +90,10 @@ def _exact(v) -> Fraction:
     return Fraction(v) % 1
 
 
-def _e(phase: np.ndarray | float) -> np.ndarray | complex:
-    return np.exp(2j * np.pi * np.asarray(phase, dtype=float))
+def _e(phase: np.ndarray) -> np.ndarray:
+    """e(phase) elementwise, exponentiated in place in its own complex array."""
+    z = 2j * np.pi * np.asarray(phase, dtype=float)
+    return np.exp(z, out=z)
 
 
 def _roots_of_unity(mod: int) -> np.ndarray:
@@ -122,24 +126,39 @@ def _counted_sum(ctx: BaseContext, g_n: int, y: Fraction, beta: Fraction) -> com
 
     Each term is e(num/mod) with num = (h i mod q) sden + (r b mod sden) q,
     where y = h/q, beta = r/sden, i = k mod q and b = s_G(k) mod sden. So the
-    sum is a dot product of the int64 counts of the pairs (i, b), added per
-    window by np.bincount, with the mod roots of unity: each product is
-    rounded once and math.fsum adds them exactly. Windows start at multiples
-    of q, so one array holds i * sden for every window; b is looked up in a
-    table of s mod sden over the window's few distinct s, which costs less
-    than a remainder per integer."""
+    sum is the dot product `_residue_dot` of the int64 counts of the pairs
+    (i, b) with the mod roots of unity. The pairs i sden + b are formed in
+    int32 (mod <= _WINDOW < 2^31) and counted by np.bincount over windows of
+    max(_COUNT_WINDOW, mod) integers rounded down to a multiple of q, so one
+    array holds i sden for every window. b comes off the context's table of
+    s_G mod sden (`digit_sums_range` with mod = sden), and the digit sums
+    are never formed. The counts are exact, so the window size moves no bit.
+
+    Memory: the table mod sden over [0, min(G_n, G_m)) (1, 2 or 4 bytes
+    per entry); per window the pairs and i sden (4 bytes per integer each)
+    and bincount's int64 copy of the pairs (8 bytes per integer); and a few
+    arrays per residue: the counts, one bincount of them and those of
+    _residue_dot (8 or 16 bytes per residue each)."""
+    q, sden = y.denominator, beta.denominator
+    mod = q * sden
+    step = max(_COUNT_WINDOW, mod) // q * q
+    i_part = np.arange(min(step, g_n), dtype=np.int32) % q * sden
+    counts = np.zeros(mod, dtype=np.int64)
+    for lo in range(0, g_n, step):
+        pair = digit_sums_range(ctx, min(lo + step, g_n), lo, sden)
+        pair += i_part[: pair.size]
+        counts += np.bincount(pair, minlength=mod)
+        del pair  # before the next window's pairs are formed
+    return _residue_dot(counts, y, beta)
+
+
+def _residue_dot(counts: np.ndarray, y: Fraction, beta: Fraction) -> complex:
+    """sum over i < q, b < sden of counts[i sden + b] e((h i mod q) / q +
+    (r b mod sden) / sden): each product of a count with its root of unity
+    e(num/mod) is rounded once, and math.fsum adds them exactly."""
     q, sden = y.denominator, beta.denominator
     h, r = y.numerator % q, beta.numerator % sden
     mod = q * sden
-    step = _WINDOW // q * q
-    i_part = np.arange(min(step, g_n), dtype=np.int64) % q * sden
-    counts = np.zeros(mod, dtype=np.int64)
-    for lo in range(0, g_n, step):
-        hi = min(lo + step, g_n)
-        s = digit_sums_range(ctx, hi, lo)
-        pair = (np.arange(int(s.max()) + 1, dtype=np.int64) % sden)[s]
-        pair += i_part[: hi - lo]
-        counts += np.bincount(pair, minlength=mod)
     num = (np.arange(q) * h % q * sden)[:, None] + np.arange(sden) * r % sden * q
     terms = counts * _roots_of_unity(mod)[num.ravel() % mod]
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
@@ -158,9 +177,13 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     products fit and lcd <= 2^53, else over Python ints; each window is summed
     pairwise by np.sum, and the window sums are added in order. In int64,
     num and lcd are converted to double before the division, exactly while
-    lcd <= 2^53, so each phase is rounded once on both paths. Each window
-    allocates its digit sums and a few index, phase or term arrays,
-    of length _WINDOW at most."""
+    lcd <= 2^53, so each phase is rounded once on both paths.
+
+    Memory: the counted path holds the context's table of s_G mod sden and
+    O(mod + _COUNT_WINDOW) more (`_counted_sum`), and never the int64
+    digit sums or prefix table. Each window of the per-term path allocates
+    its digit sums and a few index, phase or term arrays, of length _WINDOW
+    at most, beside the prefix table over [0, min(G_n, G_m))."""
     if isinstance(params.y, tuple):
         raise PreconditionError("exp_sum_direct takes a scalar y, not a tuple")
     g_n = ctx.term(n)
@@ -241,9 +264,10 @@ def _twisted_terms(ctx: BaseContext, n: int, beta: Fraction | int) -> np.ndarray
     G_n (`_transform`), and dS_n/dy the same transform of 2 pi i k c_t[k]
     (`_derivative_terms`). Each twist is reduced mod 1 in integers, and
     beta s_G(k) comes from a table over the digit sums filled by _turns,
-    each rounded once. Memory: one 16 x G_n array of terms and three node
-    arrays at most, all complex, plus the transform's work space (see
-    ONE_NORM_GUARD)."""
+    each rounded once. Memory: the twists (16 G_n floats) and the terms
+    (16 G_n complex), exponentiated in place by _e, and the digit sums of
+    [0, G_n) with the prefix table grown to G_n; then `_node_moduli` (see
+    one_norm and ONE_NORM_GUARD)."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
@@ -266,22 +290,34 @@ def _derivative_terms(terms: np.ndarray) -> np.ndarray:
 
 def _transform(terms: np.ndarray) -> np.ndarray:
     """The node values of _twisted_terms' rows by one batched inverse DFT of
-    length L; row t holds the nodes 16 m + t, copied into node order.
-    norm="forward" leaves the inverse unscaled."""
+    length L: row t holds the nodes 16 m + t, m < L. norm="forward" leaves
+    the inverse unscaled."""
     length = max(4, terms.shape[1])
-    return np.fft.ifft(terms, n=length, axis=1, norm="forward").T.ravel()
+    return np.fft.ifft(terms, n=length, axis=1, norm="forward")
+
+
+def _node_moduli(terms: np.ndarray) -> np.ndarray:
+    """|.| of the node values of `_transform`, in node order: the moduli are
+    taken before the reorder, so the reorder copies floats, not complex
+    values. Memory: the transform and the moduli, then the moduli and their
+    reordered copy."""
+    return np.abs(_transform(terms)).T.ravel()
 
 
 def one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> QuadratureEstimate:
     """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1),
-    on the nodes of _twisted_terms; beta is an int or a Fraction."""
-    vals = np.abs(_transform(_twisted_terms(ctx, n, beta)))
+    on the nodes of _twisted_terms; beta is an int or a Fraction.
+
+    Memory: the terms of _twisted_terms (16 G_n complex), their transform
+    (16 L complex) and its moduli (16 L floats) at the peak."""
+    vals = _node_moduli(_twisted_terms(ctx, n, beta))
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
 def derivative_one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> QuadratureEstimate:
-    """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1)."""
-    vals = np.abs(_transform(_derivative_terms(_twisted_terms(ctx, n, beta))))
+    """Midpoint-rule estimate of the 1-norm of dS_n/dy over [0, 1), with the
+    memory of one_norm."""
+    vals = _node_moduli(_derivative_terms(_twisted_terms(ctx, n, beta)))
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
 
@@ -321,8 +357,8 @@ def gallagher_check(ctx: BaseContext, n: int, beta: Fraction | int, q_max: int) 
     # derivative_one_norm; it goes first, so its guard refuses before any
     # other work
     terms = _twisted_terms(ctx, n, beta)
-    nrm = float(np.mean(np.abs(_transform(terms))))
-    dnrm = float(np.mean(np.abs(_transform(_derivative_terms(terms)))))
+    nrm = float(np.mean(_node_moduli(terms)))
+    dnrm = float(np.mean(_node_moduli(_derivative_terms(terms))))
     del terms
     pts = farey_points(q_max)
     s_n = exp_sum_recurrent(ctx, n, ExpSumParams.make(pts, beta))

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -312,6 +314,134 @@ def test_prefix_table_by_blocks(coeffs):
     assert table[ks].tolist() == [sum_of_digits(ctx, k) for k in ks]
 
 
+def cached_table(cache, ctx, key):
+    stored_key, table = cache[ctx]
+    assert stored_key == key
+    return table
+
+
+def _smallest_term_at_least(ctx, n):
+    return next(g for g in (ctx.term(j) for j in itertools.count()) if g >= n)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1, 1, 1), (3, 0, 2), (1, 0, 1)])
+def test_prefix_table_grows_to_the_term_asked_for(coeffs):
+    # each call grows the table to the smallest term >= n, capped at G_m, and
+    # returns what one full build returns; asking for less never shrinks it
+    ctx, full_ctx = make_context(coeffs), make_context(coeffs)
+    full = _prefix_table(full_ctx)
+    g_m = len(full)
+    lengths = []
+    for n in (1, ctx.term(3), ctx.term(5) + 1, g_m, 3 * TABLE_LIMIT):
+        for lo in (0, n // 2):
+            got = digit_sums_range(ctx, n, lo)
+            assert np.array_equal(got, digit_sums_range(full_ctx, n, lo)), (n, lo)
+        table = cached_table(digits._TABLES, ctx, None)
+        assert len(table) == _smallest_term_at_least(ctx, min(n, g_m))
+        assert np.array_equal(table, full[: len(table)])
+        lengths.append(len(table))
+    assert lengths == sorted(lengths) and lengths[-1] == g_m
+    assert lengths[0] == 1 and lengths[1] == ctx.term(3) and lengths[2] == ctx.term(6)
+    digit_sums_range(ctx, 10)
+    assert cached_table(digits._TABLES, ctx, None) is table
+
+
+@pytest.mark.parametrize("s", [2, 129])
+def test_mod_table_grows_to_the_term_asked_for(s):
+    # the tables mod s grow as the prefix table does, for the class masks and
+    # the residues alike, and stay in the dtype of the full table
+    ctx, ref_ctx = make_context((2, 1)), make_context((2, 1))
+    full = _mod_table(ref_ctx, s)
+    lengths = []
+    for n in (1, ctx.term(3), ctx.term(5) + 1, len(full), 3 * TABLE_LIMIT):
+        lo = n // 2
+        sums = digit_sums_range(ref_ctx, n, lo)
+        assert np.array_equal(digit_class_range(ctx, n, lo, 1, s), sums % s == 1), n
+        assert np.array_equal(digit_sums_range(ctx, n, lo, s), sums % s), n
+        table = cached_table(digits._MOD_TABLES, ctx, s)
+        assert len(table) == _smallest_term_at_least(ctx, min(n, len(full)))
+        assert table.dtype == full.dtype and np.array_equal(table, full[: len(table)])
+        lengths.append(len(table))
+    assert lengths == sorted(lengths) and lengths[-1] == len(full)
+    digit_class_range(ctx, 10, 0, 1, s)
+    assert cached_table(digits._MOD_TABLES, ctx, s) is table and ctx not in digits._TABLES
+
+
+def test_context_keeps_the_table_of_the_last_modulus():
+    # one table mod s per context: a new modulus replaces the last one, at
+    # the length the new call needs, and the prefix table is kept beside it
+    ctx = make_context((1, 1))
+    prefix = _prefix_table(ctx)
+    for s, n in ((2, 10**6), (3, 100), (2**20, 3 * TABLE_LIMIT), (2, 30)):
+        sums = digit_sums_range(ctx, n, n // 3)
+        assert np.array_equal(digit_sums_range(ctx, n, n // 3, s), sums % s), s
+        table = cached_table(digits._MOD_TABLES, ctx, s)
+        assert len(table) == _smallest_term_at_least(ctx, min(n, len(prefix)))
+        assert np.array_equal(table, prefix[: len(table)] % s), s
+    assert cached_table(digits._TABLES, ctx, None) is prefix
+
+
+def test_prefix_table_race_keeps_the_longer_table(monkeypatch):
+    # a thread that builds a short table and stores it after another thread
+    # stored the full one keeps the full one, and so does the cache
+    ctx = make_context((1, 1))
+    g_m = ctx.terms_upto(TABLE_LIMIT)[-1]
+    building, stored = threading.Event(), threading.Event()
+    real = digits._block_table
+
+    def block_table(*args):
+        table = real(*args)
+        if len(table) < g_m:
+            building.set()
+            assert stored.wait(60)
+        return table
+
+    monkeypatch.setattr(digits, "_block_table", block_table)
+    short = []
+    thread = threading.Thread(target=lambda: short.append(digit_sums_range(ctx, ctx.term(3))))
+    thread.start()
+    assert building.wait(60)
+    whole = digit_sums_range(ctx, 3 * TABLE_LIMIT)
+    stored.set()
+    thread.join(60)
+    assert not thread.is_alive() and len(cached_table(digits._TABLES, ctx, None)) == g_m
+    assert short[0].tolist() == [sum_of_digits(ctx, k) for k in range(ctx.term(3))]
+    assert np.array_equal(whole, digit_sums_range_reference(ctx, 3 * TABLE_LIMIT))
+
+
+def test_prefix_table_grows_under_thread_stress():
+    # six threads on one fresh context ask for growing and shrinking windows
+    # with a short switch interval; every window is right, and the table
+    # each thread sees after a call is never shorter than one it saw before
+    ctx, full_ctx = make_context((1, 1)), make_context((1, 1))
+    g_m = len(_prefix_table(full_ctx))
+    sizes = [ctx.term(j) + 1 for j in (2, 8, 14, 20, 26)] + [g_m, 3 * TABLE_LIMIT // 2]
+    errors = []
+
+    def work(order):
+        seen = 0
+        for n in order:
+            if not np.array_equal(digit_sums_range(ctx, n), digit_sums_range(full_ctx, n)):
+                errors.append(("window", n))
+            now = len(cached_table(digits._TABLES, ctx, None))
+            if now < max(seen, min(n, g_m)):
+                errors.append(("shrank", seen, now))
+            seen = now
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(sizes[i:] + sizes[:i],)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(cached_table(digits._TABLES, ctx, None)) == g_m
+
+
 @pytest.mark.parametrize("coeffs", TABLE_BASES)
 def test_mod_table_is_prefix_table_mod_s(coeffs):
     # built by the block identity mod s without the prefix table, in uint8
@@ -332,9 +462,32 @@ def test_digit_class_range_never_builds_the_prefix_table():
     assert ctx not in digits._TABLES and 2 in digits._MOD_TABLES[ctx]
 
 
+@pytest.mark.parametrize("coeffs", [(1, 1), (2, 1), (1000, 1), (2**21, 1)])
+def test_digit_sums_mod_match_digit_sums(coeffs):
+    # windows in the table, across its end and the block ends past it, and far
+    # out, where (1000, 1) has high digit sums c of 500 and more (past uint8,
+    # so c is reduced mod s before it is cast) and (2**21, 1) of 70000 and
+    # more (past uint16); s = 128 -> 129 crosses the uint8 -> uint16 build
+    # dtype, and 2^30 is the largest modulus
+    ctx = make_context(coeffs)
+    m = len(ctx.terms_upto(TABLE_LIMIT))
+    windows = [(0, 0), (0, 1), (0, 1000), (9, 3)]
+    windows += [(max(0, ctx.term(j) - 300), ctx.term(j) + 300) for j in (m - 1, m, m + 1)]
+    windows += [(500 * ctx.term(m) + 17, 500 * ctx.term(m) + 2017),
+                (70001 * ctx.term(m + 1) - 1000, 70001 * ctx.term(m + 1) + 1000)]
+    for lo, n in windows:
+        sums = digit_sums_range(ctx, n, lo)
+        for s in (1, 2, 3, 7, 128, 129, 256, 300, 2**20, 2**30):
+            got = digit_sums_range(ctx, n, lo, s)
+            assert got.dtype == np.int32 and np.array_equal(got, sums % s), (lo, n, s)
+
+
 def test_digit_class_range_rejects_bad_input():
     ctx = make_context((1, 1))
     with pytest.raises(PreconditionError):
         digit_class_range(ctx, 10, -1, 0, 2)
     with pytest.raises(PreconditionError):
         digit_class_range(ctx, 10, 0, 0, 0)
+    for lo, mod in ((-1, 2), (0, 0), (0, 2**30 + 1)):
+        with pytest.raises(PreconditionError):
+            digit_sums_range(ctx, 10, lo, mod)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recnum.digits as digits
 import recnum.expsum as expsum
 from recnum.base import CostGuardError, PreconditionError, make_context
 from recnum.bounds import dirichlet_kernel_abs
@@ -71,10 +73,11 @@ def derivative_one_norm_direct(ctx, n, beta):
 
 
 def norm_nodes(ctx, n, beta):
-    """(S_n, dS_n/dy) at the midpoint nodes of the 1-norms, by the transforms."""
+    """(S_n, dS_n/dy) at the midpoint nodes of the 1-norms, by the transforms,
+    in node order."""
     terms = expsum._twisted_terms(ctx, n, beta)
-    s_n = expsum._transform(terms)
-    return s_n, expsum._transform(expsum._derivative_terms(terms))
+    s_n = expsum._transform(terms).T.ravel()
+    return s_n, expsum._transform(expsum._derivative_terms(terms)).T.ravel()
 
 
 def test_trivial_frequencies_count_everything():
@@ -124,6 +127,89 @@ def test_direct_windows_match_unwindowed_and_bruteforce(monkeypatch, coeffs, n, 
     windowed = exp_sum_direct(ctx, n, params)
     assert abs(windowed - whole) <= 1e-12 * g_n
     assert abs(windowed - direct_bruteforce(ctx, n, y, beta)) <= 1e-12 * g_n
+
+
+@functools.lru_cache(maxsize=None)
+def pair_counts_bruteforce(coeffs, n, q, sden):
+    """The counts of the pairs (k mod q, s_G(k) mod sden) over k < G_n at
+    index (k mod q) sden + s_G(k) mod sden, from sum_of_digits one k at a
+    time."""
+    counts = np.zeros(q * sden, dtype=np.int64)
+    for k, s_k in enumerate(digit_sums_bruteforce(coeffs, n)):
+        counts[k % q * sden + s_k % sden] += 1
+    return counts
+
+
+@functools.lru_cache(maxsize=None)
+def digit_sums_bruteforce(coeffs, n):
+    ctx = make_context(coeffs)
+    return [sum_of_digits(ctx, k) for k in range(ctx.term(n))]
+
+
+def residues_only(ctx, n, lo=0, mod=None):
+    """digit_sums_range that fails unless it is asked for residues."""
+    assert mod is not None, "the counted path formed digit sums"
+    return digits.digit_sums_range(ctx, n, lo, mod)
+
+
+# sden 128 -> 129 crosses the uint8 -> uint16 build dtype of the table mod
+# sden; q = 3 and 5 divide neither 7 nor 64, so a window of 7 or 64 integers
+# that is not rounded down to a multiple of q shifts k mod q
+@pytest.mark.parametrize("table_limit", [digits.TABLE_LIMIT, 100], ids=["table", "walk"])
+@pytest.mark.parametrize("window", [1, 7, 64, "mod"])
+@pytest.mark.parametrize("sden", [1, 2, 128, 129, 256])
+@pytest.mark.parametrize("y", [Fraction(2, 3), Fraction(4, 5)])
+def test_counted_path_windows_are_exact(monkeypatch, y, sden, window, table_limit):
+    # G_17 = 4181 in Zeckendorf is no multiple of q, of the window or of mod,
+    # so the last window is partial. With the tables cut to [0, 89), the walk
+    # adds the digits at the terms past G_9 = 89 row by row
+    monkeypatch.setattr(digits, "TABLE_LIMIT", table_limit)
+    ctx, n, beta = make_context((1, 1)), 17, Fraction(1, sden)
+    mod = y.denominator * sden
+    assert mod <= ctx.term(n) and ctx.term(n) % mod
+    monkeypatch.setattr(expsum, "_COUNT_WINDOW", mod if window == "mod" else window)
+    monkeypatch.setattr(expsum, "digit_sums_range", residues_only)
+    got = exp_sum_direct(ctx, n, ExpSumParams.make(y, beta))
+    counts = pair_counts_bruteforce((1, 1), n, y.denominator, sden)
+    assert got == expsum._residue_dot(counts, y, beta)
+
+
+@pytest.mark.parametrize("table_limit", [digits.TABLE_LIMIT, 100], ids=["table", "walk"])
+@pytest.mark.parametrize("sden", [3, 128, 129, 256])
+def test_counted_path_reduces_high_row_digits(monkeypatch, sden, table_limit):
+    # on (300, 1) the digit at G_1 = 301 runs to 300, so the table build and
+    # the walk add row digits past 255, which wrap in uint8 at sden = 3
+    # unless they are reduced mod sden first. G_2 = 90301 is no multiple of 3
+    monkeypatch.setattr(digits, "TABLE_LIMIT", table_limit)
+    monkeypatch.setattr(expsum, "_COUNT_WINDOW", 64)
+    monkeypatch.setattr(expsum, "digit_sums_range", residues_only)
+    y, beta = Fraction(2, 3), Fraction(1, sden)
+    got = exp_sum_direct(make_context((300, 1)), 2, ExpSumParams.make(y, beta))
+    assert got == expsum._residue_dot(pair_counts_bruteforce((300, 1), 2, 3, sden), y, beta)
+
+
+@pytest.mark.parametrize("sden", [1, 2, 128, 129, 256])
+def test_counted_path_at_the_window_cap(monkeypatch, sden):
+    # mod == _WINDOW < G_n still takes the counted path
+    monkeypatch.setattr(expsum, "_WINDOW", 3 * sden)
+    monkeypatch.setattr(expsum, "digit_sums_range", residues_only)
+    y, beta = Fraction(2, 3), Fraction(sden - 1 or 1, sden)
+    got = exp_sum_direct(make_context((1, 1)), 17, ExpSumParams.make(y, beta))
+    assert got == expsum._residue_dot(pair_counts_bruteforce((1, 1), 17, 3, sden), y, beta)
+
+
+@pytest.mark.parametrize("coeffs, n, q, sden", [
+    ((1, 1), 10, 144, 1), ((1, 1), 10, 72, 2),  # G_10 = 144
+    ((127, 1), 1, 1, 128), ((128, 1), 1, 1, 129), ((255, 1), 1, 1, 256),  # G_1 = a_1 + 1
+])
+def test_counted_path_at_mod_equal_to_the_term(monkeypatch, coeffs, n, q, sden):
+    # mod == G_n < _WINDOW takes the counted path
+    ctx = make_context(coeffs)
+    assert q * sden == ctx.term(n) < expsum._WINDOW
+    monkeypatch.setattr(expsum, "digit_sums_range", residues_only)
+    y, beta = Fraction(1, q), Fraction(1, sden)
+    got = exp_sum_direct(ctx, n, ExpSumParams.make(y, beta))
+    assert got == expsum._residue_dot(pair_counts_bruteforce(coeffs, n, q, sden), y, beta)
 
 
 @pytest.mark.parametrize("coeffs", BASES)
@@ -303,6 +389,66 @@ def test_one_norm_guard(monkeypatch, norm):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("y, beta", [(Fraction(10, 11), Fraction(2, 3)),
+                                     (Fraction(1, 200), Fraction(1, 256))], ids=["mod-33", "mod-51200"])
+def test_counted_sum_memory_matches_its_live_set(y, beta):
+    # the live set of _counted_sum's docstring on a fresh context: the table
+    # mod sden over [0, G_m) (uint8 or uint16 here), per window the pairs,
+    # i sden and bincount's int64 copy (16 bytes per integer), and 128 bytes
+    # per residue for the counts, their bincount and _residue_dot's arrays,
+    # and 128 KiB; no digit sums and no prefix table. G_30 = 2178309 > G_m =
+    # 832040
+    ctx = make_context((1, 1))
+    g_m = ctx.terms_upto(digits.TABLE_LIMIT)[-1]
+    q, sden = y.denominator, beta.denominator
+    mod = q * sden
+    window = max(expsum._COUNT_WINDOW, mod) // q * q
+    table = g_m * np.min_scalar_type(sden).itemsize
+    bound = table + 16 * window + 128 * mod + (128 << 10)
+    peak = traced_peak(lambda: exp_sum_direct(ctx, 30, ExpSumParams.make(y, beta)))
+    assert peak < bound
+    assert ctx not in digits._TABLES
+
+
+def test_direct_sums_over_many_moduli_keep_one_table():
+    # direct sums over several large and small sden on one context hold one
+    # table mod sden, of the last sden, and no prefix table; G_30 = 2178309
+    # > G_m = 832040, so each table covers [0, G_m)
+    ctx = make_context((1, 1))
+    g_m = ctx.terms_upto(digits.TABLE_LIMIT)[-1]
+    for sden in (2**16, 2**16 + 1, 2**20, 3, 2**18 + 5, 7):
+        params = ExpSumParams.make(Fraction(0), Fraction(1, sden))
+        assert exp_sum_direct(ctx, 30, params) == exp_sum_direct(make_context((1, 1)), 30, params)
+        key, table = digits._MOD_TABLES[ctx]
+        assert key == sden and len(table) == g_m
+        assert table.nbytes == g_m * np.min_scalar_type(sden).itemsize
+    assert ctx not in digits._TABLES
+
+
+@pytest.mark.parametrize("norm", [one_norm, derivative_one_norm])
+@pytest.mark.parametrize("coeffs, n", [((1, 1), 20), ((2, 1), 9), ((1, 1), 3)])
+def test_one_norm_memory_matches_its_live_set(norm, coeffs, n):
+    # the live set of one_norm's docstring: the 16 x G_n terms and their
+    # transform (16 bytes per entry each) and its moduli (8 bytes per node),
+    # beside the prefix table grown to G_n (8 bytes per entry), one row of the
+    # transform's work space and 128 KiB
+    ctx = make_context(coeffs)
+    g_n = ctx.term(n)
+    length = max(4, g_n)
+    live = 16 * 16 * g_n + 16 * 16 * length + 8 * 16 * length
+    bound = live + 8 * g_n + 16 * length + (128 << 10)
+    assert traced_peak(lambda: norm(ctx, n, Fraction(1, 5))) < bound
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
