@@ -251,12 +251,13 @@ def _main_terms(
     fl(S + corrs[q]) by monotone rounding. The top-scoring pair is evaluated
     first; the final best total is at least its total, so every pair whose
     total can reach the final best, ties included, is among the pairs
-    scoring at least the top pair's total. That fixed set is evaluated on
-    the pool in batches of a chunk's rows, and the per-q maxima are folded
-    after the map. S is evaluated as the full grid evaluates it: a column
-    max, then a row sum. So q* is the first argmax and main[q*] is exact:
-    the result is bit for bit that of evaluating every pair, for any thread
-    count and chunk size.
+    scoring at least the top pair's total. That fixed set, ordered by
+    gamma0, is evaluated on the pool in batches of a chunk's rows, each
+    taking the inner kernel once per distinct gamma0, and the per-q maxima
+    are folded after the map. S is evaluated as the full grid evaluates it:
+    a column max, then a row sum. So q* is the first argmax and main[q*] is
+    exact: the result is bit for bit that of evaluating every pair, for any
+    thread count, chunk size and order of the pairs.
     """
     n_cols = ys.shape[1]
     g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
@@ -276,9 +277,11 @@ def _main_terms(
         return np.einsum("gb,qb->qg", _inner_bounds(ys_inner, gammas, lobes), o_max)
 
     def exact(pairs: np.ndarray) -> np.ndarray:
-        """S of each pair, given by its flat index q * n_gamma + gamma0."""
+        """S of each pair, given by its flat index q * n_gamma + gamma0: the
+        inner kernel once per distinct gamma0, gathered to the pairs."""
         qs, js = np.divmod(pairs, n_gamma)
-        prods = inner(js)
+        distinct, which = np.unique(js, return_inverse=True)
+        prods = inner(distinct)[which]
         prods *= g_outer[qs]
         return np.sum(np.max(prods, axis=1), axis=1)
 
@@ -289,6 +292,8 @@ def _main_terms(
     top = int(np.argmax(flat))
     top_total = float(exact(np.array([top]))[0] + corrs[top // n_gamma])
     pairs = np.flatnonzero(flat >= top_total)
+    # by gamma0, so that a batch shares its inner kernel rows across q
+    pairs = pairs[np.argsort(pairs % n_gamma, kind="stable")]
     batches = [pairs[lo : lo + chunk] for lo in range(0, len(pairs), chunk)]
     sums = np.full(a, -math.inf)  # per q, the largest S evaluated
     np.maximum.at(sums, pairs // n_gamma, np.concatenate(_pool_map(exact, batches, threads)))

@@ -216,22 +216,32 @@ def digit_sums_range(ctx: BaseContext, n: int, lo: int = 0, mod: int | None = No
         return out
     if not 1 <= mod <= 1 << 30:
         raise PreconditionError(f"need 1 <= mod <= 2^30, got {mod}")
-    out = np.empty(max(n - lo, 0), dtype=np.int32)  # holds 2 mod - 2
+    out = np.empty(max(n - lo, 0), dtype=np.uint32)  # holds 2 mod - 2
     _walk(ctx, _mod_table(ctx, mod, n), out, lo, _add_mod(mod))
-    return out
+    return out.view(np.int32)  # residues < 2^30
+
+
+_REDUCE_SLICE = 1 << 14
 
 
 def _add_mod(s: int):
     """The row operation out = (part + (c mod s)) mod s of the tables mod s,
-    for part and out in a dtype that holds 2s - 2, the largest sum of two
-    residues. The row's digit c is reduced mod s and cast to the smallest
-    dtype that holds 2s - 1 first: a Python int added to a narrow array takes
-    the array's dtype and wraps, and that cast makes the sum wide enough."""
+    for part and out in an unsigned dtype that holds 2s - 2, the largest sum
+    of two residues. The row's digit c is reduced mod s and cast to the
+    smallest dtype that holds 2s - 1 first: a Python int added to a narrow
+    array takes the array's dtype and wraps, and that cast makes the sum
+    wide enough. A sum x < 2s reduces as min(x, x - s): below s, x - s
+    wraps past every residue in the unsigned dtype. It runs in slices of
+    _REDUCE_SLICE entries, so that its temporary x - s stays small where out
+    is a large block of a table being built."""
     wide = np.min_scalar_type(2 * s - 1)
 
     def add_mod(part, c, out):
         np.add(part, np.remainder(c, s).astype(wide), out=out)
-        np.remainder(out, s, out=out)
+        flat = out.reshape(-1)  # a view: every out is a contiguous slice
+        for k in range(0, flat.size, _REDUCE_SLICE):
+            x = flat[k : k + _REDUCE_SLICE]
+            np.minimum(x, x - s, out=x)
 
     return add_mod
 

@@ -1,10 +1,16 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import recnum
 from recnum import experiments, make_context, sum_of_digits
 from recnum.blockcert import KAPPA_TARGET, REFERENCE_ROWS
 from recnum.cli import EXIT_CERT_FAIL, EXIT_ERROR, EXIT_OK, _round_floats, main
@@ -338,3 +344,50 @@ def test_report_keys(capsys):
     assert code == EXIT_OK
     order = ["1", "10", *map(str, range(2, 10))]
     assert list(payload["m_jb"]) == order and list(payload["m_j"]) == order
+
+
+LAZY = ("blockcert", "bounds", "experiments", "expsum")
+
+
+def modules_run_by(argv):
+    """In a fresh interpreter, run cli.main(argv) and report which lazy
+    submodules have run their bodies (exec adds __builtins__ to a module's
+    namespace; the namespace is read past the lazy module's attribute hook),
+    and whether concurrent.futures, which only blockcert imports, is loaded."""
+    script = textwrap.dedent(f"""
+        import json, sys
+        from recnum import cli
+        code = cli.main({argv!r})
+        mods = {{n: sys.modules.get("recnum." + n) for n in {LAZY!r}}}
+        print(json.dumps({{
+            "code": code,
+            "registered": [n for n, m in mods.items() if m is not None],
+            "ran": [n for n, m in mods.items()
+                    if "__builtins__" in object.__getattribute__(m, "__dict__")],
+            "futures": "concurrent.futures" in sys.modules,
+        }}))
+    """)
+    src = str(Path(recnum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (["expsum", "--coeffs", "2,1", "--n", "8", "--y", "1/3", "--beta", "1/2",
+      "--method", "direct"], ["expsum"]),
+    (["blockbound", "--a", "5", "--eps", "0.01", "--eta", "0.001"], ["blockcert", "bounds"]),
+    (["almostprimes", "--coeffs", "1,1", "--x", "1000", "--s", "2", "--r", "0"],
+     ["experiments"]),
+    (["validate", "--coeffs", "1,1"], []),
+])
+def test_commands_run_only_the_modules_they_use(argv, ran):
+    # every lazy submodule is registered from `import recnum` on, and a
+    # command runs only the bodies it needs: an expsum never starts blockcert
+    # or the thread-pool machinery it imports
+    report = modules_run_by(argv)
+    assert report["code"] in (EXIT_OK, EXIT_CERT_FAIL)  # a = 5 misses the target
+    assert report["registered"] == list(LAZY)
+    assert report["ran"] == ran
+    assert report["futures"] == ("blockcert" in ran)

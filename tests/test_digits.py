@@ -477,9 +477,25 @@ def test_digit_sums_mod_match_digit_sums(coeffs):
                 (70001 * ctx.term(m + 1) - 1000, 70001 * ctx.term(m + 1) + 1000)]
     for lo, n in windows:
         sums = digit_sums_range(ctx, n, lo)
-        for s in (1, 2, 3, 7, 128, 129, 256, 300, 2**20, 2**30):
+        for s in (1, 2, 3, 7, 127, 128, 129, 255, 256, 300, 32767, 32768, 2**20, 2**30):
             got = digit_sums_range(ctx, n, lo, s)
             assert got.dtype == np.int32 and np.array_equal(got, sums % s), (lo, n, s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 127, 128, 255, 256, 32767, 32768, 2**20, 2**30])
+def test_add_mod_reduces_at_the_dtype_edges(s):
+    # every residue pair at the ends of [0, s), into the build dtype (the
+    # smallest that holds 2s - 1: s = 128 and 32768 fill uint8 and uint16 to
+    # 2s - 2) and into the uint32 buffer of digit_sums_range; the row digit
+    # c may exceed s and the dtype
+    ends = sorted({e for e in (0, 1, s // 2, s - 2, s - 1) if 0 <= e < s})
+    wide = np.min_scalar_type(2 * s - 1)
+    for dtype in (wide, np.uint32):
+        part = np.array(ends, dtype=np.min_scalar_type(s))
+        for c in sorted({0, 1, s - 1, s, s + 1, 2 * s - 1, 3 * s + 2, 2**40 + 5}):
+            out = np.empty(len(part), dtype=dtype)
+            digits._add_mod(s)(part, c, out)
+            assert out.tolist() == [(p + c) % s for p in ends], (dtype, c)
 
 
 def test_digit_class_range_rejects_bad_input():
