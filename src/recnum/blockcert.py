@@ -252,18 +252,19 @@ def _main_terms(
     first; the final best total is at least its total, so every pair whose
     total can reach the final best, ties included, is among the pairs
     scoring at least the top pair's total. That fixed set, ordered by
-    gamma0, is evaluated on the pool in batches of a chunk's rows, each
-    taking the inner kernel once per distinct gamma0, and the per-q maxima
-    are folded after the map. S is evaluated as the full grid evaluates it:
-    a column max, then a row sum. So q* is the first argmax and main[q*] is
-    exact: the result is bit for bit that of evaluating every pair, for any
-    thread count, chunk size and order of the pairs.
+    gamma0, is evaluated on the pool in batches of whole gamma0 groups, of
+    at most chunk pairs or else one group, so the inner kernel is taken
+    once per gamma0 of the set, and the per-q maxima are folded after the
+    map. S is evaluated as the full grid evaluates it: a column max, then a
+    row sum. So q* is the first argmax and main[q*] is exact: the result is
+    bit for bit that of evaluating every pair, for any thread count, batch
+    size and order of the pairs.
     """
     n_cols = ys.shape[1]
     g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
     o_max = np.max(g_outer, axis=1)
     ys_inner = alpha_inv * ys
-    chunk = max(1, _CHUNK_FLOATS // ys.size)  # gamma rows per exact batch
+    chunk = max(1, _CHUNK_FLOATS // ys.size)  # pairs per exact batch, or one group
     # gamma rows per bound chunk: its kernel and interval bound hold about
     # eight arrays of the chunk's n_b + 1 edges at once, as much as one
     # exact batch
@@ -292,9 +293,17 @@ def _main_terms(
     top = int(np.argmax(flat))
     top_total = float(exact(np.array([top]))[0] + corrs[top // n_gamma])
     pairs = np.flatnonzero(flat >= top_total)
-    # by gamma0, so that a batch shares its inner kernel rows across q
+    # by gamma0, so that a batch shares its inner kernel rows across q, and
+    # cut between gamma0 groups only, so that no row is evaluated twice: a
+    # batch holds at most chunk pairs, or one group of at most a pairs
     pairs = pairs[np.argsort(pairs % n_gamma, kind="stable")]
-    batches = [pairs[lo : lo + chunk] for lo in range(0, len(pairs), chunk)]
+    groups = [0, *(np.flatnonzero(np.diff(pairs % n_gamma)) + 1).tolist(), len(pairs)]
+    cuts = [0]
+    for lo, hi in zip(groups[:-1], groups[1:]):
+        if hi - cuts[-1] > chunk and lo > cuts[-1]:
+            cuts.append(lo)
+    cuts.append(len(pairs))
+    batches = [pairs[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
     sums = np.full(a, -math.inf)  # per q, the largest S evaluated
     np.maximum.at(sums, pairs // n_gamma, np.concatenate(_pool_map(exact, batches, threads)))
     q_star = int(np.argmax(sums + corrs))

@@ -45,12 +45,12 @@ from .digits import digit_sums_range
 DIRECT_SUM_GUARD = 10**7
 # Worst admissible 1-norm: G_n prime just below the guard, so every transform
 # in _transform takes Bluestein's route. `recnum onenorm --coeffs 99990,1
-# --n 1 --beta 0.2` (G_1 = 99991, 1,599,856 nodes) takes 0.3-0.5 s and
-# peaks at 109 MB RSS, against 30 MB for the interpreter with numpy and
+# --n 1 --beta 0.2` (G_1 = 99991, 1,599,856 nodes) takes 0.25-0.31 s and
+# peaks at 83 MB RSS, against 29 MB for the interpreter with numpy and
 # recnum, in a fresh interpreter on a shared 2-vCPU x86-64 machine (numpy
-# 2.4): the 16 x G_n terms and their transform are 25.6 MB each, and the
-# node moduli 12.8 MB (one_norm). (1, 1) at n = 23 (1,200,400 nodes) takes
-# 0.35-0.45 s and 88 MB.
+# 2.4): the 16 x G_n terms, transformed in place, are 25.6 MB, and the node
+# moduli 12.8 MB (one_norm). (1, 1) at n = 23 (1,200,400 nodes) takes
+# 0.22-0.24 s and 68 MB.
 ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 _WINDOW = 1 << 20  # integers per window of the direct sum
@@ -266,8 +266,8 @@ def _twisted_terms(ctx: BaseContext, n: int, beta: Fraction | int) -> np.ndarray
     beta s_G(k) comes from a table over the digit sums filled by _turns,
     each rounded once. Memory: the twists (16 G_n floats) and the terms
     (16 G_n complex), exponentiated in place by _e, and the digit sums of
-    [0, G_n) with the prefix table grown to G_n; then `_node_moduli` (see
-    one_norm and ONE_NORM_GUARD)."""
+    [0, G_n) with the prefix table grown to G_n; then `_node_moduli`, which
+    transforms the terms in place (see one_norm and ONE_NORM_GUARD)."""
     g_n = ctx.term(n)
     if g_n > ONE_NORM_GUARD:
         raise CostGuardError(f"G_{n} = {g_n} exceeds the 1-norm oscillation guard")
@@ -276,9 +276,10 @@ def _twisted_terms(ctx: BaseContext, n: int, beta: Fraction | int) -> np.ndarray
     ks = np.arange(g_n, dtype=np.int64)
     twist = np.arange(1, 2 * SAMPLES_PER_OSCILLATION, 2)[:, None] * ks % (2 * nodes)
     phase = twist / (2 * nodes)
-    del twist
+    del ks, twist
     s = digit_sums_range(ctx, g_n)
     phase += _turns(params, 0, np.arange(int(s.max()) + 1, dtype=object))[s]
+    del s  # the phases and terms alone are live in _e, as in _node_moduli
     return _e(phase)
 
 
@@ -291,25 +292,31 @@ def _derivative_terms(terms: np.ndarray) -> np.ndarray:
 def _transform(terms: np.ndarray) -> np.ndarray:
     """The node values of _twisted_terms' rows by one batched inverse DFT of
     length L: row t holds the nodes 16 m + t, m < L. norm="forward" leaves
-    the inverse unscaled."""
+    the inverse unscaled. The transform consumes its terms: for L = G_n it
+    is written over them (`out=`, numpy >= 2.0), and only the zero-padded
+    G_n < 4 case, L = 4, takes a separate output."""
     length = max(4, terms.shape[1])
-    return np.fft.ifft(terms, n=length, axis=1, norm="forward")
+    out = terms if length == terms.shape[1] else None
+    return np.fft.ifft(terms, n=length, axis=1, norm="forward", out=out)
 
 
 def _node_moduli(terms: np.ndarray) -> np.ndarray:
-    """|.| of the node values of `_transform`, in node order: the moduli are
-    taken before the reorder, so the reorder copies floats, not complex
-    values. Memory: the transform and the moduli, then the moduli and their
-    reordered copy."""
-    return np.abs(_transform(terms)).T.ravel()
+    """|.| of the node values of `_transform`, in node order: the moduli of
+    the transposed transform go straight into one (L, 16) float buffer,
+    whose rows are the nodes 16 m .. 16 m + 15, so no reordered copy is
+    made. Memory: the terms, transformed in place (16 G_n complex), and the
+    moduli (16 L floats), 24 bytes per node."""
+    values = _transform(terms).T
+    return np.abs(values, out=np.empty(values.shape)).ravel()
 
 
 def one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> QuadratureEstimate:
     """Midpoint-rule estimate of the integral of |S_n(y, beta)| over [0, 1),
     on the nodes of _twisted_terms; beta is an int or a Fraction.
 
-    Memory: the terms of _twisted_terms (16 G_n complex), their transform
-    (16 L complex) and its moduli (16 L floats) at the peak."""
+    Memory: the terms of _twisted_terms (16 G_n complex), transformed in
+    place, and their moduli (16 L floats) at the peak, 24 bytes per node
+    (`_node_moduli`)."""
     vals = _node_moduli(_twisted_terms(ctx, n, beta))
     return QuadratureEstimate(value=float(np.mean(vals)), nodes=vals.size)
 
@@ -348,18 +355,20 @@ def gallagher_check(ctx: BaseContext, n: int, beta: Fraction | int, q_max: int) 
     Sums |S_n| over the Farey fractions of order q_max (pairwise spacing at
     least delta = 1/q_max^2) and compares with
     delta^{-1} * ||S_n||_1 + (1/2) * ||dS_n/dy||_1 over one full period.
+
+    Memory: that of one_norm, as each norm builds its own terms, then the
+    Farey recurrence's: the points and its arrays over them, Python ints
+    among them, a few hundred bytes per point.
     """
     if q_max < 1:
         raise PreconditionError("need q_max >= 1")
     if q_max * q_max > 10**4:
         raise CostGuardError("Farey order guard: need Q^2 <= 10^4")
-    # one set of terms feeds both norms, as in one_norm and
-    # derivative_one_norm; it goes first, so its guard refuses before any
-    # other work
-    terms = _twisted_terms(ctx, n, beta)
-    nrm = float(np.mean(_node_moduli(terms)))
-    dnrm = float(np.mean(_node_moduli(_derivative_terms(terms))))
-    del terms
+    # the norms go first, so their guard refuses before any other work; the
+    # transform consumes its terms, so each norm builds its own, and the
+    # peak is one_norm's
+    nrm = one_norm(ctx, n, beta).value
+    dnrm = derivative_one_norm(ctx, n, beta).value
     pts = farey_points(q_max)
     s_n = exp_sum_recurrent(ctx, n, ExpSumParams.make(pts, beta))
     lhs = float(np.sum(np.abs(s_n)))

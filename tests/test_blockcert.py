@@ -249,6 +249,33 @@ def test_main_terms_evaluate_every_tied_pair(per_q_reference):
         assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
 
 
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, 4])
+def test_exact_pass_takes_each_gamma0_row_once(per_q_reference, rows_per_chunk, monkeypatch):
+    # the tied pairs of q = 3 and 9 form n_gamma groups of two; batches of
+    # 1 or 3 pairs would split them, but a batch ends only between groups,
+    # so each gamma0 row of the inner kernel is evaluated once, besides the
+    # top pair's row; 4 pairs hold two whole groups
+    alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
+    monkeypatch.setattr(blockcert, "_CHUNK_FLOATS", rows_per_chunk * ys.size)
+    ties = np.zeros(15)
+    ties[[3, 9]] = 2.0**70
+    for threads in (1, 2):
+        rows = []
+
+        def counted(x, a, rows=rows):
+            if np.ndim(x) == 3:
+                rows.append(len(x))
+            return dirichlet_kernel_abs(x, a)
+
+        monkeypatch.setattr(blockcert, "dirichlet_kernel_abs", counted)
+        q, main, pairs = _main_terms(
+            15, alpha_inv, ys, COARSE.eta, n_gamma, ties, lobe_table(15), threads
+        )
+        assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
+        assert rows[0] == 15  # the outer kernel, one row per q
+        assert sum(rows[1:]) == n_gamma + 1
+
+
 def _pair_scores(a, grid, corrs):
     """The bound pass's flat scores in _main_terms' arithmetic (same chunks,
     same edge bounds, same einsum), with the kernel factors for exact

@@ -74,10 +74,10 @@ def derivative_one_norm_direct(ctx, n, beta):
 
 def norm_nodes(ctx, n, beta):
     """(S_n, dS_n/dy) at the midpoint nodes of the 1-norms, by the transforms,
-    in node order."""
-    terms = expsum._twisted_terms(ctx, n, beta)
-    s_n = expsum._transform(terms).T.ravel()
-    return s_n, expsum._transform(expsum._derivative_terms(terms)).T.ravel()
+    in node order. The transform consumes its terms, so each gets its own."""
+    s_n = expsum._transform(expsum._twisted_terms(ctx, n, beta)).T.ravel()
+    d_terms = expsum._derivative_terms(expsum._twisted_terms(ctx, n, beta))
+    return s_n, expsum._transform(d_terms).T.ravel()
 
 
 def test_trivial_frequencies_count_everything():
@@ -357,6 +357,22 @@ def test_fft_nodes_match_recurrence(coeffs, n, beta):
         assert abs(np.mean(np.abs(fft)) - want) <= 1e-13 * want
 
 
+@pytest.mark.parametrize("coeffs, n", FFT_CASES)
+@pytest.mark.parametrize("derivative", [False, True], ids=["plain", "derivative"])
+def test_node_moduli_keep_the_bits_of_a_separate_transform(coeffs, n, derivative):
+    # the in-place transform and the moduli written in node order give, bit
+    # for bit, the moduli of a separate transform of a copy, reordered after
+    ctx = make_context(coeffs)
+    terms = expsum._twisted_terms(ctx, n, Fraction(1, 5))
+    if derivative:
+        terms = expsum._derivative_terms(terms)
+    length = max(4, ctx.term(n))
+    want = np.abs(np.fft.ifft(terms.copy(), n=length, axis=1, norm="forward")).T.ravel()
+    got = expsum._node_moduli(terms)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("coeffs, n", [((1, 1), 2), ((1, 1), 20), ((2, 1), 9), ((15, 1), 3)])
 def test_fft_nodes_parseval(coeffs, n):
     # N >= G_n equally spaced nodes: the node mean of |sum_k c_k e(y_j k)|^2 is
@@ -439,16 +455,31 @@ def test_direct_sums_over_many_moduli_keep_one_table():
 @pytest.mark.parametrize("norm", [one_norm, derivative_one_norm])
 @pytest.mark.parametrize("coeffs, n", [((1, 1), 20), ((2, 1), 9), ((1, 1), 3)])
 def test_one_norm_memory_matches_its_live_set(norm, coeffs, n):
-    # the live set of one_norm's docstring: the 16 x G_n terms and their
-    # transform (16 bytes per entry each) and its moduli (8 bytes per node),
-    # beside the prefix table grown to G_n (8 bytes per entry), one row of the
-    # transform's work space and 128 KiB
+    # the live set of one_norm's docstring: the 16 x G_n terms, transformed in
+    # place (16 bytes per entry), and their moduli (8 bytes per node), beside
+    # the prefix table grown to G_n (8 bytes per entry), one row of the
+    # transform's work space and 128 KiB; no separate transform
     ctx = make_context(coeffs)
     g_n = ctx.term(n)
     length = max(4, g_n)
-    live = 16 * 16 * g_n + 16 * 16 * length + 8 * 16 * length
+    live = 16 * 16 * g_n + 8 * 16 * length
     bound = live + 8 * g_n + 16 * length + (128 << 10)
     assert traced_peak(lambda: norm(ctx, n, Fraction(1, 5))) < bound
+
+
+@pytest.mark.parametrize("coeffs, n, q_max", [
+    ((1, 1), 20, 3), ((2, 1), 9, 3), ((1, 1), 16, 40), ((1, 1), 3, 100)])
+def test_gallagher_memory_matches_its_live_set(coeffs, n, q_max):
+    # the live set of gallagher_check's docstring: one_norm's bound, as each
+    # norm builds its own terms, or the Farey recurrence's (the points and
+    # the object arrays over them, under 512 bytes per point), whichever is
+    # larger, and 128 KiB
+    ctx = make_context(coeffs)
+    g_n = ctx.term(n)
+    length = max(4, g_n)
+    norms = 16 * 16 * g_n + 8 * 16 * length + 8 * g_n + 16 * length
+    bound = max(norms, 512 * len(farey_points(q_max))) + (128 << 10)
+    assert traced_peak(lambda: gallagher_check(ctx, n, Fraction(1, 5), q_max)) < bound
 
 
 @pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1)])
@@ -680,7 +711,7 @@ def test_gallagher_inequality_holds():
     beta = Fraction(37, 100)
     rep = gallagher_check(ctx, 5, beta, 7)
     assert rep.ok and rep.lhs <= rep.rhs * (1 + 1e-6)
-    # one set of terms gives both norms, bit for bit as the two functions do
+    # the norms are those of the two functions, bit for bit
     assert rep.one_norm == one_norm(ctx, 5, beta).value
     assert rep.derivative_one_norm == derivative_one_norm(ctx, 5, beta).value
 
