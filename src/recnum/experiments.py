@@ -33,6 +33,11 @@ COUNT_GUARD = 10**7
 assert COUNT_GUARD < 2**24
 _CHUNK = 1 << 20
 _ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per batch of _pair_batches
+_COMPACT_CHUNK = 1 << 15  # entries per block of von_mangoldt_sum's compaction
+# Half-width, in double ulps, of the band around a rounding midpoint where
+# _prime_logs falls back to math.log. Without the x87 extended format (64-bit
+# mantissa) every log counts as near a midpoint.
+_LOG_MARGIN = 0.02 + 2**-10 if np.finfo(np.longdouble).nmant >= 63 else math.inf
 DISCREPANCY_LOG_POWER = 1.0  # A in the normalization log(2x)^A / x
 
 
@@ -201,6 +206,22 @@ def bv_discrepancy(
     )
 
 
+def _prime_count_bound(y: int) -> int:
+    """An upper bound on pi(y), the number of primes <= y, to size buffers
+    that are filled as the sieve streams: Dusart's (1999)
+    pi(y) <= y / ln y (1 + 1 / ln y + 2.51 / ln^2 y) for y >= 355991, else
+    Rosser and Schoenfeld's pi(y) < 1.25506 y / ln y for y > 1, plus 1 for
+    the rounding of the float expression; 0 for y <= 1. At 10**7 Dusart's
+    bound exceeds pi by 329, Rosser and Schoenfeld's by 114,087. A buffer
+    that still ran short would make its slice assignment raise."""
+    if y <= 1:
+        return 0
+    log = math.log(y)
+    if y >= 355991:
+        return int(y / log * (1 + 1 / log + 2.51 / log**2)) + 1
+    return int(1.25506 * y / log) + 1
+
+
 def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     """#{k <= x : s_G(k) = r (mod s), k prime or a product of two primes}.
 
@@ -212,11 +233,9 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     p = q gives the squares. Every q <= (hi - 1) // 2 lies in a window
     already sieved, so the primes <= x // 2 found so far hold all of them.
     They fill one int32 buffer (x <= 10**8 < 2**31) in place, sized by
-    Rosser and Schoenfeld's pi(y) < 1.25506 y / ln y for y > 1 at
-    y = x // 2, plus 1 for the rounding of that float expression: 1.7 MB at
-    x = 10**7 and 14 MB at the guard, of which the pages past pi(x / 2)
-    are never written. The products are int64. The count is the marks
-    inside the digit class.
+    _prime_count_bound(x // 2): 1.3 MB at x = 10**7 and 11.5 MB at the guard.
+    The products are int64. The count is the marks inside the digit
+    class.
 
     SIEVE_GUARD bounds the running time and that buffer; it is checked
     before any work.
@@ -227,7 +246,7 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
         raise CostGuardError(f"x = {x} exceeds the guard {SIEVE_GUARD}")
     _warn_gcd_hypothesis(ctx, s)
     half = x // 2
-    buf = np.empty(int(1.25506 * half / math.log(half)) + 1 if half > 1 else 0, np.int32)
+    buf = np.empty(_prime_count_bound(half), np.int32)
     n_qs = 0
     total = 0
     for lo, hi, primes in _prime_segments(x):
@@ -247,18 +266,63 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     return total
 
 
+def _prime_logs(ps: np.ndarray) -> np.ndarray:
+    """math.log(p) for each p of the int64 array ps, 2 <= p <= 10**13, in
+    one vectorised pass: math.log is called only near double rounding
+    midpoints.
+
+    np.log in np.longdouble (x87 extended, 64-bit mantissa) is within one
+    extended ulp of log p, 2^-11 ulp of the double result. glibc's log (the
+    ARM optimized-routines code, glibc >= 2.28) is within 0.519 ulp of
+    log p. So where log p lies more than 0.019 ulp from a midpoint, the
+    double on its far side is more than 0.519 ulp away, and math.log
+    returns log p correctly rounded. Where the extended value lies at least
+    _LOG_MARGIN = 0.02 + 2^-10 ulp from a midpoint, log p lies at least
+    0.02 + 2^-11 ulp from it, on the same side, so both equal the extended
+    value rounded to double. The residual of that rounding has at most 11
+    significant bits, so it is exact in double, and so is its ratio to the
+    ulp, a power of two. That ulp is np.spacing of the double: log p stays
+    more than 10**7 ulps from every power of two at these p (nearest,
+    log 8886111 - 16 = 5.4e-8), so the doubles around it are evenly spaced.
+
+    The rest take math.log: 27,564 of the 664,579 primes below 10**7
+    (4.1 %, twice the margin). With no fallback (a margin of 0) the rounded
+    extended values differ from math.log on 168 of them, the first at
+    39133: each an extended value exactly on a midpoint, which rounds to
+    even."""
+    ext = np.log(ps.astype(np.longdouble))
+    logs = ext.astype(np.float64)
+    ext -= logs
+    off = ext.astype(np.float64)
+    del ext
+    off /= np.spacing(logs)
+    np.abs(off, out=off)
+    off -= 0.5
+    near = np.abs(off, out=off) < _LOG_MARGIN
+    # math.log converts p to a double, exact below 2**53
+    logs[near] = [math.log(p) for p in ps[near].tolist()]
+    return logs
+
+
 def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prime powers e = p^j <= n, ascending, and Lambda(e) = log p; then
     the positions in that list of the p^j with j >= 2, ascending, and their
     exponents j.
 
-    The primes come from _prime_segments, and the few higher powers (555
-    below 10**7) are merged into each segment's primes at their searchsorted
-    positions, so the two lists are allocated once and never sorted. Until
-    the merge is done the segments hold the primes a second time, 24 bytes
-    per prime in all. log p comes from math.log: np.log differs from it by
-    one ulp on some primes (44 of the 664,579 below 10**7), and every
-    Lambda_l inherits these values."""
+    The few higher powers (555 below 10**7) are merged into each segment of
+    _prime_segments at their searchsorted positions, and each merged segment
+    is written into es and lv as the sieve streams, so nothing is sorted and
+    no prime is held twice. es (int64) and lv are sized by
+    _prime_count_bound(n) plus the higher powers, and returned as trimmed
+    views: 16 bytes per entry, 329 entries more than the prime powers at
+    n = 10**7. (Rosser and Schoenfeld's bound alone leaves 114,087 spare
+    entries there; numpy asks for huge pages on arrays of 4 MB and more, so
+    the page holding the last entry brought part of that slack into the
+    resident set.)
+
+    log p comes from _prime_logs and equals math.log(p): np.log in double
+    differs from it by one ulp on some primes (44 of the 664,579 below
+    10**7), and every Lambda_l inherits these values."""
     higher = []
     for p in _primes_upto(math.isqrt(n)):
         pj, j = p * p, 2
@@ -268,23 +332,19 @@ def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     higher.sort()
     hp = np.array([pj for pj, _, _ in higher], dtype=np.int64)
     hl = np.array([log for _, _, log in higher])
-    segments = list(_prime_segments(n))
-    size = sum(ps.size for _, _, ps in segments) + hp.size
+    size = _prime_count_bound(n) + hp.size
     es, lv = np.empty(size, dtype=np.int64), np.empty(size)
     at = np.empty(hp.size, dtype=np.int64)
     start = 0
-    for i, (lo, hi, ps) in enumerate(segments):
-        segments[i] = None  # each segment is freed once merged
+    for lo, hi, ps in _prime_segments(n):
         a, b = hp.searchsorted((lo, hi))
         ins = ps.searchsorted(hp[a:b])
         stop = start + ps.size + b - a
         es[start:stop] = np.insert(ps, ins, hp[a:b])
-        # math.log converts p to a double, exact below 2**53
-        logs = np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size)
-        lv[start:stop] = np.insert(logs, ins, hl[a:b])
+        lv[start:stop] = np.insert(_prime_logs(ps), ins, hl[a:b])
         at[a:b] = start + ins + np.arange(b - a)
         start = stop
-    return es, lv, at, np.array([j for _, j, _ in higher], dtype=np.int64)
+    return es[:start], lv[:start], at, np.array([j for _, j, _ in higher], dtype=np.int64)
 
 
 def _pair_batches(first, count):
@@ -347,9 +407,10 @@ def _set_unordered_pairs(out, lo, es, lv) -> None:
 def _lambda_windows(n: int, ell: int):
     """Lambda_l(k) = (mu * log^l)(k) for 0 <= k <= n, one window at a time:
     yields (lo, Lambda_l on [lo, hi)) for the windows [lo, lo + _CHUNK) in
-    order, in one buffer that the next window overwrites. The recursion is
-    Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
-    Lambda_1 = Lambda from the sparse prime-power list (es, lv).
+    order, in one buffer that the next window overwrites. Nothing is read
+    back from the buffer once it is yielded, so a consumer may overwrite it.
+    The recursion is Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda,
+    seeded with Lambda_1 = Lambda from the sparse prime-power list (es, lv).
 
     The bits are those of the dense recursion that sets log(k) Lambda_{l-1}(k)
     at the support of Lambda_{l-1}, then adds Lambda_{l-1}(m) Lambda(e) at
@@ -383,7 +444,8 @@ def _lambda_windows(n: int, ell: int):
     reads it.
 
     Memory, nothing of length n. The live set at l = 2:
-    - es and lv, 16 bytes per prime power <= n;
+    - es and lv, 16 bytes per prime power <= n, in buffers sized by
+      _prime_count_bound (_prime_powers);
     - one window of _CHUNK float64, and the window's prime powers k with
       their log(k) Lambda(k), 16 bytes each;
     - one batch of _ADD_AT_CHUNK pairs, at most five int64 or float64
@@ -466,12 +528,15 @@ def von_mangoldt_sum(
     The coprimality hypothesis gcd(a_1 + ... + a_d - 1, s) = 1 is reported as
     a GcdPreconditionWarning rather than an error. Lambda_l streams in windows
     of _CHUNK after the arguments are checked; each window's class sum is one
-    np.sum, so _CHUNK sets the bits of lhs.
+    np.sum, so _CHUNK sets the bits of lhs. The class members are compacted
+    to the front of the window's own buffer, _COMPACT_CHUNK entries at a
+    time, and summed there: the same values in the same order as lam[mask],
+    so the same bits, without a copy of the window.
 
     Memory: the live set of _lambda_windows, plus the window's class mask
-    (_CHUNK bytes) and, while the next window is not yet built, the class
-    members' values copied for the sum (at most 8 _CHUNK bytes), plus the
-    context's class table mod s (`digits._mod_table`, built once).
+    (_CHUNK bytes) and one block's members (at most 8 _COMPACT_CHUNK
+    bytes), plus the context's class table mod s (`digits._mod_table`,
+    built once).
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")
@@ -483,7 +548,14 @@ def von_mangoldt_sum(
     lhs = 0.0
     for lo, lam in _lambda_windows(x - 1, ell):
         mask = digit_class_range(ctx, lo + lam.size, lo, r, s)
-        lhs += float(np.sum(lam[mask]))
+        # each block's members are read whole, then written at or below the
+        # block's start: lam[:n] ends up equal to lam[mask]
+        n = 0
+        for b in range(0, lam.size, _COMPACT_CHUNK):
+            members = lam[b : b + _COMPACT_CHUNK][mask[b : b + _COMPACT_CHUNK]]
+            lam[n : n + members.size] = members
+            n += members.size
+        lhs += float(np.sum(lam[:n]))
     main = (ell / s) * x * math.log(x) ** (ell - 1)
     return VonMangoldtReport(
         x=x, ell=ell, r=r, s=s, lhs=lhs, main_term=main, ratio=lhs / main

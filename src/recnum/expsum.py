@@ -55,6 +55,7 @@ ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 _WINDOW = 1 << 20  # integers per window of the direct sum
 _COUNT_WINDOW = 1 << 16  # least integers per window of its counted path
+_TERM_BLOCK = 1 << 14  # (i, y) phases per block of exp_sum_recurrent's initial values
 
 
 @dataclass(frozen=True)
@@ -232,16 +233,29 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> com
 def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> complex | np.ndarray:
     """S_n via the order-d coefficient recurrence, at every y of params (a
     complex for a scalar y, an array for a tuple of y). Only the last d
-    values are kept."""
+    values are kept.
+
+    The initial values S_k, k < d, are the direct sums over i < G_k, with
+    the bits of the loop acc += _e(_turns(params, i, s_G(i))) from acc = 0
+    in ascending i, but without a Python call per i. The phases come as
+    (i, y) arrays of at most _TERM_BLOCK entries, from object arrays of
+    Python ints (`_turns`). Each block's first row takes the running sum
+    (addition commutes), and np.cumsum, which adds in sequence, carries it
+    down the rows to the last."""
     if n < 0:
         raise PreconditionError("term index must be non-negative")
     size = len(params._hq[0])
+    rows = max(1, _TERM_BLOCK // size)
     sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
-        s = digit_sums_range(ctx, ctx.term(k))
+        g_k = ctx.term(k)
+        s = digit_sums_range(ctx, g_k)
         acc = np.zeros(size, dtype=complex)
-        for kk, s_kk in enumerate(s.tolist()):
-            acc += _e(_turns(params, kk, s_kk))
+        for b in range(0, g_k, rows):
+            i = np.arange(b, min(b + rows, g_k), dtype=object)[:, None]
+            terms = _e(_turns(params, i, s[b : b + rows].astype(object)[:, None]))
+            terms[0] += acc
+            acc = np.cumsum(terms, axis=0, out=terms)[-1]
         sums.append(acc)
     for k in range(ctx.d, n + 1):
         sums.append(sum(coefficient_A(ctx, k, j, params) * sums[-j] for j in ctx.index_set))

@@ -323,6 +323,28 @@ def test_von_mangoldt_sum_matches_dense_reference(x):
             assert von_mangoldt_sum(ZECK, x, ell, r, 2).lhs.hex() == want.hex(), (ell, r)
 
 
+@pytest.mark.parametrize("compact", [1, 7, 1 << 15])
+@pytest.mark.parametrize("chunk", [64, 1000])
+def test_von_mangoldt_sum_compaction_matches_dense_reference(monkeypatch, chunk, compact):
+    # the class members compacted in place, in blocks of 1 and 7 entries and
+    # in one block per window, sum to the bits of the dense Lambda_l's class
+    # sum over the same windows; s = 1 puts every k in the class
+    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    monkeypatch.setattr(experiments, "_COMPACT_CHUNK", compact)
+    x = 3001
+    sums = digit_sums_range(ZECK, x)
+    for ell in (2, 3, 4):
+        lam = generalized_von_mangoldt_dense(x - 1, ell)
+        for s in (1, 3):
+            for r in range(s):
+                want = 0.0
+                for lo in range(0, x, chunk):
+                    hi = min(lo + chunk, x)
+                    want += float(np.sum(lam[lo:hi][sums[lo:hi] % s == r]))
+                got = von_mangoldt_sum(ZECK, x, ell, r, s).lhs
+                assert got.hex() == want.hex(), (ell, s, r)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000])
 def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
     # many windows: every level's pairs and supports carry across window edges
@@ -348,6 +370,39 @@ def test_prime_powers_merged_in_order(monkeypatch):
             higher = [(p**j, j) for p in range(2, x + 1) for j in range(2, x.bit_length() + 1)
                       if lam[p] == math.log(p) and p**j <= x]
             assert list(zip(es[at].tolist(), js.tolist())) == sorted(higher), (chunk, x)
+
+
+def assert_prime_logs_are_math_log(n):
+    """Every log p of _prime_powers(n) at a prime p equals math.log(p),
+    compared 2**20 entries at a time."""
+    es, lv, at, _ = experiments._prime_powers(n)
+    is_prime = np.ones(es.size, dtype=bool)
+    is_prime[at] = False
+    for a in range(0, es.size, 1 << 20):
+        keep = is_prime[a : a + (1 << 20)]
+        ps, got = es[a : a + (1 << 20)][keep], lv[a : a + (1 << 20)][keep]
+        want = np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size)
+        assert np.array_equal(got, want), ps[got != want][:5].tolist()
+
+
+def test_prime_logs_equal_math_log():
+    # every prime <= 10**7; with _LOG_MARGIN = 0 the rounded long double
+    # logs differ from math.log here, the first at 39133
+    assert_prime_logs_are_math_log(10**7)
+
+
+@pytest.mark.release
+def test_prime_logs_equal_math_log_up_to_the_guard():
+    assert_prime_logs_are_math_log(experiments.SIEVE_GUARD)
+
+
+def test_prime_count_bound_covers_pi():
+    # pi(p) <= bound(p) at every prime p <= 2 * 10**6, both sides of Dusart's
+    # threshold 355991; the bound increases with y, so primes are the worst case
+    primes = np.array(experiments._primes_upto(2 * 10**6))
+    bounds = np.array([experiments._prime_count_bound(p) for p in primes.tolist()])
+    assert np.all(np.arange(1, primes.size + 1) <= bounds)
+    assert [experiments._prime_count_bound(y) for y in (-1, 0, 1)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
@@ -393,17 +448,20 @@ def test_lambda_windows_match_references(monkeypatch, chunk, pair_chunk):
 
 def test_von_mangoldt_sum_memory_matches_its_live_set():
     # the live set of the docstrings of _lambda_windows and von_mangoldt_sum:
-    # es and lv; the window's prime powers and their log(k) Lambda(k); one
-    # window and its class mask; then either one batch of pairs (40 bytes
-    # each) or the class members' values (at most one window); and the class
-    # table mod 2 of a fresh context, one byte per entry
+    # es and lv, allocated at _prime_count_bound plus the higher powers; the
+    # window's prime powers and their log(k) Lambda(k); one window and its
+    # class mask; then either one batch of pairs (40 bytes each) or one
+    # compaction block's class members; and the class table mod 2 of a
+    # fresh context, one byte per entry
     ctx = make_context((1, 1))
     x = 3 * 2**20 + 5
     chunk, pair_chunk = experiments._CHUNK, experiments._ADD_AT_CHUNK
-    es = experiments._prime_powers(x - 1)[0]
+    es, _, at, _ = experiments._prime_powers(x - 1)
     per_window = max(np.count_nonzero((lo <= es) & (es < lo + chunk)) for lo in range(0, x, chunk))
     table = ctx.terms_upto(TABLE_LIMIT)[-1]
-    bound = 16 * es.size + 16 * per_window + 9 * chunk + max(40 * pair_chunk, 8 * chunk) + table
+    capacity = experiments._prime_count_bound(x - 1) + at.size
+    members = 8 * experiments._COMPACT_CHUNK
+    bound = 16 * capacity + 16 * per_window + 9 * chunk + max(40 * pair_chunk, members) + table
     tracemalloc.start()
     try:
         von_mangoldt_sum(ctx, x, 2, 1, 2)

@@ -610,6 +610,36 @@ def test_modulus_bounded_by_term():
             assert abs(s_n) <= ctx.term(n) * (1 + 1e-12)
 
 
+def hexes(values):
+    """float.hex of the real and imaginary parts of a complex or an array."""
+    return [z.hex() for v in np.atleast_1d(values) for z in (v.real, v.imag)]
+
+
+def term_loop_sum(params, ks, ss):
+    """sum_i e(y ks[i] + beta ss[i]) by one _turns and _e call per term,
+    added left to right from 0."""
+    acc = np.zeros(len(params._hq[0]), dtype=complex)
+    for k, s in zip(ks, ss):
+        acc += expsum._e(expsum._turns(params, int(k), int(s)))
+    return acc
+
+
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 14])
+def test_initial_values_match_the_term_loop(monkeypatch, block):
+    # blocks of 1 and 7 (term, y) phases cut the rows mid-sum; 40 phases
+    # hold 40 // 3 = 13 rows of three y; the default holds every row here
+    monkeypatch.setattr(expsum, "_TERM_BLOCK", block)
+    ys = (Fraction(0), Fraction(2, 7), Fraction(2**70 + 1, 2**71))
+    for coeffs in [(1, 1), (3, 0, 1), (100, 1)]:
+        ctx = make_context(coeffs)
+        for y in (ys, ys[2]):
+            params = ExpSumParams.make(y, Fraction(5, 7))
+            sums = [term_loop_sum(params, range(ctx.term(k)), digit_sums_range(ctx, ctx.term(k)))
+                    for k in range(ctx.d)]
+            for k in range(ctx.d):
+                assert hexes(exp_sum_recurrent(ctx, k, params)) == hexes(sums[k]), (coeffs, k)
+
+
 def test_coefficient_modulus_bound():
     ctx = make_context((4, 2, 1))
     rng = np.random.default_rng(11)
