@@ -38,12 +38,12 @@ The lemma-grade target is M_2 := max(M_2(2), 1) + max(M_2(3), 1)^{2/3}
 exponent eta = kappa/2 - 1 for the 1-norm of S_n.
 
 Interval suprema are shift-periodic with period a in b + q, so a row needs
-one table of a per-residue suprema for |g| and one for |g'|. Each residue
-interval is one lobe of g, so `dirichlet_sup` brackets its peak by
-bisection (`sup_table`, the table `m_value` reads); `lobe_table` keeps
-that table with the brackets for the main term's bound pass.
-`interval_sup_deriv` gives sup |g'| per residue in closed form. M_2(3) sums
-the |g| table that M_2(2)'s correction lines used.
+one table of a per-residue suprema for |g| and one for |g'|. The |g|
+table is `sup_table`, the one `m_value` reads: each residue interval is one
+lobe of g, bounded by `interval_sup_abs` from the lobe sups of
+`lobe_table`, whose maximizer brackets also serve the main term's bound
+pass. `interval_sup_deriv` gives sup |g'| per residue in closed form.
+M_2(3) sums the |g| table that M_2(2)'s correction lines used.
 
 The main term lives on a shared y-grid with one column per interval b, so
 the max over y0 is a column max, and the certificate reads it only at the
@@ -84,6 +84,7 @@ from .bounds import (
     interval_sup_deriv,
     kernel_derivative_cap,
     lobe_table,
+    sup_table,
 )
 
 KAPPA_TARGET = 2.9772122
@@ -356,7 +357,7 @@ def certify_M2_2_detail(a: int, grid: GridParams, threads: int = 1) -> M22Certif
     # the max over q binds the main term and the correction sums jointly:
     # both sides of the sum depend on the same shift q
     lobes = lobe_table(a)
-    sup_g = lobes.sup
+    sup_g = np.array(sup_table(a, a, 0.0))
     sup_gp = np.array([interval_sup_deriv(a, c) for c in range(a)])
     cap = kernel_derivative_cap(a)
     gp_sums = _shifted_residue_sums(sup_gp, n_terms)

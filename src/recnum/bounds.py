@@ -14,16 +14,16 @@ m^(r) also uses the intervals ((b+t)/a, (b+t+1)/a) for t in {0, 1/r, ...,
 unit in the resulting base; `m_shifted` gives the covering argument and the
 shifts it has to take.
 
-All suprema here are certified from above. sup |g| is located: |g| is
-log-concave on every lobe between two zeros, so each lobe's maximizer is
-bracketed by bisection on the sign of (log|g|)', and the bound is the
-largest value at the brackets and the interval ends plus a Lipschitz term
-for the bracket width and a rounding allowance (`dirichlet_sup`). Intervals
-whose closure meets an integer short-circuit to the exact supremum a_j.
-`interval_sup_abs` bounds the float kernel over whole arrays of intervals
-by the same lobe argument, from their end values and `lobe_table`'s
-per-lobe suprema and maximizer brackets. sup |g'| over a residue interval
-[c/a, (c+1)/a] has a closed form (`interval_sup_deriv`).
+All suprema here are certified from above by one lobe argument: |g| is
+log-concave on every lobe between two zeros, so over an interval it peaks
+at an end unless a lobe's maximizer lies inside. `lobe_table` brackets each
+side lobe's maximizer once, by bisection on the sign of (log|g|)', and
+certifies the lobe's supremum from the bracket values, a Lipschitz term from
+the closed-form sup |g'| over the residue interval (`interval_sup_deriv`)
+and a rounding allowance. `interval_sup_abs` bounds |g| over whole arrays of
+intervals from their end values and the sups of the lobes whose brackets
+they meet; `dirichlet_sup` and `sup_table` give it intervals by their ends.
+Intervals whose closure meets an integer get the exact supremum a_j.
 """
 
 from __future__ import annotations
@@ -85,38 +85,7 @@ def kernel_derivative_cap(a: int) -> float:
     return math.pi * a * (a - 1)
 
 
-def _contains_integer(lo: float, hi: float) -> bool:
-    return math.floor(hi) >= math.ceil(lo)
-
-
 _U = 2.0**-53  # unit roundoff of float64
-
-
-def _min_abs_sin(lo: float, hi: float) -> float:
-    """A lower bound for m = min |sin pi y| over [lo, hi]; 0 if it holds an integer.
-
-    |sin pi y| is concave between integers, so on an integer-free interval
-    its minimum sits at an endpoint. At the exact `reduced_argument` f' of
-    each, sin(pi f') is within a few units in the last place; the factor
-    1 - 2^-48 covers them.
-    """
-    if _contains_integer(lo, hi):
-        return 0.0
-    fs = reduced_argument([lo, hi]).tolist()
-    return min(math.sin(math.pi * f) for f in fs) * (1.0 - 2.0**-48)
-
-
-def _local_lipschitz(a: int, lo: float, hi: float) -> float:
-    """Per-interval bound on |g'|: pi (a + min(a, 1/m)) / m with m = min |sin pi y|.
-
-    Falls back to the global cap when that is smaller, or when the interval
-    holds an integer.
-    """
-    m = _min_abs_sin(lo, hi)
-    cap = kernel_derivative_cap(a)
-    if m <= 0.0:
-        return cap
-    return min(cap, math.pi * (a + min(a, 1.0 / m)) / m)
 
 
 def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
@@ -139,55 +108,6 @@ def _lobe_peak(a: int, lo: float, hi: float) -> tuple[float, float]:
             l = mid
         else:
             r = mid
-
-
-def _peak_slack(l: float, r: float) -> float:
-    """delta = 8 u (1 + max(|l|, |r|)): how far outside a `_lobe_peak`
-    bracket [l, r] on a side lobe the maximizer may lie (`dirichlet_sup`)."""
-    return 8.0 * _U * (1.0 + max(abs(l), abs(r)))
-
-
-def dirichlet_sup(a_j: int, lo: float, hi: float) -> float:
-    """Certified upper bound for sup over (lo, hi) of |sin(pi a_j y)/sin(pi y)|.
-
-    The zeros k/a_j inside (lo, hi) cut it into pieces, each inside one lobe,
-    where |g| is unimodal (`_lobe_peak`). The bound is the largest |g| over
-    the piece ends and the bracket ends of each piece's maximizer, all
-    evaluated in one `dirichlet_kernel_abs` call, plus
-
-    - (w/2 + delta) L per bracket of width w, with L = `_local_lipschitz` on
-      it: |g| is L-Lipschitz there, so a maximizer within delta of the
-      bracket exceeds the larger end value by at most (w/2 + delta) L. A
-      computed sign of phi is wrong only where |phi| is below its rounding
-      error, at most 9.5 a^2 u (1 + |y|) beside a side-lobe maximizer
-      (u = 2^-53, tan within 4 ulp, |sin(pi a y)| >= 0.97 there), and
-      |phi'| >= (3/4) pi a^2, so delta = 8 u (1 + |y|) covers it. A main
-      lobe, or a piece peaking at an end, peaks at lo or hi.
-    - 32 a_j u for rounding: each kernel value is within 23.2 a_j u of |g|
-      (`dirichlet_kernel_abs`), and the rest covers the two sums. A float
-      cut point sits within u |y| of its zero, so it can move a piece end
-      into the next lobe only where |g| is near 0.
-
-    The result never exceeds a_j. Intervals touching an integer return a_j
-    exactly, since the supremum there is attained in the limit, and a_j = 1
-    gives |g| = 1.
-    """
-    if not hi > lo:
-        raise PreconditionError("degenerate interval")
-    if a_j < 1:
-        raise PreconditionError("a_j must be a positive integer")
-    if a_j == 1 or _contains_integer(lo, hi):
-        return float(a_j)
-    cuts = [k / a_j for k in range(math.floor(lo * a_j), math.ceil(hi * a_j) + 1)]
-    ends = [lo, *(c for c in cuts if lo < c < hi), hi]
-    points = [lo, hi]
-    gap = 0.0
-    for p, q in zip(ends, ends[1:]):
-        l, r = _lobe_peak(a_j, p, q)
-        points += [l, r]
-        gap = max(gap, (0.5 * (r - l) + _peak_slack(l, r)) * _local_lipschitz(a_j, l, r))
-    peak = float(np.max(dirichlet_kernel_abs(points, a_j)))
-    return min(peak + gap + 32.0 * a_j * _U, float(a_j))
 
 
 def interval_sup_deriv(a: int, c: int) -> float:
@@ -244,43 +164,83 @@ def interval_sup_deriv(a: int, c: int) -> float:
     return value * (1.0 + 2.0**-48)
 
 
-def sup_table(a: int, a_j: int, shift: float) -> list[float]:
-    """dirichlet_sup(a_j, .) over the a intervals ((b + shift)/a, (b + shift + 1)/a)."""
-    return [dirichlet_sup(a_j, (b + shift) / a, (b + shift + 1) / a) for b in range(a)]
-
-
 @dataclass(frozen=True)
 class LobeTable:
-    """|g| for a_j = a, lobe by lobe. sup[c] is the certified supremum on the
-    lobe (c/a, (c+1)/a), sup_table(a, a, 0.0)[c]. The side lobes
-    c = 1..a-2 peak inside: [left[c-1], right[c-1]] holds the maximizer,
-    `_lobe_peak`'s bracket widened by `dirichlet_sup`'s delta and rounded
-    outward, so the brackets are disjoint and ascending. The main-lobe halves
-    c = 0 and a-1 peak at the integers."""
+    """|g| for a_j = a, lobe by lobe. sup[c] bounds |g| on the lobe
+    (c/a, (c+1)/a) from above; over the side lobes c = 1..a-2 it is
+    valley-shaped, falling to its least entry and rising after. The side
+    lobes peak inside: [left[c-1], right[c-1]] holds the maximizer, the
+    bracket of `_side_lobes` widened and rounded outward, so the brackets
+    are disjoint and ascending. The main-lobe halves c = 0 and a-1 peak at
+    the integers, where sup[c] = a."""
 
     sup: np.ndarray
     left: np.ndarray
     right: np.ndarray
 
 
+def _side_lobes(a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sup, left, right) of the side lobes c = 1..a-2, each bisected once by
+    `_lobe_peak` to [l, r], w = r - l, delta = 8 u (1 + r):
+
+        sup[c] = min(a, max(g_l, g_r) + (w/2 + delta) L_c + 32 a u),
+
+    g_l, g_r the float kernel at l, r and L_c = `interval_sup_deriv`(a, c).
+    left and right are the brackets widened by delta and rounded outward.
+
+    Proof. A computed sign of phi is wrong only where |phi| is below its
+    rounding error, at most 9.5 a^2 u (1 + |y|) beside a side-lobe maximizer
+    (u = 2^-53, tan within 4 ulp, |sin(pi a y)| >= 0.97 there), and
+    |phi'| >= (3/4) pi a^2, so the maximizer x* lies in [l - delta,
+    r + delta], within w/2 + delta of the nearer bracket end e. phi(x*) = 0
+    needs |cot(pi a x*)| <= 1/(pi a min(x*, 1 - x*)) <= 1/pi, so x* is at
+    least 0.4/a from both zeros of its lobe, far beyond delta < 16 u: the
+    segment from e to x* lies in [c/a, (c+1)/a], where |g'| <= L_c. So
+    sup |g| = |g(x*)| <= |g(e)| + (w/2 + delta) L_c, and |g(e)| is within
+    23.2 a u of g_e (`dirichlet_kernel_abs`); 32 a u covers that and the
+    two sums.
+    """
+    brackets = np.array([_lobe_peak(a, c / a, (c + 1) / a) for c in range(1, a - 1)]).reshape(-1, 2)
+    l, r = brackets.T
+    slack = 8.0 * _U * (1.0 + r)  # delta
+    lip = np.array([interval_sup_deriv(a, c) for c in range(1, a - 1)])
+    sup = np.max(dirichlet_kernel_abs(brackets, a), axis=1)
+    sup = np.minimum(sup + (0.5 * (r - l) + slack) * lip + 32.0 * a * _U, a)
+    return sup, np.nextafter(l - slack, -np.inf), np.nextafter(r + slack, np.inf)
+
+
 def lobe_table(a: int) -> LobeTable:
-    brackets = [_lobe_peak(a, c / a, (c + 1) / a) for c in range(1, a - 1)]
-    left = [math.nextafter(l - _peak_slack(l, r), -math.inf) for l, r in brackets]
-    right = [math.nextafter(r + _peak_slack(l, r), math.inf) for l, r in brackets]
-    return LobeTable(np.array(sup_table(a, a, 0.0)), np.array(left), np.array(right))
+    """The `LobeTable` of a >= 1: the main-lobe halves get a, the side lobes
+    `_side_lobes`' sups replaced by their valley hull, a running max from
+    the least entry k toward each end (from k down to c for c < k, from k up
+    to c for c > k). Entries only rise, so each stays an upper bound, and
+    the max over a run of consecutive side lobes is at one end of the run.
+    The certified sups are valley-shaped already (for x in lobe
+    c <= (a-3)/2, x < (a-1)/(2a) gives sin(pi (x + 1/a)) >= sin(pi x), so
+    |g(x + 1/a)| <= |g(x)|, and mirrored past 1/2); the hull guards the
+    allowances.
+    """
+    side, left, right = _side_lobes(a)
+    sup = np.full(a, float(a))
+    if side.size:
+        k = int(np.argmin(side))
+        sup[1 : k + 2] = np.maximum.accumulate(side[k::-1])[::-1]
+        sup[k + 1 : a - 1] = np.maximum.accumulate(side[k:])
+    return LobeTable(sup, left, right)
 
 
 def interval_sup_abs(
     lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray, g_hi: np.ndarray, lobes: LobeTable
 ) -> np.ndarray:
     """Upper bound for `dirichlet_kernel_abs`(x, a) at every float x in
-    [lo, hi], elementwise over arrays of interval ends 0 <= lo <= hi, given
-    the kernel's values g_lo and g_hi at the ends; a = len(lobes.sup).
+    [lo, hi], and for |g| on [lo, hi], elementwise over arrays of interval
+    ends 0 <= lo <= hi, given the kernel's values g_lo and g_hi at the
+    ends; a = len(lobes.sup).
 
     Let v be the larger end value. If [lo, hi] holds an integer, v = a.
     Otherwise reduce by n = floor(lo) to [t_lo, t_hi] in (0, 1): if that
-    meets the maximizer bracket of one side lobe c, v = max(v, sup[c]); if
-    it meets two or more, v = a. The result is fl(v + 48 a u).
+    meets the maximizer brackets of the side lobes first..last,
+    v = max(v, sup[first], sup[last]). The result is fl(v + 48 a u).
 
     Proof. A kernel value at x is at most |g(x)| + 23.2 a u
     (`dirichlet_kernel_abs`), so it suffices that S = sup |g| over [lo, hi]
@@ -296,11 +256,12 @@ def interval_sup_abs(
       halves peak at the integers, outside [lo, hi]. A side-lobe maximizer
       lies in its bracket, so if it lies in [t_lo, t_hi] the two meet. The
       brackets are disjoint and ascending, so those that meet [t_lo, t_hi]
-      run from the first with right >= t_lo, `first` (one `searchsorted`),
-      while left <= t_hi: first is met iff left[first] <= t_hi, and two or
-      more are met iff left[first + 1] <= t_hi as well (left is padded with
-      two +inf, which no t_hi reaches). With none, S is the larger end value
-      of |g|; with one, S <= max(that, sup[c]); with more, v = a >= S.
+      run from `first`, the first with right >= t_lo, to `last`, the last
+      with left <= t_hi (one `searchsorted` each); none meets when
+      last < first. sup is valley-shaped over the side lobes (`lobe_table`),
+      so its max over the run is max(sup[first], sup[last]). So S is at
+      most the larger end value of |g|, or that max when the run is not
+      empty.
     - The end values of |g| are within 23.2 a u of g_lo and g_hi, so
       S <= v + 23.2 a u in every case.
 
@@ -317,16 +278,49 @@ def interval_sup_abs(
     wide |= t == 0.0  # lo is an integer
     first = np.searchsorted(lobes.right, t)  # brackets entirely below t_lo
     t_hi = np.subtract(hi, n, out=n)
-    left = np.append(lobes.left, [np.inf, np.inf])
-    wide |= np.take(left, first + 1) <= t_hi
-    # sup of the first bracket met; one past the last side lobe reads 0
-    peak = np.take(np.append(lobes.sup[1 : a - 1], 0.0), first, out=t)
-    peak[np.take(left, first) > t_hi] = 0.0
+    last = np.searchsorted(lobes.left, t_hi, side="right")  # brackets with left <= t_hi
+    last -= 1  # the last of them
+    # sups of the first and the last bracket met; one past the last side lobe reads 0
+    side = np.append(lobes.sup[1 : a - 1], 0.0)
+    peak = np.take(side, first, out=t)
+    np.maximum(peak, np.take(side, last, out=t_hi), out=peak)
+    peak[last < first] = 0.0
     v = np.maximum(g_lo, g_hi)
     np.maximum(v, peak, out=v)
     v[wide] = a
     v += 48.0 * a * _U
     return v
+
+
+def dirichlet_sup(a_j: int, lo: float | np.ndarray, hi: float | np.ndarray) -> float | np.ndarray:
+    """Certified upper bound for sup over (lo, hi) of |sin(pi a_j y)/sin(pi y)|,
+    elementwise over arrays of interval ends; a float for scalar ends.
+
+    |g| is even, so an interval with hi <= 0 is taken as (-hi, -lo); one
+    left below 0 then holds the integer 0, and its lower end is raised to 0.
+    The kernel at the ends and `lobe_table`(a_j) give `interval_sup_abs`,
+    capped at a_j >= sup |g|: intervals that hold an integer get a_j
+    exactly, the supremum there being attained in the limit, and so does
+    every interval for a_j = 1, where |g| = 1.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if not np.all(hi > lo):
+        raise PreconditionError("degenerate interval")
+    if a_j < 1:
+        raise PreconditionError("a_j must be a positive integer")
+    flip = hi <= 0.0
+    lo, hi = np.where(flip, -hi, lo).ravel(), np.where(flip, -lo, hi).ravel()
+    np.maximum(lo, 0.0, out=lo)
+    g_lo, g_hi = dirichlet_kernel_abs(lo, a_j), dirichlet_kernel_abs(hi, a_j)
+    v = interval_sup_abs(lo, hi, g_lo, g_hi, lobe_table(a_j))
+    np.minimum(v, a_j, out=v)
+    return float(v[0]) if flip.ndim == 0 else v.reshape(flip.shape)
+
+
+def sup_table(a: int, a_j: int, shift: float) -> list[float]:
+    """`dirichlet_sup`(a_j, .) over the a intervals ((b + shift)/a, (b + shift + 1)/a)."""
+    b = np.arange(a) + shift
+    return dirichlet_sup(a_j, b / a, (b + 1) / a).tolist()
 
 
 def _distinct_coeffs(ctx: BaseContext) -> list[int]:

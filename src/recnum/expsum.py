@@ -55,7 +55,7 @@ ONE_NORM_GUARD = 10**5
 SAMPLES_PER_OSCILLATION = 16  # quadrature nodes per unit of G_n in the 1-norms
 _WINDOW = 1 << 20  # integers per window of the direct sum
 _COUNT_WINDOW = 1 << 16  # least integers per window of its counted path
-_TERM_BLOCK = 1 << 14  # (i, y) phases per block of exp_sum_recurrent's initial values
+_TERM_BLOCK = 1 << 14  # (i, y) phases per block of _ordered_sum
 
 
 @dataclass(frozen=True)
@@ -211,12 +211,31 @@ def exp_sum_direct(ctx: BaseContext, n: int, params: ExpSumParams) -> complex:
     return total
 
 
+def _ordered_sum(params: ExpSumParams, k0: int, step: int, s: np.ndarray) -> np.ndarray:
+    """sum_i e(y (k0 + step i) + beta s[i]) over i < len(s), at every y of
+    params, with the bits of the loop acc += _e(_turns(params, k0 + step i,
+    s[i])) from acc = 0 in ascending i, but without a Python call per i.
+    The phases come as (i, y) arrays of at most _TERM_BLOCK entries, from
+    object arrays of Python ints (`_turns`). Each block's first row takes
+    the running sum (addition commutes), and np.cumsum, which adds in
+    sequence, carries it down the rows to the last."""
+    size = len(params._hq[0])
+    rows = max(1, _TERM_BLOCK // size)
+    acc = np.zeros(size, dtype=complex)
+    for b in range(0, len(s), rows):
+        i = np.arange(b, min(b + rows, len(s)), dtype=object)[:, None]
+        terms = _e(_turns(params, k0 + step * i, s[b : b + rows].astype(object)[:, None]))
+        terms[0] += acc
+        acc = np.cumsum(terms, axis=0, out=terms)[-1]
+    return acc
+
+
 def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> complex | np.ndarray:
     """A_{n,j} at every y of params (a complex for a scalar y, an array for a
     tuple of y); |A_{n,j}| <= a_j.
 
-    Each term is e(y offset + beta (pre_a + l)), its phase reduced exactly
-    by _turns."""
+    The term l is e(y (pre_g + l G_{n-j}) + beta (pre_a + l)), summed in
+    ascending l by `_ordered_sum`."""
     if j not in ctx.index_set:
         raise PreconditionError(f"j={j} has a_j = 0; not in the index set")
     if n < j:
@@ -224,9 +243,7 @@ def coefficient_A(ctx: BaseContext, n: int, j: int, params: ExpSumParams) -> com
     a = ctx.coeffs
     pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
     pre_a = sum(a[k - 1] for k in range(1, j))
-    total = np.zeros(len(params._hq[0]), dtype=complex)
-    for ell in range(a[j - 1]):
-        total += _e(_turns(params, pre_g + ell * ctx.term(n - j), pre_a + ell))
+    total = _ordered_sum(params, pre_g, ctx.term(n - j), np.arange(pre_a, pre_a + a[j - 1]))
     return total if isinstance(params.y, tuple) else complex(total[0])
 
 
@@ -235,28 +252,13 @@ def exp_sum_recurrent(ctx: BaseContext, n: int, params: ExpSumParams) -> complex
     complex for a scalar y, an array for a tuple of y). Only the last d
     values are kept.
 
-    The initial values S_k, k < d, are the direct sums over i < G_k, with
-    the bits of the loop acc += _e(_turns(params, i, s_G(i))) from acc = 0
-    in ascending i, but without a Python call per i. The phases come as
-    (i, y) arrays of at most _TERM_BLOCK entries, from object arrays of
-    Python ints (`_turns`). Each block's first row takes the running sum
-    (addition commutes), and np.cumsum, which adds in sequence, carries it
-    down the rows to the last."""
+    The initial values S_k, k < d, are the direct sums over i < G_k, added
+    in ascending i by `_ordered_sum`."""
     if n < 0:
         raise PreconditionError("term index must be non-negative")
-    size = len(params._hq[0])
-    rows = max(1, _TERM_BLOCK // size)
     sums: deque = deque(maxlen=ctx.d)
     for k in range(min(ctx.d, n + 1)):
-        g_k = ctx.term(k)
-        s = digit_sums_range(ctx, g_k)
-        acc = np.zeros(size, dtype=complex)
-        for b in range(0, g_k, rows):
-            i = np.arange(b, min(b + rows, g_k), dtype=object)[:, None]
-            terms = _e(_turns(params, i, s[b : b + rows].astype(object)[:, None]))
-            terms[0] += acc
-            acc = np.cumsum(terms, axis=0, out=terms)[-1]
-        sums.append(acc)
+        sums.append(_ordered_sum(params, 0, 1, digit_sums_range(ctx, ctx.term(k))))
     for k in range(ctx.d, n + 1):
         sums.append(sum(coefficient_A(ctx, k, j, params) * sums[-j] for j in ctx.index_set))
     return sums[-1] if isinstance(params.y, tuple) else complex(sums[-1][0])

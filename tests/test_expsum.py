@@ -640,6 +640,26 @@ def test_initial_values_match_the_term_loop(monkeypatch, block):
                 assert hexes(exp_sum_recurrent(ctx, k, params)) == hexes(sums[k]), (coeffs, k)
 
 
+@pytest.mark.parametrize("block", [1, 7, 40, 1 << 14])
+def test_coefficient_A_matches_the_term_loop(monkeypatch, block):
+    # the terms l < a_j of A_{n,j}, one _turns and _e call each, added in
+    # ascending l from 0: the same bits, cut into blocks or not
+    monkeypatch.setattr(expsum, "_TERM_BLOCK", block)
+    ys = (Fraction(0), Fraction(2, 7), Fraction(2**70 + 1, 2**71))
+    for coeffs in [(1, 1), (3, 0, 1), (100, 1), (2, 1, 1)]:
+        ctx = make_context(coeffs)
+        a = ctx.coeffs
+        for y in (ys, ys[2]):
+            params = ExpSumParams.make(y, Fraction(5, 7))
+            for n, j in [(n, j) for n in (3, 9) for j in ctx.index_set if j <= n]:
+                pre_g = sum(a[k - 1] * ctx.term(n - k) for k in range(1, j))
+                pre_a = sum(a[:j - 1])
+                ls = range(a[j - 1])
+                want = term_loop_sum(params, [pre_g + l * ctx.term(n - j) for l in ls],
+                                     [pre_a + l for l in ls])
+                assert hexes(coefficient_A(ctx, n, j, params)) == hexes(want), (coeffs, n, j)
+
+
 def test_coefficient_modulus_bound():
     ctx = make_context((4, 2, 1))
     rng = np.random.default_rng(11)
