@@ -262,10 +262,17 @@ def _main_terms(
     size and order of the pairs.
     """
     n_cols = ys.shape[1]
-    g_outer = dirichlet_kernel_abs(ys + (np.arange(a) / a)[:, None, None], a)
-    o_max = np.max(g_outer, axis=1)
+
+    def outer(qs: np.ndarray) -> np.ndarray:
+        return dirichlet_kernel_abs(ys + (qs / a)[:, None, None], a)
+
     ys_inner = alpha_inv * ys
     chunk = max(1, _CHUNK_FLOATS // ys.size)  # pairs per exact batch, or one group
+    # O[q, b] for chunk shifts q at a time, an exact batch's worth of kernel
+    # values, so that no (a, rows, cols) tensor is held
+    o_max = np.concatenate([
+        np.max(outer(np.arange(q, min(q + chunk, a))), axis=1) for q in range(0, a, chunk)
+    ])
     # gamma rows per bound chunk: its kernel and interval bound hold about
     # eight arrays of the chunk's n_b + 1 edges at once, as much as one
     # exact batch
@@ -280,11 +287,13 @@ def _main_terms(
 
     def exact(pairs: np.ndarray) -> np.ndarray:
         """S of each pair, given by its flat index q * n_gamma + gamma0: the
-        inner kernel once per distinct gamma0, gathered to the pairs."""
+        inner and outer kernels once per distinct gamma0 and q, gathered to
+        the pairs."""
         qs, js = np.divmod(pairs, n_gamma)
         distinct, which = np.unique(js, return_inverse=True)
         prods = inner(distinct)[which]
-        prods *= g_outer[qs]
+        distinct, which = np.unique(qs, return_inverse=True)
+        prods *= outer(distinct)[which]
         return np.sum(np.max(prods, axis=1), axis=1)
 
     scores = np.concatenate(_pool_map(bound, range(0, n_gamma, rows), threads), axis=1)

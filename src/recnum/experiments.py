@@ -31,9 +31,11 @@ SIEVE_GUARD = 10**8
 COUNT_GUARD = 10**7
 # bv_discrepancy's float32 column sums are integers <= x <= COUNT_GUARD: exact
 assert COUNT_GUARD < 2**24
-_CHUNK = 1 << 20
-_ADD_AT_CHUNK = 1 << 16  # (e, m) pairs per batch of _pair_batches
-_COMPACT_CHUNK = 1 << 15  # entries per block of von_mangoldt_sum's compaction
+_SEGMENT = 1 << 20  # odd numbers per segment of _prime_segments (2 _SEGMENT integers)
+_WINDOW = 1 << 18  # integers per window of _lambda_windows at l <= 2
+_WIDE_WINDOW = 1 << 20  # integers per window at l >= 3 (see _lambda_windows)
+_ADD_AT_CHUNK = 1 << 16  # most (e, m) pairs per batch of _pair_batches (see _lambda_windows)
+_SUM_BLOCK = 1 << 15  # integers per aligned block of von_mangoldt_sum's class sum
 # Half-width, in double ulps, of the band around a rounding midpoint where
 # _prime_logs falls back to math.log. Without the x87 extended format (64-bit
 # mantissa) every log counts as near a midpoint.
@@ -65,18 +67,18 @@ def _primes_upto(n: int) -> list[int]:
 
 
 def _prime_segments(x: int):
-    """The primes <= x, one window at a time: yields (lo, hi, primes in
-    [lo, hi)) for the windows [lo, lo + 2 _CHUNK), cut at x + 1, in order.
+    """The primes <= x, one segment at a time: yields (lo, hi, primes in
+    [lo, hi)) for the segments [lo, lo + 2 _SEGMENT), cut at x + 1, in order.
 
-    A window holds _CHUNK odd numbers, lo + 1 + 2i, in a bool segment of
-    _CHUNK bytes, small enough to stay in cache. Each odd prime
+    A segment holds _SEGMENT odd numbers, lo + 1 + 2i, in a bool array of
+    _SEGMENT bytes, small enough to stay in cache. Each odd prime
     p <= isqrt(hi - 1), from _primes_upto, clears its odd multiples from
     max(p^2, lo) on; consecutive odd multiples are 2p apart, p entries. Every
     odd composite n has an odd prime factor p with p^2 <= n, so it is
     cleared. 1 is cleared by hand, and 2 is the one even prime."""
     odd = _primes_upto(math.isqrt(x))[1:]
-    for lo in range(0, x + 1, 2 * _CHUNK):
-        hi = min(lo + 2 * _CHUNK, x + 1)
+    for lo in range(0, x + 1, 2 * _SEGMENT):
+        hi = min(lo + 2 * _SEGMENT, x + 1)
         seg = np.ones((hi - lo) // 2, dtype=bool)
         for p in odd:
             if p * p >= hi:
@@ -85,7 +87,11 @@ def _prime_segments(x: int):
             seg[(max(p * p, (-(-lo // p) | 1) * p) - lo) // 2 :: p] = False
         if lo == 0:
             seg[:1] = False  # 1
-        primes = lo + 1 + 2 * np.flatnonzero(seg)
+        # in place, with seg freed first: this step sets vmsum's traced peak
+        primes = np.flatnonzero(seg)
+        del seg
+        primes *= 2
+        primes += lo + 1
         if lo == 0 and x >= 2:
             primes = np.concatenate([[2], primes])
         yield lo, hi, primes
@@ -228,9 +234,9 @@ def almost_prime_count(ctx: BaseContext, x: int, r: int, s: int) -> int:
     Semiprimes include squares p^2 (the two prime factors need not differ).
     A failed coprimality hypothesis warns, as in von_mangoldt_sum.
 
-    The windows of _prime_segments, in order. Each marks its primes and the
+    The segments of _prime_segments, in order. Each marks its primes and the
     products p q in it with p <= q prime; p q <= x needs p <= isqrt(x), and
-    p = q gives the squares. Every q <= (hi - 1) // 2 lies in a window
+    p = q gives the squares. Every q <= (hi - 1) // 2 lies in a segment
     already sieved, so the primes <= x // 2 found so far hold all of them.
     They fill one int32 buffer (x <= 10**8 < 2**31) in place, sized by
     _prime_count_bound(x // 2): 1.3 MB at x = 10**7 and 11.5 MB at the guard.
@@ -304,60 +310,49 @@ def _prime_logs(ps: np.ndarray) -> np.ndarray:
     return logs
 
 
-def _prime_powers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The prime powers e = p^j <= n, ascending, and Lambda(e) = log p; then
-    the positions in that list of the p^j with j >= 2, ascending, and their
-    exponents j.
+def _prime_windows(n: int, width: int):
+    """The primes <= n in the windows [lo, lo + width), cut at n + 1, in
+    order: yields (lo, primes in the window). The segments of _prime_segments
+    are regrouped as they stream, so at most one segment that reaches past
+    the window is held."""
+    segments = _prime_segments(n)
+    held, end = [], 0  # the segments not yet passed, and where they end
+    for lo in range(0, n + 1, width):
+        hi = min(lo + width, n + 1)
+        while end < hi:
+            _, end, ps = next(segments)
+            held.append(ps)
+        parts = [ps[ps.searchsorted(lo) : ps.searchsorted(hi)] for ps in held]
+        held = held[-1:] if end > hi else []
+        yield lo, parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    The few higher powers (555 below 10**7) are merged into each segment of
-    _prime_segments at their searchsorted positions, and each merged segment
-    is written into es and lv as the sieve streams, so nothing is sorted and
-    no prime is held twice. es (int64) and lv are sized by
-    _prime_count_bound(n) plus the higher powers, and returned as trimmed
-    views: 16 bytes per entry, 329 entries more than the prime powers at
-    n = 10**7. (Rosser and Schoenfeld's bound alone leaves 114,087 spare
-    entries there; numpy asks for huge pages on arrays of 4 MB and more, so
-    the page holding the last entry brought part of that slack into the
-    resident set.)
 
-    log p comes from _prime_logs and equals math.log(p): np.log in double
-    differs from it by one ulp on some primes (44 of the 664,579 below
-    10**7), and every Lambda_l inherits these values."""
+def _higher_powers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prime powers p^j <= n with j >= 2, ascending (555 below 10**7),
+    with log p and j."""
     higher = []
     for p in _primes_upto(math.isqrt(n)):
         pj, j = p * p, 2
         while pj <= n:
-            higher.append((pj, j, math.log(p)))
+            higher.append((pj, math.log(p), j))
             pj, j = pj * p, j + 1
     higher.sort()
     hp = np.array([pj for pj, _, _ in higher], dtype=np.int64)
-    hl = np.array([log for _, _, log in higher])
-    size = _prime_count_bound(n) + hp.size
-    es, lv = np.empty(size, dtype=np.int64), np.empty(size)
-    at = np.empty(hp.size, dtype=np.int64)
-    start = 0
-    for lo, hi, ps in _prime_segments(n):
-        a, b = hp.searchsorted((lo, hi))
-        ins = ps.searchsorted(hp[a:b])
-        stop = start + ps.size + b - a
-        es[start:stop] = np.insert(ps, ins, hp[a:b])
-        lv[start:stop] = np.insert(_prime_logs(ps), ins, hl[a:b])
-        at[a:b] = start + ins + np.arange(b - a)
-        start = stop
-    return es[:start], lv[:start], at, np.array([j for _, j, _ in higher], dtype=np.int64)
+    hj = np.array([j for _, _, j in higher], dtype=np.int64)
+    return hp, np.array([log for _, log, _ in higher]), hj
 
 
-def _pair_batches(first, count):
+def _pair_batches(first, count, size):
     """The pairs (i, j), first[i] <= j < first[i] + count[i], in ascending i
-    and then j, _ADD_AT_CHUNK at a time: yields (i0, i1, run, j), where the
-    batch's pairs belong to the i in [i0, i1), run[i - i0] to each, and j
-    holds their second indices."""
+    and then j, size at a time: yields (i0, i1, run, j), where the batch's
+    pairs belong to the i in [i0, i1), run[i - i0] to each, and j holds
+    their second indices."""
     bounds = np.zeros(count.size + 1, dtype=np.int64)
     np.cumsum(count, out=bounds[1:])
     shift = first - bounds[:-1]
     total = int(bounds[-1])
-    for b0 in range(0, total, _ADD_AT_CHUNK):
-        b1 = min(b0 + _ADD_AT_CHUNK, total)
+    for b0 in range(0, total, size):
+        b1 = min(b0 + size, total)
         # the i whose runs meet pairs [b0, b1)
         i0 = int(np.searchsorted(bounds, b0, side="right")) - 1
         i1 = int(np.searchsorted(bounds, b1, side="left"))
@@ -365,30 +360,33 @@ def _pair_batches(first, count):
         yield i0, i1, run, np.arange(b0, b1) + np.repeat(shift[i0:i1], run)
 
 
-def _add_pairs(out, lo, es, lv, ms, cv, ptr) -> None:
+def _add_pairs(out, lo, es, lv, ms, cv, ptr, size) -> None:
     """Add cv[j] lv[i] to out[es[i] ms[j] - lo] for every pair with
     es[i] ms[j] in the window [lo, lo + out.size), in ascending i and then j,
-    by np.add.at in batches of _ADD_AT_CHUNK pairs.
+    by np.add.at in batches of size pairs.
 
     ptr[i] is the first j whose product with es[i] is >= lo; it moves to the
-    window's end. The windows must come in order, and ms must hold every m
-    of the support up to (lo + out.size - 1) // 2, in ascending order."""
+    window's end. The windows must come in order, and es and ms must hold
+    every prime power and every m of the support up to
+    (lo + out.size - 1) // 2, in ascending order. es may grow between
+    windows: ms[0] = 2, so an e first active here has 2 e >= lo, and its
+    ptr starts at 0."""
     if not ms.size:
         return
     top = lo + out.size - 1
     active = int(np.searchsorted(es, top // ms[0], side="right"))
     end = np.searchsorted(ms, top // es[:active], side="right")
-    for i0, i1, run, j in _pair_batches(ptr[:active], end - ptr[:active]):
+    for i0, i1, run, j in _pair_batches(ptr[:active], end - ptr[:active], size):
         e, lam = np.repeat(es[i0:i1], run), np.repeat(lv[i0:i1], run)
         np.add.at(out, e * ms[j] - lo, cv[j] * lam)
     ptr[:active] = end
 
 
-def _set_unordered_pairs(out, lo, es, lv) -> None:
+def _set_unordered_pairs(out, lo, es, lv, size) -> None:
     """Set out[e m - lo] = x + x, x = Lambda(m) Lambda(e), for every pair of
     prime powers e < m with e m in the window [lo, lo + out.size), in batches
-    of _ADD_AT_CHUNK pairs. e^2 < e m <= top, so e <= isqrt(top), and the m
-    of each e are one slice of es.
+    of size pairs. e^2 < e m <= top, so e <= isqrt(top), and the m of each e
+    are one slice of es.
 
     Pairs of powers of one prime land on a prime power and leave a wrong
     value there; the caller overwrites those."""
@@ -398,7 +396,7 @@ def _set_unordered_pairs(out, lo, es, lv) -> None:
     first = np.searchsorted(es, np.maximum(e + 1, -(-lo // e)))
     count = np.searchsorted(es, top // e, side="right") - first
     np.maximum(count, 0, out=count)
-    for i0, i1, run, j in _pair_batches(first, count):
+    for i0, i1, run, j in _pair_batches(first, count, size):
         x = lv[j] * np.repeat(lv[i0:i1], run)
         x += x
         out[np.repeat(es[i0:i1], run) * es[j] - lo] = x
@@ -406,11 +404,15 @@ def _set_unordered_pairs(out, lo, es, lv) -> None:
 
 def _lambda_windows(n: int, ell: int):
     """Lambda_l(k) = (mu * log^l)(k) for 0 <= k <= n, one window at a time:
-    yields (lo, Lambda_l on [lo, hi)) for the windows [lo, lo + _CHUNK) in
-    order, in one buffer that the next window overwrites. Nothing is read
-    back from the buffer once it is yielded, so a consumer may overwrite it.
-    The recursion is Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda,
-    seeded with Lambda_1 = Lambda from the sparse prime-power list (es, lv).
+    yields (lo, Lambda_l on [lo, hi)) for the windows [lo, lo + width) in
+    order, in one buffer that the next window overwrites. The width is
+    _WINDOW at l <= 2 and _WIDE_WINDOW at l >= 3. The recursion is
+    Lambda_l = Lambda_{l-1} . log + Lambda_{l-1} * Lambda, seeded with
+    Lambda_1 = Lambda at the window's prime powers: its primes from
+    _prime_windows, with the higher powers merged in at their searchsorted
+    positions and log p from _prime_logs (equal to math.log(p); np.log in
+    double differs from it by one ulp on 44 of the 664,579 primes below
+    10**7, and every Lambda_l inherits these values).
 
     The bits are those of the dense recursion that sets log(k) Lambda_{l-1}(k)
     at the support of Lambda_{l-1}, then adds Lambda_{l-1}(m) Lambda(e) at
@@ -437,56 +439,83 @@ def _lambda_windows(n: int, ell: int):
     so Lambda_{l+1}(k) gets log(k) Lambda_l(k) first, then its terms in
     ascending e. Before numpy 1.25, np.add.at is slower, not different.
 
-    The m side needs the support of Lambda_{l-1} only up to n // 2, since
-    e >= 2, and a window only below its own end. So the levels run in
-    lockstep: each window computes Lambda_1, ..., Lambda_l in turn and
-    appends the support of each level >= 2 below l before the next level
-    reads it.
+    Every pair e m = k has m >= 2 and e >= 2, so both factors are <= k // 2
+    <= n // 2: the pairs read the prime powers up to n // 2 (the store es,
+    lv) and the supports of Lambda_{l-1} up to n // 2, and a window only
+    below half its own end. So everything runs in lockstep with the sieve:
+    each window appends its own prime powers <= n // 2 to the store, then
+    computes Lambda_1, ..., Lambda_l in turn and appends the support of each
+    level >= 2 below l before the next level reads it. A window's own
+    Lambda_1 comes from the sieve, never from the store.
+
+    Level 1 costs each window O(width + #{e <= isqrt(top)}), so narrow
+    windows cost little. Each level >= 2 scans every e <= top // 2
+    (_add_pairs) and regrows its support by np.concatenate in every window,
+    so at l >= 3 windows stay wide.
 
     Memory, nothing of length n. The live set at l = 2:
-    - es and lv, 16 bytes per prime power <= n, in buffers sized by
-      _prime_count_bound (_prime_powers);
-    - one window of _CHUNK float64, and the window's prime powers k with
-      their log(k) Lambda(k), 16 bytes each;
-    - one batch of _ADD_AT_CHUNK pairs, at most five int64 or float64
-      temporaries (40 bytes) per pair.
+    - the store, 16 bytes per prime power <= n // 2, in buffers sized by
+      _prime_count_bound(n // 2) plus the higher powers: 5.6 MB at
+      n = 10**7;
+    - one or two segments of _prime_segments: _SEGMENT bytes while one is
+      sieved, and 8 bytes per prime of each;
+    - one window of float64, the window's prime powers k with their
+      log(k) Lambda(k), 16 bytes each, and _prime_logs' temporaries, at most
+      33 bytes per prime in the window;
+    - one batch of pairs, at most five int64 or float64 temporaries
+      (40 bytes) per pair. A batch holds _ADD_AT_CHUNK pairs, but at most
+      one per 16 integers of the window, so its temporaries stay below the
+      window's own buffer: 2^14 pairs, 0.66 MB, at l = 2.
     For l >= 3 add the supports of Lambda_2, ..., Lambda_{l-1} up to n // 2
-    (16 bytes per entry) and one int64 pointer per prime power for each.
+    (16 bytes per entry) and one int64 pointer per store entry for each.
     """
-    es, lv, at, js = _prime_powers(n)
+    width = _WINDOW if ell <= 2 else _WIDE_WINDOW
+    pairs = max(1, min(_ADD_AT_CHUNK, width // 16))  # per batch
+    hp, hl, hj = _higher_powers(n)
+    half = n // 2
+    size = _prime_count_bound(half) + int(hp.searchsorted(half, side="right"))
+    es, lv = np.empty(size, dtype=np.int64), np.empty(size)
+    stored = 0  # es[:stored], lv[:stored]: the prime powers <= n // 2 so far
     empty = (np.zeros(0, dtype=np.int64), np.zeros(0))
     # (ms, cv): the support of Lambda_2, ..., Lambda_{l-1} up to n // 2 as
     # far as the windows have reached
     supports = [empty] * (ell - 2)
-    ptrs = [np.zeros(es.size, dtype=np.int64) for _ in range(ell - 2)]
-    buf = np.empty(min(_CHUNK, n + 1))
-    for lo in range(0, n + 1, _CHUNK):
-        hi = min(lo + _CHUNK, n + 1)
+    ptrs = [np.zeros(size, dtype=np.int64) for _ in range(ell - 2)]
+    buf = np.empty(min(width, n + 1))
+    for lo, ps in _prime_windows(n, width):
+        hi = min(lo + width, n + 1)
         cur = buf[: hi - lo]
         cur.fill(0.0)
-        a, b = np.searchsorted(es, (lo, hi))
-        k, vals = es[a:b] - lo, lv[a:b]  # the support of Lambda_1, and its values
+        a, b = hp.searchsorted((lo, hi))
+        ins = ps.searchsorted(hp[a:b])
+        k = np.insert(ps, ins, hp[a:b])  # the support of Lambda_1, and its values
+        vals = np.insert(_prime_logs(ps), ins, hl[a:b])
+        if lo <= half:
+            h = int(k.searchsorted(half, side="right"))
+            es[stored : stored + h], lv[stored : stored + h] = k[:h], vals[:h]
+            stored += h
+        k -= lo
         cur[k] = vals
         for level in range(1, ell):
             # Lambda_{level+1} overwrites Lambda_level, which is 0 off k
             base = np.log(k + lo) * vals
             cur[k] = base
             if level == 1:
-                _set_unordered_pairs(cur, lo, es, lv)
-                c, d = np.searchsorted(at, (a, b))
-                pj = at[c:d] - a  # the window's p^j, j >= 2, as indices into k
+                _set_unordered_pairs(cur, lo, es[:stored], lv[:stored], pairs)
+                pj = ins + np.arange(b - a)  # the window's p^j, j >= 2, as indices into k
                 v, sq = base[pj], vals[pj] * vals[pj]
-                for t in range(2, int(js[c:d].max(initial=1)) + 1):
-                    more = js[c:d] >= t
+                for t in range(2, int(hj[a:b].max(initial=1)) + 1):
+                    more = hj[a:b] >= t
                     v[more] += sq[more]
                 cur[k[pj]] = v
             else:
-                _add_pairs(cur, lo, es, lv, *supports[level - 2], ptrs[level - 2])
+                _add_pairs(cur, lo, es[:stored], lv[:stored], *supports[level - 2],
+                           ptrs[level - 2], pairs)
             if level < ell - 1:
                 k = np.flatnonzero(cur)
                 vals = cur[k]
-                if lo <= n // 2:
-                    h = int(np.searchsorted(k, n // 2 - lo, side="right"))
+                if lo <= half:
+                    h = int(np.searchsorted(k, half - lo, side="right"))
                     ms, cv = supports[level - 1]
                     ms, cv = np.concatenate([ms, k[:h] + lo]), np.concatenate([cv, vals[:h]])
                     supports[level - 1] = ms, cv
@@ -526,17 +555,16 @@ def von_mangoldt_sum(
     """sum_{k < x, s_G(k) = r (mod s)} Lambda_l(k) against (l/s) x (log x)^{l-1}.
 
     The coprimality hypothesis gcd(a_1 + ... + a_d - 1, s) = 1 is reported as
-    a GcdPreconditionWarning rather than an error. Lambda_l streams in windows
-    of _CHUNK after the arguments are checked; each window's class sum is one
-    np.sum, so _CHUNK sets the bits of lhs. The class members are compacted
-    to the front of the window's own buffer, _COMPACT_CHUNK entries at a
-    time, and summed there: the same values in the same order as lam[mask],
-    so the same bits, without a copy of the window.
+    a GcdPreconditionWarning rather than an error. Lambda_l streams in the
+    windows of _lambda_windows after the arguments are checked. lhs is the
+    math.fsum, correctly rounded, of np.sum over the class members of each
+    aligned block [i _SUM_BLOCK, (i + 1) _SUM_BLOCK) cut at x. A block that
+    spans windows gathers its members in a buffer first, so the bits of lhs
+    depend on _SUM_BLOCK alone, not on the windows.
 
     Memory: the live set of _lambda_windows, plus the window's class mask
-    (_CHUNK bytes) and one block's members (at most 8 _COMPACT_CHUNK
-    bytes), plus the context's class table mod s (`digits._mod_table`,
-    built once).
+    (one byte per integer), one block's members (8 _SUM_BLOCK bytes) and
+    the context's class table mod s (`digits._mod_table`, built once).
     """
     if ell < 2:
         raise PreconditionError("need ell >= 2")
@@ -545,17 +573,22 @@ def von_mangoldt_sum(
     if x < 2 or s < 1:
         raise PreconditionError("need x >= 2 and s >= 1")
     _warn_gcd_hypothesis(ctx, s)
-    lhs = 0.0
+    sums = []  # np.sum of each finished block's members
+    members = np.empty(min(_SUM_BLOCK, x))
+    n = 0  # members[:n]: the current block's members so far
     for lo, lam in _lambda_windows(x - 1, ell):
-        mask = digit_class_range(ctx, lo + lam.size, lo, r, s)
-        # each block's members are read whole, then written at or below the
-        # block's start: lam[:n] ends up equal to lam[mask]
-        n = 0
-        for b in range(0, lam.size, _COMPACT_CHUNK):
-            members = lam[b : b + _COMPACT_CHUNK][mask[b : b + _COMPACT_CHUNK]]
-            lam[n : n + members.size] = members
-            n += members.size
-        lhs += float(np.sum(lam[:n]))
+        hi = lo + lam.size
+        mask = digit_class_range(ctx, hi, lo, r, s)
+        cuts = [lo, *range(lo - lo % _SUM_BLOCK + _SUM_BLOCK, hi, _SUM_BLOCK), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            m = mask[a - lo : b - lo]
+            c = np.count_nonzero(m)
+            np.compress(m, lam[a - lo : b - lo], out=members[n : n + c])
+            n += c
+            if b % _SUM_BLOCK == 0 or b == x:
+                sums.append(float(np.sum(members[:n])))
+                n = 0
+    lhs = math.fsum(sums)
     main = (ell / s) * x * math.log(x) ** (ell - 1)
     return VonMangoldtReport(
         x=x, ell=ell, r=r, s=s, lhs=lhs, main_term=main, ratio=lhs / main

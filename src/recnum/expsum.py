@@ -35,7 +35,6 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 import numpy as np
 
@@ -345,13 +344,20 @@ def derivative_one_norm(ctx: BaseContext, n: int, beta: Fraction | int) -> Quadr
 
 
 def farey_points(q_max: int) -> list[Fraction]:
-    """All reduced fractions h/q in [0, 1) with q <= q_max."""
-    pts = {Fraction(0, 1)}
-    for q in range(1, q_max + 1):
-        for h in range(1, q):
-            if gcd(h, q) == 1:
-                pts.add(Fraction(h, q))
-    return sorted(pts)
+    """All reduced fractions h/q in [0, 1) with q <= q_max, ascending: the
+    Farey sequence of order Q = max(q_max, 1) without its last term 1/1.
+
+    Neighbours a/b < c/d of the sequence give the next term
+    (k c - a)/(k d - b) with k = (Q + b) // d, in lowest terms, so the terms
+    come in order from 0/1, 1/Q without a sort."""
+    order = max(q_max, 1)
+    pts = []
+    a, b, c, d = 0, 1, 1, order
+    while a < b:
+        pts.append(Fraction(a, b))
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return pts
 
 
 @dataclass

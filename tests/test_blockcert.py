@@ -254,17 +254,25 @@ def test_exact_pass_takes_each_gamma0_row_once(per_q_reference, rows_per_chunk, 
     # the tied pairs of q = 3 and 9 form n_gamma groups of two; batches of
     # 1 or 3 pairs would split them, but a batch ends only between groups,
     # so each gamma0 row of the inner kernel is evaluated once, besides the
-    # top pair's row; 4 pairs hold two whole groups
+    # top pair's row; 4 pairs hold two whole groups. The outer kernel is
+    # taken for its column maxima in blocks of as many q as a batch has
+    # pairs, then in the exact pass once per distinct q of each batch:
+    # q = 3 and 9, or the top pair's q
     alpha_inv, ys, n_gamma = _main_grid(15, COARSE)
     monkeypatch.setattr(blockcert, "_CHUNK_FLOATS", rows_per_chunk * ys.size)
     ties = np.zeros(15)
     ties[[3, 9]] = 2.0**70
-    for threads in (1, 2):
-        rows = []
 
-        def counted(x, a, rows=rows):
-            if np.ndim(x) == 3:
-                rows.append(len(x))
+    def outer_qs(x):
+        """The q of each row of x, when every row is the outer argument ys + q/a."""
+        qs = [q for row in x for q in range(15) if np.array_equal(row, ys + q / 15)]
+        return qs if len(qs) == len(x) else None
+
+    for threads in (1, 2):
+        calls = []
+
+        def counted(x, a, calls=calls):
+            calls.append(x)
             return dirichlet_kernel_abs(x, a)
 
         monkeypatch.setattr(blockcert, "dirichlet_kernel_abs", counted)
@@ -272,8 +280,13 @@ def test_exact_pass_takes_each_gamma0_row_once(per_q_reference, rows_per_chunk, 
             15, alpha_inv, ys, COARSE.eta, n_gamma, ties, lobe_table(15), threads
         )
         assert (q, main.hex(), pairs) == (3, per_q_reference[3].hex(), 2 * n_gamma)
-        assert rows[0] == 15  # the outer kernel, one row per q
-        assert sum(rows[1:]) == n_gamma + 1
+        kernels = [(x, outer_qs(x)) for x in calls if x.ndim == 3]
+        outer = [qs for _, qs in kernels if qs]
+        blocks = -(-15 // rows_per_chunk)
+        assert outer[:blocks] == [list(range(q, min(q + rows_per_chunk, 15)))
+                                  for q in range(0, 15, rows_per_chunk)]
+        assert outer[blocks] in ([3], [9]) and all(qs == [3, 9] for qs in outer[blocks + 1 :])
+        assert sum(len(x) for x, qs in kernels if not qs) == n_gamma + 1
 
 
 def _pair_scores(a, grid, corrs):

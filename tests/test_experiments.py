@@ -177,7 +177,7 @@ def almost_prime_count_reference(ctx, x, r, s):
     return total
 
 
-# around 2**18 and around one and several prime windows (2 _CHUNK = 2**21
+# around 2**18 and around one and several sieve segments (2 _SEGMENT = 2**21
 # integers; 2**20 is half of one)
 WINDOW_XS = sorted(
     {x for w in (2**18, 2**20) for x in (w - 1, w, w + 1, 3 * w + 7)} | {2, 3, 4, 10**6}
@@ -222,7 +222,7 @@ SEGMENT_EDGE_XS = [0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 121, 127**2, 131**2
 
 @pytest.mark.parametrize("x", SEGMENT_EDGE_XS)
 def test_prime_segments_match_small_sieve(monkeypatch, x):
-    monkeypatch.setattr(experiments, "_CHUNK", 64)
+    monkeypatch.setattr(experiments, "_SEGMENT", 64)
     segments = list(experiments._prime_segments(x))
     assert [lo for lo, _, _ in segments] == list(range(0, x + 1, 128))
     for lo, hi, primes in segments:
@@ -234,9 +234,9 @@ def test_prime_segments_match_small_sieve(monkeypatch, x):
 @pytest.mark.filterwarnings("ignore::recnum.experiments.GcdPreconditionWarning")
 @pytest.mark.parametrize("x", [x for x in SEGMENT_EDGE_XS if x >= 2] + [3000])
 def test_sieve_paths_across_many_segments(monkeypatch, x):
-    # 64 odd numbers per window: the products p q and the list of q carry
-    # across many window edges
-    monkeypatch.setattr(experiments, "_CHUNK", 64)
+    # 64 odd numbers per segment: the products p q and the list of q carry
+    # across many segment edges
+    monkeypatch.setattr(experiments, "_SEGMENT", 64)
     for coeffs in [(1, 1), (2, 1)]:
         ctx = make_context(coeffs)
         for r in (0, 1):
@@ -309,78 +309,128 @@ def generalized_von_mangoldt_dense(x, ell):
     return cur
 
 
-# one, two and three windows of experiments._CHUNK = 2**20
+def class_sum_reference(lam, in_class, block):
+    """The class sum by the block rule: math.fsum over the aligned blocks
+    [i block, (i + 1) block) of np.sum of the block's class members."""
+    return math.fsum(float(np.sum(lam[a : a + block][in_class[a : a + block]]))
+                     for a in range(0, lam.size, block))
+
+
+def set_windows(monkeypatch, width):
+    """Windows of width integers at every l."""
+    monkeypatch.setattr(experiments, "_WINDOW", width)
+    monkeypatch.setattr(experiments, "_WIDE_WINDOW", width)
+
+
+# one, two and three windows of experiments._WIDE_WINDOW = 2**20, the width at
+# l >= 3; at l = 2 the windows of 2**18 cut the blocks of 2**15 evenly
 @pytest.mark.parametrize("x", [2**20 - 1, 2**20 + 1, 2 * 2**20 + 3])
 def test_von_mangoldt_sum_matches_dense_reference(x):
-    # the class sum over windows of the dense Lambda_l, bit for bit
+    # the block rule over the dense Lambda_l, bit for bit
     for ell in (2, 3, 4):
         lam = generalized_von_mangoldt_dense(x - 1, ell)
         for r in (0, 1):
-            want = 0.0
-            for lo in range(0, x, 1 << 20):
-                hi = min(lo + (1 << 20), x)
-                want += float(np.sum(lam[lo:hi][digit_sums_range(ZECK, hi, lo) % 2 == r]))
+            in_class = digit_sums_range(ZECK, x) % 2 == r
+            want = class_sum_reference(lam, in_class, experiments._SUM_BLOCK)
             assert von_mangoldt_sum(ZECK, x, ell, r, 2).lhs.hex() == want.hex(), (ell, r)
 
 
 @pytest.mark.parametrize("compact", [1, 7, 1 << 15])
 @pytest.mark.parametrize("chunk", [64, 1000])
 def test_von_mangoldt_sum_compaction_matches_dense_reference(monkeypatch, chunk, compact):
-    # the class members compacted in place, in blocks of 1 and 7 entries and
-    # in one block per window, sum to the bits of the dense Lambda_l's class
-    # sum over the same windows; s = 1 puts every k in the class
-    monkeypatch.setattr(experiments, "_CHUNK", chunk)
-    monkeypatch.setattr(experiments, "_COMPACT_CHUNK", compact)
+    # blocks of 1, 7 and 2**15 integers across windows of 64 and 1000: a
+    # block inside a window, a block cut by window edges and a block over
+    # many windows sum to the block rule over the dense Lambda_l; s = 1 puts
+    # every k in the class
+    set_windows(monkeypatch, chunk)
+    monkeypatch.setattr(experiments, "_SUM_BLOCK", compact)
     x = 3001
     sums = digit_sums_range(ZECK, x)
     for ell in (2, 3, 4):
         lam = generalized_von_mangoldt_dense(x - 1, ell)
         for s in (1, 3):
             for r in range(s):
-                want = 0.0
-                for lo in range(0, x, chunk):
-                    hi = min(lo + chunk, x)
-                    want += float(np.sum(lam[lo:hi][sums[lo:hi] % s == r]))
+                want = class_sum_reference(lam, sums % s == r, compact)
                 got = von_mangoldt_sum(ZECK, x, ell, r, s).lhs
                 assert got.hex() == want.hex(), (ell, s, r)
 
 
+def test_von_mangoldt_sum_bits_do_not_depend_on_the_window(monkeypatch):
+    # windows of 64, 1000, 2**15 and 2**18 integers give lhs the same bits:
+    # over 2**16 + 5 integers, blocks of 2**15 span many windows, are cut by
+    # window edges, fill one window, or share one
+    x = 2**16 + 5
+    for s in (1, 3):
+        for r in range(s):
+            got = set()
+            for width in (64, 1000, 2**15, 2**18):
+                set_windows(monkeypatch, width)
+                got.add(von_mangoldt_sum(ZECK, x, 2, r, s).lhs.hex())
+            assert len(got) == 1, (s, r, got)
+
+
+# x = 2 p with p = 1499 prime: Lambda_2(x) needs the pair (2, p), and p = x // 2
+# is the last prime power the store holds
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000])
 def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
-    # many windows: every level's pairs and supports carry across window edges
-    monkeypatch.setattr(experiments, "_CHUNK", chunk)
-    x = 3000
+    # many windows: every level's pairs and supports carry across window
+    # edges; sieve segments of 4 and 128 integers lie inside a window,
+    # straddle its edges or hold several windows, and the store of prime
+    # powers <= x // 2 grows in lockstep with them
+    set_windows(monkeypatch, chunk)
+    x = 2998
     lam = lambda_bruteforce(2**17)[: x + 1]
-    for ell in range(1, 5):
-        got = generalized_von_mangoldt(x, ell)
-        assert np.array_equal(got, generalized_von_mangoldt_reference(x, ell, lam)), ell
+    for segment in (2, 64):
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        for ell in range(1, 5):
+            got = generalized_von_mangoldt(x, ell)
+            want = generalized_von_mangoldt_reference(x, ell, lam)
+            assert np.array_equal(got, want), (segment, ell)
+            if ell == 2:
+                assert got[x] == 2 * math.log(2) * math.log(1499)
     assert np.array_equal(generalized_von_mangoldt_dense(x, 4), got)
 
 
+@pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 127, 128, 129, 1000, 3**6 + 1])
+def test_prime_windows_regroup_the_segments(monkeypatch, x):
+    # windows of 1, 7, 128 and 1000 integers over segments of 4, 8 and 128
+    primes = experiments._primes_upto(x)
+    for segment in (2, 4, 64):
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        for width in (1, 7, 128, 1000):
+            windows = list(experiments._prime_windows(x, width))
+            assert [lo for lo, _ in windows] == list(range(0, x + 1, width))
+            for lo, ps in windows:
+                assert np.all((lo <= ps) & (ps < lo + width))
+            got = np.concatenate([ps for _, ps in windows])
+            assert got.tolist() == primes, (segment, width)
+
+
 def test_prime_powers_merged_in_order(monkeypatch):
-    # windows of 2, 4 and 128 integers put zero, one or two numbers in a
-    # segment; the higher powers are merged into the primes in place
+    # windows of 1, 2 and 128 integers over segments of 4, 8 and 128 put
+    # zero, one or two prime powers in a window; the higher powers p^j are
+    # merged into each window's primes in place
     lam = lambda_bruteforce(2**17)
-    for chunk in (1, 2, 64):
-        monkeypatch.setattr(experiments, "_CHUNK", chunk)
-        for x in [0, 1, 2, 3, 4, 8, 9, 27, 1000, 2**10, 3**6 + 1]:
-            es, lv, at, js = experiments._prime_powers(x)
-            assert es.tolist() == np.flatnonzero(lam[: x + 1]).tolist(), (chunk, x)
-            assert np.array_equal(lv, lam[es]), (chunk, x)
-            higher = [(p**j, j) for p in range(2, x + 1) for j in range(2, x.bit_length() + 1)
-                      if lam[p] == math.log(p) and p**j <= x]
-            assert list(zip(es[at].tolist(), js.tolist())) == sorted(higher), (chunk, x)
+    for segment in (2, 4, 64):
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        for width in (1, 2, 128):
+            monkeypatch.setattr(experiments, "_WINDOW", width)
+            for x in [0, 1, 2, 3, 4, 8, 9, 27, 1000, 2**10, 3**6 + 1]:
+                got = generalized_von_mangoldt(x, 1)
+                assert np.array_equal(got, lam[: x + 1]), (segment, width, x)
+    for x in [0, 3, 4, 8, 1000, 2**10, 3**6 + 1]:
+        hp, hl, hj = experiments._higher_powers(x)
+        higher = [(p**j, math.log(p), j) for p in range(2, x + 1)
+                  for j in range(2, x.bit_length() + 1) if lam[p] == math.log(p) and p**j <= x]
+        assert list(zip(hp.tolist(), hl.tolist(), hj.tolist())) == sorted(higher), x
 
 
 def assert_prime_logs_are_math_log(n):
-    """Every log p of _prime_powers(n) at a prime p equals math.log(p),
-    compared 2**20 entries at a time."""
-    es, lv, at, _ = experiments._prime_powers(n)
-    is_prime = np.ones(es.size, dtype=bool)
-    is_prime[at] = False
-    for a in range(0, es.size, 1 << 20):
-        keep = is_prime[a : a + (1 << 20)]
-        ps, got = es[a : a + (1 << 20)][keep], lv[a : a + (1 << 20)][keep]
+    """Lambda_1 at every prime p <= n equals math.log(p), compared one
+    window at a time."""
+    windows = experiments._lambda_windows(n, 1)
+    for (lo, lam), (_, ps) in zip(windows, experiments._prime_windows(n, experiments._WINDOW)):
+        got = lam[ps - lo]
         want = np.fromiter(map(math.log, ps.tolist()), dtype=float, count=ps.size)
         assert np.array_equal(got, want), ps[got != want][:5].tolist()
 
@@ -408,9 +458,12 @@ def test_prime_count_bound_covers_pi():
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
 def test_set_unordered_pairs_writes_each_pair(chunk):
     # x + x at e m for every pair of prime powers e < m, by a double loop;
-    # pairs of powers of one prime all give the same value at their product
+    # pairs of powers of one prime all give the same value at their product.
+    # Batches of 3 pairs split the runs of m.
     x = 1000
-    es, lv, _, _ = experiments._prime_powers(x)
+    lam = lambda_bruteforce(2**17)[: x + 1]
+    es = np.flatnonzero(lam)
+    lv = lam[es]
     want = np.zeros(x + 1)
     for i, e in enumerate(es.tolist()):
         for j in range(i + 1, es.size):
@@ -419,7 +472,7 @@ def test_set_unordered_pairs_writes_each_pair(chunk):
             want[e * es[j]] = lv[j] * lv[i] + lv[j] * lv[i]
     got = np.zeros(x + 1)
     for lo in range(0, x + 1, chunk):
-        experiments._set_unordered_pairs(got[lo : lo + chunk], lo, es, lv)
+        experiments._set_unordered_pairs(got[lo : lo + chunk], lo, es, lv, 3)
     assert np.array_equal(got, want)
 
 
@@ -439,7 +492,7 @@ def lambda_references(x, ell):
 def test_lambda_windows_match_references(monkeypatch, chunk, pair_chunk):
     cases = [(x, ell, *lambda_references(x, ell))
              for x in [2**10 - 1, 2**10, 3**6, 3**6 + 1] for ell in (2, 3, 4)]
-    monkeypatch.setattr(experiments, "_CHUNK", chunk)
+    set_windows(monkeypatch, chunk)
     monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", pair_chunk)
     for x, ell, reference, dense in cases:
         got = generalized_von_mangoldt(x, ell)
@@ -447,21 +500,29 @@ def test_lambda_windows_match_references(monkeypatch, chunk, pair_chunk):
 
 
 def test_von_mangoldt_sum_memory_matches_its_live_set():
-    # the live set of the docstrings of _lambda_windows and von_mangoldt_sum:
-    # es and lv, allocated at _prime_count_bound plus the higher powers; the
-    # window's prime powers and their log(k) Lambda(k); one window and its
-    # class mask; then either one batch of pairs (40 bytes each) or one
-    # compaction block's class members; and the class table mod 2 of a
-    # fresh context, one byte per entry
+    # the live set of the docstrings of _lambda_windows and von_mangoldt_sum,
+    # every part counted as if all were live at once: the store, sized by
+    # _prime_count_bound(n // 2) plus the higher powers; one segment's bool
+    # array and the primes of two segments (the one held and the next); one
+    # window of float64, its class mask and one block's members; per prime
+    # power of the window, k, vals and base (24 bytes) and _prime_logs'
+    # temporaries (33 bytes); one batch of pairs (40 bytes each); and the
+    # class table mod 2 of a fresh context, one byte per entry. At this x the
+    # bound is 10.9 MB; it was 17.8 MB when es and lv held every prime power
+    # <= n and the window was 2**20 integers
     ctx = make_context((1, 1))
     x = 3 * 2**20 + 5
-    chunk, pair_chunk = experiments._CHUNK, experiments._ADD_AT_CHUNK
-    es, _, at, _ = experiments._prime_powers(x - 1)
-    per_window = max(np.count_nonzero((lo <= es) & (es < lo + chunk)) for lo in range(0, x, chunk))
+    n, width = x - 1, experiments._WINDOW
+    hp, _, _ = experiments._higher_powers(n)
+    store = experiments._prime_count_bound(n // 2) + int(hp.searchsorted(n // 2, side="right"))
+    segment = max(ps.size for _, _, ps in experiments._prime_segments(n))
+    per_window = max(ps.size + np.count_nonzero((lo <= hp) & (hp < lo + width))
+                     for lo, ps in experiments._prime_windows(n, width))
+    pairs = max(1, min(experiments._ADD_AT_CHUNK, width // 16))
     table = ctx.terms_upto(TABLE_LIMIT)[-1]
-    capacity = experiments._prime_count_bound(x - 1) + at.size
-    members = 8 * experiments._COMPACT_CHUNK
-    bound = 16 * capacity + 16 * per_window + 9 * chunk + max(40 * pair_chunk, members) + table
+    bound = (16 * store + experiments._SEGMENT + 16 * segment + 9 * width
+             + 8 * experiments._SUM_BLOCK + 57 * per_window + 40 * pairs + table)
+    assert bound < 11 * 10**6
     tracemalloc.start()
     try:
         von_mangoldt_sum(ctx, x, 2, 1, 2)

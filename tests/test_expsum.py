@@ -749,6 +749,15 @@ def test_farey_fractions():
     ]
 
 
+def test_farey_points_match_the_definition():
+    # the neighbour recurrence against the set of reduced h/q in [0, 1),
+    # sorted, for every order up to 100 and the orders below 1
+    for q_max in range(-1, 101):
+        want = {Fraction(h, q) for q in range(1, q_max + 1) for h in range(q)}
+        want = sorted(want | {Fraction(0)})
+        assert farey_points(q_max) == want, q_max
+
+
 def test_one_norm_at_beta_zero():
     # S_n(y, 0) is the geometric kernel; its 1-norm is ~ log G_n scale, > 1
     ctx = make_context((1, 1))
