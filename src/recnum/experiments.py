@@ -92,7 +92,7 @@ def _prime_segments(x: int):
         del seg
         primes *= 2
         primes += lo + 1
-        if lo == 0 and x >= 2:
+        if lo <= 2 < hi:
             primes = np.concatenate([[2], primes])
         yield lo, hi, primes
 
@@ -360,10 +360,16 @@ def _pair_batches(first, count, size):
         yield i0, i1, run, np.arange(b0, b1) + np.repeat(shift[i0:i1], run)
 
 
-def _add_pairs(out, lo, es, lv, ms, cv, ptr, size) -> None:
+def _batch_size(out) -> int:
+    """Pairs per batch in the window out (see _lambda_windows' memory); the
+    size changes no bits."""
+    return max(1, min(_ADD_AT_CHUNK, out.size // 16))
+
+
+def _add_pairs(out, lo, es, lv, ms, cv, ptr) -> None:
     """Add cv[j] lv[i] to out[es[i] ms[j] - lo] for every pair with
     es[i] ms[j] in the window [lo, lo + out.size), in ascending i and then j,
-    by np.add.at in batches of size pairs.
+    by np.add.at in batches of _batch_size(out) pairs.
 
     ptr[i] is the first j whose product with es[i] is >= lo; it moves to the
     window's end. The windows must come in order, and es and ms must hold
@@ -376,17 +382,17 @@ def _add_pairs(out, lo, es, lv, ms, cv, ptr, size) -> None:
     top = lo + out.size - 1
     active = int(np.searchsorted(es, top // ms[0], side="right"))
     end = np.searchsorted(ms, top // es[:active], side="right")
-    for i0, i1, run, j in _pair_batches(ptr[:active], end - ptr[:active], size):
+    for i0, i1, run, j in _pair_batches(ptr[:active], end - ptr[:active], _batch_size(out)):
         e, lam = np.repeat(es[i0:i1], run), np.repeat(lv[i0:i1], run)
         np.add.at(out, e * ms[j] - lo, cv[j] * lam)
     ptr[:active] = end
 
 
-def _set_unordered_pairs(out, lo, es, lv, size) -> None:
+def _set_unordered_pairs(out, lo, es, lv) -> None:
     """Set out[e m - lo] = x + x, x = Lambda(m) Lambda(e), for every pair of
     prime powers e < m with e m in the window [lo, lo + out.size), in batches
-    of size pairs. e^2 < e m <= top, so e <= isqrt(top), and the m of each e
-    are one slice of es.
+    of _batch_size(out) pairs. e^2 < e m <= top, so e <= isqrt(top), and the
+    m of each e are one slice of es.
 
     Pairs of powers of one prime land on a prime power and leave a wrong
     value there; the caller overwrites those."""
@@ -396,7 +402,7 @@ def _set_unordered_pairs(out, lo, es, lv, size) -> None:
     first = np.searchsorted(es, np.maximum(e + 1, -(-lo // e)))
     count = np.searchsorted(es, top // e, side="right") - first
     np.maximum(count, 0, out=count)
-    for i0, i1, run, j in _pair_batches(first, count, size):
+    for i0, i1, run, j in _pair_batches(first, count, _batch_size(out)):
         x = lv[j] * np.repeat(lv[i0:i1], run)
         x += x
         out[np.repeat(es[i0:i1], run) * es[j] - lo] = x
@@ -470,7 +476,6 @@ def _lambda_windows(n: int, ell: int):
     (16 bytes per entry) and one int64 pointer per store entry for each.
     """
     width = _WINDOW if ell <= 2 else _WIDE_WINDOW
-    pairs = max(1, min(_ADD_AT_CHUNK, width // 16))  # per batch
     hp, hl, hj = _higher_powers(n)
     half = n // 2
     size = _prime_count_bound(half) + int(hp.searchsorted(half, side="right"))
@@ -501,7 +506,7 @@ def _lambda_windows(n: int, ell: int):
             base = np.log(k + lo) * vals
             cur[k] = base
             if level == 1:
-                _set_unordered_pairs(cur, lo, es[:stored], lv[:stored], pairs)
+                _set_unordered_pairs(cur, lo, es[:stored], lv[:stored])
                 pj = ins + np.arange(b - a)  # the window's p^j, j >= 2, as indices into k
                 v, sq = base[pj], vals[pj] * vals[pj]
                 for t in range(2, int(hj[a:b].max(initial=1)) + 1):
@@ -509,8 +514,7 @@ def _lambda_windows(n: int, ell: int):
                     v[more] += sq[more]
                 cur[k[pj]] = v
             else:
-                _add_pairs(cur, lo, es[:stored], lv[:stored], *supports[level - 2],
-                           ptrs[level - 2], pairs)
+                _add_pairs(cur, lo, es[:stored], lv[:stored], *supports[level - 2], ptrs[level - 2])
             if level < ell - 1:
                 k = np.flatnonzero(cur)
                 vals = cur[k]

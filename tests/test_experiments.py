@@ -222,13 +222,15 @@ SEGMENT_EDGE_XS = [0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 121, 127**2, 131**2
 
 @pytest.mark.parametrize("x", SEGMENT_EDGE_XS)
 def test_prime_segments_match_small_sieve(monkeypatch, x):
-    monkeypatch.setattr(experiments, "_SEGMENT", 64)
-    segments = list(experiments._prime_segments(x))
-    assert [lo for lo, _, _ in segments] == list(range(0, x + 1, 128))
-    for lo, hi, primes in segments:
-        assert hi == min(lo + 128, x + 1) and np.all((lo <= primes) & (primes < hi))
-    got = np.concatenate([primes for _, _, primes in segments])
-    assert got.tolist() == experiments._primes_upto(x)
+    # segments of 2 and 128 integers; at 2 the prime 2 is the segment [2, 4)'s
+    for segment in (1, 64):
+        monkeypatch.setattr(experiments, "_SEGMENT", segment)
+        segments = list(experiments._prime_segments(x))
+        assert [lo for lo, _, _ in segments] == list(range(0, x + 1, 2 * segment))
+        for lo, hi, primes in segments:
+            assert hi == min(lo + 2 * segment, x + 1) and np.all((lo <= primes) & (primes < hi))
+        got = np.concatenate([primes for _, _, primes in segments])
+        assert got.tolist() == experiments._primes_upto(x), segment
 
 
 @pytest.mark.filterwarnings("ignore::recnum.experiments.GcdPreconditionWarning")
@@ -374,13 +376,13 @@ def test_von_mangoldt_sum_bits_do_not_depend_on_the_window(monkeypatch):
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64, 1000])
 def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
     # many windows: every level's pairs and supports carry across window
-    # edges; sieve segments of 4 and 128 integers lie inside a window,
+    # edges; sieve segments of 2, 4 and 128 integers lie inside a window,
     # straddle its edges or hold several windows, and the store of prime
     # powers <= x // 2 grows in lockstep with them
     set_windows(monkeypatch, chunk)
     x = 2998
     lam = lambda_bruteforce(2**17)[: x + 1]
-    for segment in (2, 64):
+    for segment in (1, 2, 64):
         monkeypatch.setattr(experiments, "_SEGMENT", segment)
         for ell in range(1, 5):
             got = generalized_von_mangoldt(x, ell)
@@ -393,9 +395,9 @@ def test_generalized_von_mangoldt_windows(monkeypatch, chunk):
 
 @pytest.mark.parametrize("x", [0, 1, 2, 3, 4, 127, 128, 129, 1000, 3**6 + 1])
 def test_prime_windows_regroup_the_segments(monkeypatch, x):
-    # windows of 1, 7, 128 and 1000 integers over segments of 4, 8 and 128
+    # windows of 1, 7, 128 and 1000 integers over segments of 2, 4, 8 and 128
     primes = experiments._primes_upto(x)
-    for segment in (2, 4, 64):
+    for segment in (1, 2, 4, 64):
         monkeypatch.setattr(experiments, "_SEGMENT", segment)
         for width in (1, 7, 128, 1000):
             windows = list(experiments._prime_windows(x, width))
@@ -407,11 +409,11 @@ def test_prime_windows_regroup_the_segments(monkeypatch, x):
 
 
 def test_prime_powers_merged_in_order(monkeypatch):
-    # windows of 1, 2 and 128 integers over segments of 4, 8 and 128 put
+    # windows of 1, 2 and 128 integers over segments of 2, 4, 8 and 128 put
     # zero, one or two prime powers in a window; the higher powers p^j are
     # merged into each window's primes in place
     lam = lambda_bruteforce(2**17)
-    for segment in (2, 4, 64):
+    for segment in (1, 2, 4, 64):
         monkeypatch.setattr(experiments, "_SEGMENT", segment)
         for width in (1, 2, 128):
             monkeypatch.setattr(experiments, "_WINDOW", width)
@@ -456,10 +458,11 @@ def test_prime_count_bound_covers_pi():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64, 1000])
-def test_set_unordered_pairs_writes_each_pair(chunk):
+def test_set_unordered_pairs_writes_each_pair(monkeypatch, chunk):
     # x + x at e m for every pair of prime powers e < m, by a double loop;
     # pairs of powers of one prime all give the same value at their product.
-    # Batches of 3 pairs split the runs of m.
+    # Batches of at most 3 pairs split the runs of m.
+    monkeypatch.setattr(experiments, "_ADD_AT_CHUNK", 3)
     x = 1000
     lam = lambda_bruteforce(2**17)[: x + 1]
     es = np.flatnonzero(lam)
@@ -472,7 +475,7 @@ def test_set_unordered_pairs_writes_each_pair(chunk):
             want[e * es[j]] = lv[j] * lv[i] + lv[j] * lv[i]
     got = np.zeros(x + 1)
     for lo in range(0, x + 1, chunk):
-        experiments._set_unordered_pairs(got[lo : lo + chunk], lo, es, lv, 3)
+        experiments._set_unordered_pairs(got[lo : lo + chunk], lo, es, lv)
     assert np.array_equal(got, want)
 
 
